@@ -13,8 +13,9 @@ failure, 3 sweep completed with some rows unsolved.  Floating point fields
 are written with 15 significant digits in CSV and full round-trip precision
 in JSON; unsolved CSV fields read "nan" and JSON ones are null.
 
-RIESZDROP_THREADS caps the sweep worker pool; unset or "0" means one
-worker per CPU.
+RIESZDROP_THREADS is validated for compatibility (it must be unset, empty
+or a non-negative integer) and otherwise has no effect: every subcommand
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .splitting import r_cn, rho_c1, rho_min, rho_n
+from .splitting import _envelope_n, r_cn, rho_c1, rho_n
 from .thresholds import (
     _ALPHA0_BRACKET,
     RootSolveConfig,
@@ -59,17 +59,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _worker_count() -> int:
+def _check_thread_setting() -> None:
+    # the value sizes nothing (sweep rows are GIL-bound pure Python, which
+    # a thread pool only slowed down), but invalid settings stay errors
     raw = os.environ.get("RIESZDROP_THREADS")
     if raw is None or not raw.strip():
-        return os.cpu_count() or 1
+        return
     try:
         n = int(raw)
     except ValueError:
         raise DomainError(f"RIESZDROP_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
         raise DomainError(f"RIESZDROP_THREADS must be non-negative, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -143,14 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(
             f"sweep: need 0 <= alpha-min < alpha-max <= 0.5, got {lo} and {hi}"
         )
-    alphas = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, alphas))
-    else:
-        rows = [_sweep_row(a) for a in alphas]
+    _check_thread_setting()
+    rows = [_sweep_row(lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
 
     if args.format == "json":
         _emit(_json_text(rows), args.out)
@@ -171,17 +166,20 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     if steps < 1:
         raise DomainError(f"envelope: steps must be at least 1, got {steps}")
 
+    # the radii increase, so each row's search for the minimizing n starts
+    # at the previous row's n; it finds the n that rho_min finds from n = 1
     rows: list[dict] = []
+    n_opt = 1
     for i in range(1, steps + 1):
         r = r_max * i / steps
-        best, n_opt = rho_min(r, alpha)
+        n_opt = _envelope_n(r, alpha, n_opt)
         rows.append(
             {
                 "R": r,
                 "rho_1": rho_n(1, r, alpha),
                 "rho_2": rho_n(2, r, alpha),
                 "rho_3": rho_n(3, r, alpha),
-                "rho_min": best,
+                "rho_min": rho_n(n_opt, r, alpha),
                 "n_opt": n_opt,
             }
         )

@@ -20,12 +20,13 @@ slope sits at r = 1:
 
     max |v'(r)| = pi alpha (2-alpha) Gamma(1-alpha) / (2 Gamma(2-alpha/2)^2).
 
-Accuracy notes.  gamma targets <= 1e-12 relative error on (0, 10] (measured
-~6e-15).  hyp2f1 targets <= 1e-10 relative error on the parameter sets used
-by the potential (|a|, |b| <= 2, c in {1, 2, 3}); near the degenerate case
-c - a - b integer (alpha = 1 for the potential) the linear-transformation
-path is unavailable and the raw series is used with a raised term cap, which
-costs runtime near z = 1 and limits accuracy to roughly 1e-10 there.
+Accuracy notes.  gamma is the standard library's math.gamma (CPython's own
+C code, about 1e-15 relative error against a 30-digit reference).  hyp2f1
+targets <= 1e-10 relative error on the parameter sets used by the potential
+(|a|, |b| <= 2, c in {1, 2, 3}); near the degenerate case c - a - b integer
+(alpha = 1 for the potential) the linear-transformation path is unavailable
+and the raw series is used with a raised term cap, which costs runtime near
+z = 1 and limits accuracy to roughly 1e-10 there.
 """
 
 from __future__ import annotations
@@ -64,57 +65,27 @@ class SeriesConfig:
 
 _DEFAULT_SERIES = SeriesConfig()
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Euler Gamma function for real x > 0.
+    """Euler Gamma function for real, finite x > 0.
 
-    Lanczos rational approximation with the reflection formula below
-    x = 0.5.  Relative error is below 1e-12 throughout (0, 10].
+    A thin wrapper over the standard library's math.gamma.  x <= 0, NaN,
+    infinities and arguments whose Gamma overflows a double (x above about
+    171.6, or below about 1e-308) raise DomainError.
     """
-    if not x > 0.0:
-        raise DomainError(f"gamma: argument must be positive, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum on arguments >= 0.5
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    # t**(z+0.5) alone can overflow where Gamma itself is still finite
-    # (x around 170), so split the power around exp(-t)
-    half = t ** (0.5 * (z + 0.5))
-    return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma: argument must be positive and finite, got {x}")
+    return _gamma_real(x)
 
 
-def _gamma_extended(x: float) -> float:
-    # Gamma on negative non-integer arguments, lifted into x > 0 by the
-    # recurrence Gamma(x) = Gamma(x + k) / (x (x+1) ... (x+k-1)).  Needed
-    # only by the connection-formula prefactors; not part of the public
-    # surface, which keeps the x > 0 contract.
-    if x > 0.0:
-        return gamma(x)
-    if x == math.floor(x):
-        raise DomainError(f"gamma pole at non-positive integer {x}")
-    k = int(math.floor(1.0 - x))
-    den = 1.0
-    for i in range(k):
-        den *= x + i
-    return gamma(x + k) / den
+def _gamma_real(x: float) -> float:
+    # math.gamma on any real argument, negative non-integers included, as
+    # the connection-formula prefactors need; poles and overflow become
+    # DomainError
+    try:
+        return math.gamma(x)
+    except (ValueError, OverflowError):
+        raise DomainError(f"gamma: no finite value at {x}") from None
 
 
 def _series(a: float, b: float, c: float, z: float, tol: float, max_terms: int) -> float:
@@ -164,13 +135,9 @@ def hyp2f1(a: float, b: float, c: float, z: float, cfg: SeriesConfig | None = No
         # raw series and let it run longer
         return _series(a, b, c, z, cfg.rel_term_tol, 32 * cfg.max_terms)
     w = 1.0 - z
-    t1 = _gamma_extended(c) * _gamma_extended(s) / (
-        _gamma_extended(c - a) * _gamma_extended(c - b)
-    )
+    t1 = _gamma_real(c) * _gamma_real(s) / (_gamma_real(c - a) * _gamma_real(c - b))
     t1 *= _series(a, b, a + b - c + 1.0, w, cfg.rel_term_tol, cfg.max_terms)
-    t2 = _gamma_extended(c) * _gamma_extended(-s) / (
-        _gamma_extended(a) * _gamma_extended(b)
-    )
+    t2 = _gamma_real(c) * _gamma_real(-s) / (_gamma_real(a) * _gamma_real(b))
     t2 *= w**s * _series(c - a, c - b, s + 1.0, w, cfg.rel_term_tol, cfg.max_terms)
     return t1 + t2
 

@@ -45,6 +45,7 @@ __all__ = [
 
 # linear scan below this n, geometric bracket + bisection above
 _SCAN_CUTOVER = 64
+_N_CAP = 1_000_000  # default cap on the minimizing n of the envelope
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def rho_c1(alpha: float) -> float:
     return rho_n(1, r_cn(1, alpha), alpha)
 
 
-def rho_min(r: float, alpha: float, n_cap: int = 1_000_000) -> tuple[float, int]:
+def rho_min(r: float, alpha: float, n_cap: int = _N_CAP) -> tuple[float, int]:
     """Lower envelope min_n rho_n(r) together with the minimizing n.
 
     Walks n upward while r exceeds the crossover r_cn(n); beyond n = 64 the
@@ -145,15 +146,25 @@ def rho_min(r: float, alpha: float, n_cap: int = 1_000_000) -> tuple[float, int]
     if not r > 0.0:
         raise DomainError(f"rho_min: r must be positive, got {r}")
     n_cap = _check_n(n_cap, "rho_min n_cap")
-    n = 1
-    while n <= min(_SCAN_CUTOVER, n_cap):
+    n = _envelope_n(r, alpha, 1, n_cap)
+    return rho_n(n, r, alpha), n
+
+
+def _envelope_n(r: float, alpha: float, n_start: int, n_cap: int = _N_CAP) -> int:
+    # Smallest n >= n_start with r <= r_cn(n), for an r above r_cn(n_start - 1):
+    # a linear scan of up to _SCAN_CUTOVER steps, then doubling n plus
+    # integer bisection.  A caller walking sorted radii passes the previous
+    # radius's n, which makes a whole table cost about one r_cn call per
+    # segment and row.
+    n = n_start
+    while n <= min(n_start + _SCAN_CUTOVER - 1, n_cap):
         if r <= r_cn(n, alpha):
-            return rho_n(n, r, alpha), n
+            return n
         n += 1
     if n > n_cap:
         raise ConvergenceError(f"rho_min: minimizing n exceeds cap {n_cap} at r = {r}")
-    lo = _SCAN_CUTOVER  # r_cn(lo) < r
-    hi = min(2 * _SCAN_CUTOVER, n_cap)
+    lo = n - 1  # r_cn(lo) < r
+    hi = min(2 * lo, n_cap)
     while r_cn(hi, alpha) < r:
         if hi >= n_cap:
             raise ConvergenceError(
@@ -167,7 +178,7 @@ def rho_min(r: float, alpha: float, n_cap: int = 1_000_000) -> tuple[float, int]
             lo = mid
         else:
             hi = mid
-    return rho_n(hi, r, alpha), hi
+    return hi
 
 
 def envelope_segments(alpha: float, r_max: float) -> list[EnvelopeSegment]:

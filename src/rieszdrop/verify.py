@@ -18,21 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .specfun import gamma
-from .splitting import r_cn, rho_c1
-from .thresholds import (
-    c0,
-    c1,
-    c2,
-    c3,
-    f1,
-    f2,
-    m_c1,
-    m_of_eps,
-    rho0,
-    solve_eps0,
-    solve_eps1,
-    solve_m2,
-)
+from .splitting import rho_c1
+from .thresholds import _AlphaConstants, m_c1, m_of_eps, rho0
 
 __all__ = ["LedgerCheck", "LedgerReport", "f3", "run_ledger"]
 
@@ -113,27 +100,31 @@ _CHECK_TABLE: tuple[tuple[str, str, str, str, float | None, float | None], ...] 
 
 
 def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, float]:
-    rho0_probe = rho0(r_probe, alpha)
-    level = rho_c1(alpha)
+    # one constants record per grid point serves every row and all three
+    # root solves; rho0 goes first, so an alpha above 1/2 fails there, naming
+    # rho0, before any solve runs
+    k = _AlphaConstants(alpha)
+    rho0_probe = k.rho0(r_probe)
+    d0 = k.c0(eps_probe)
     return {
         "g2a": gamma(2.0 - alpha),
         "g2ah": gamma(2.0 - alpha / 2.0),
         "g3ah": gamma(3.0 - alpha / 2.0),
         "g1a": gamma(1.0 - alpha),
         "m_c1": m_c1(alpha),
-        "c0": c0(alpha, eps_probe),
-        "c3": c3(alpha, eps_probe),
-        "f1": f1(alpha, eps_probe),
-        "c1": c1(alpha, eps_probe),
-        "c2": c2(alpha),
-        "f2": f2(alpha, eps_probe),
-        "r_c1": r_cn(1, alpha),
-        "rho_c1": level,
+        "c0": d0,
+        "c3": k.c3(d0),
+        "f1": k.f1(eps_probe),
+        "c1": k.c1(d0),
+        "c2": k.c2,
+        "f2": k.f2(eps_probe),
+        "r_c1": k.r_c1,
+        "rho_c1": k.rho_c1,
         "rho0_probe": rho0_probe,
-        "f3": rho0_probe - level,
-        "m_2": solve_m2(alpha),
-        "m_eps0": m_of_eps(solve_eps0(alpha), alpha),
-        "m_eps1": m_of_eps(solve_eps1(alpha), alpha),
+        "f3": rho0_probe - k.rho_c1,
+        "m_2": k.solve_m2(),
+        "m_eps0": m_of_eps(k.solve_eps0(), alpha),
+        "m_eps1": m_of_eps(k.solve_eps1(), alpha),
     }
 
 

@@ -1,0 +1,70 @@
+"""Work counts of the per-exponent hot paths.
+
+The fixture rebinds gamma, v0_const and r_cn in every rieszdrop module to a
+counting wrapper, the way the benchmark's tracer does (the layers import
+these names directly, so patching the defining module alone would miss most
+calls).  The tests bound how often one operation calls them.  Counts do not
+depend on the machine, so these bounds cannot flake the way timings do.
+"""
+
+import sys
+
+import pytest
+
+from rieszdrop import specfun, splitting
+from rieszdrop.cli import main
+from rieszdrop.splitting import envelope_segments
+from rieszdrop.thresholds import threshold_sample
+from rieszdrop.verify import run_ledger
+
+COUNTED = {"gamma": specfun.gamma, "v0_const": splitting.v0_const, "r_cn": splitting.r_cn}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {name: counting(name, fn) for name, fn in COUNTED.items()}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "rieszdrop":
+            continue
+        for name, fn in COUNTED.items():
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, wrappers[name])
+    return counts
+
+
+def test_threshold_sample_computes_constants_once(calls):
+    # the three root solves share one constants record (17 gamma and 4
+    # v0_const calls); recomputing the Gamma products in every bisection
+    # step costs about 900 and 280
+    threshold_sample(0.034)
+    assert calls["gamma"] <= 100
+    assert calls["v0_const"] <= 10
+
+
+def test_ledger_gamma_calls_per_point(calls):
+    grid = 5
+    run_ledger(grid=grid)
+    assert calls["gamma"] <= 100 * grid
+
+
+def test_envelope_walks_each_segment_once(calls, tmp_path):
+    alpha, r_max, steps = 0.04, 40.0, 400
+    segments = len(envelope_segments(alpha, r_max))
+    calls["r_cn"] = 0
+    code = main(
+        ["envelope", "--alpha", str(alpha), "--r-max", str(r_max), "--steps", str(steps),
+         "--out", str(tmp_path / "envelope.csv")]
+    )
+    assert code == 0
+    # one r_cn per segment passed and one per row; a search from n = 1 on
+    # every row costs about 7 times as many
+    assert calls["r_cn"] <= segments + steps + 64

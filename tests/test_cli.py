@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from rieszdrop.cli import main
-from rieszdrop.splitting import r_cn
+from rieszdrop.splitting import r_cn, rho_min
 from rieszdrop.thresholds import m_c1
 
 SCHEMA = json.loads(
@@ -208,6 +208,24 @@ def test_envelope_json_types(capsys):
     for row in rows:
         assert isinstance(row["n_opt"], int)
         assert row["rho_min"] <= min(row["rho_1"], row["rho_2"], row["rho_3"])
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.04, 0.5, 1.0])
+def test_envelope_rows_match_rho_min(alpha, tmp_path, capsys):
+    # r-max 100 in 200 rows takes n into the tens of thousands, and late rows
+    # jump by more than 64 segments, so the table's walk runs its doubling and
+    # bisection branch from a start above n = 1; every row must still equal
+    # a fresh search from n = 1, bit for bit
+    target = tmp_path / "envelope.json"
+    code, _, _ = run_cli(
+        ["envelope", "--alpha", str(alpha), "--r-max", "100", "--steps", "200",
+         "--format", "json", "--out", str(target)], capsys
+    )
+    assert code == 0
+    rows = json.loads(target.read_text())
+    assert max(b["n_opt"] - a["n_opt"] for a, b in zip(rows, rows[1:])) > 64
+    for row in rows:
+        assert (row["rho_min"], row["n_opt"]) == rho_min(row["R"], alpha)
 
 
 def test_envelope_validation(capsys):
