@@ -33,6 +33,7 @@ from .splitting import (
     EnvelopeSegment,
     disk_energy,
     energy_upper_bound,
+    envelope_rows,
     envelope_segments,
     r_cn,
     r_n_min,
@@ -85,6 +86,7 @@ __all__ = [
     "disk_potential",
     "disk_potential_max_slope",
     "energy_upper_bound",
+    "envelope_rows",
     "envelope_segments",
     "f1",
     "f2",

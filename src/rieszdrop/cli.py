@@ -30,7 +30,7 @@ import sys
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .splitting import _envelope_n, r_cn, rho_c1, rho_n
+from .splitting import envelope_rows, r_cn, rho_c1
 from .thresholds import (
     _ALPHA0_BRACKET,
     RootSolveConfig,
@@ -166,23 +166,8 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     if steps < 1:
         raise DomainError(f"envelope: steps must be at least 1, got {steps}")
 
-    # the radii increase, so each row's search for the minimizing n starts
-    # at the previous row's n; it finds the n that rho_min finds from n = 1
-    rows: list[dict] = []
-    n_opt = 1
-    for i in range(1, steps + 1):
-        r = r_max * i / steps
-        n_opt = _envelope_n(r, alpha, n_opt)
-        rows.append(
-            {
-                "R": r,
-                "rho_1": rho_n(1, r, alpha),
-                "rho_2": rho_n(2, r, alpha),
-                "rho_3": rho_n(3, r, alpha),
-                "rho_min": rho_n(n_opt, r, alpha),
-                "n_opt": n_opt,
-            }
-        )
+    radii = (r_max * i / steps for i in range(1, steps + 1))
+    rows = [dict(zip(_ENVELOPE_FIELDS, row)) for row in envelope_rows(alpha, radii)]
 
     if args.format == "json":
         _emit(_json_text(rows), args.out)

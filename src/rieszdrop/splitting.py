@@ -25,6 +25,7 @@ finite there.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -40,6 +41,7 @@ __all__ = [
     "rho_c1",
     "rho_min",
     "envelope_segments",
+    "envelope_rows",
     "energy_upper_bound",
 ]
 
@@ -85,7 +87,11 @@ def disk_energy(r: float, alpha: float) -> float:
     _check_alpha(alpha, 2.0, "disk_energy")
     if not r > 0.0:
         raise DomainError(f"disk_energy: r must be positive, got {r}")
-    return 2.0 * math.pi * r + v0_const(alpha) * r ** (4.0 - alpha)
+    return _disk_energy(r, alpha, v0_const(alpha))
+
+
+def _disk_energy(r: float, alpha: float, v0: float) -> float:
+    return 2.0 * math.pi * r + v0 * r ** (4.0 - alpha)
 
 
 def rho_n(n: int, r: float, alpha: float) -> float:
@@ -94,7 +100,12 @@ def rho_n(n: int, r: float, alpha: float) -> float:
     _check_alpha(alpha, 2.0, "rho_n")
     if not r > 0.0:
         raise DomainError(f"rho_n: r must be positive, got {r}")
-    return n * disk_energy(r / math.sqrt(n), alpha) / (math.pi * r * r)
+    return _rho_n(n, r, alpha, v0_const(alpha))
+
+
+def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
+    # rho_n for checked arguments and a given v0 = v0_const(alpha)
+    return n * _disk_energy(r / math.sqrt(n), alpha, v0) / (math.pi * r * r)
 
 
 def r_cn(n: int, alpha: float) -> float:
@@ -106,9 +117,14 @@ def r_cn(n: int, alpha: float) -> float:
     """
     n = _check_n(n, "r_cn")
     _check_alpha(alpha, 2.0, "r_cn")
+    return _r_cn(n, alpha, v0_const(alpha))
+
+
+def _r_cn(n: int, alpha: float, v0: float) -> float:
+    # r_cn for checked arguments and a given v0 = v0_const(alpha)
     num = 2.0 * math.pi / (math.sqrt(n + 1.0) + math.sqrt(n))
     den = (
-        -v0_const(alpha)
+        -v0
         * float(n) ** (alpha / 2.0 - 1.0)
         * math.expm1((alpha / 2.0 - 1.0) * math.log1p(1.0 / n))
     )
@@ -131,7 +147,8 @@ def r_n_min(n: int, alpha: float) -> float:
 def rho_c1(alpha: float) -> float:
     """Density at the first crossover, rho_1(r_cn(1)); the flat-envelope level."""
     _check_alpha(alpha, 2.0, "rho_c1")
-    return rho_n(1, r_cn(1, alpha), alpha)
+    v0 = v0_const(alpha)
+    return _rho_n(1, _r_cn(1, alpha, v0), alpha, v0)
 
 
 def rho_min(r: float, alpha: float, n_cap: int = _N_CAP) -> tuple[float, int]:
@@ -146,11 +163,12 @@ def rho_min(r: float, alpha: float, n_cap: int = _N_CAP) -> tuple[float, int]:
     if not r > 0.0:
         raise DomainError(f"rho_min: r must be positive, got {r}")
     n_cap = _check_n(n_cap, "rho_min n_cap")
-    n = _envelope_n(r, alpha, 1, n_cap)
-    return rho_n(n, r, alpha), n
+    v0 = v0_const(alpha)
+    n = _envelope_n(r, alpha, v0, 1, n_cap)
+    return _rho_n(n, r, alpha, v0), n
 
 
-def _envelope_n(r: float, alpha: float, n_start: int, n_cap: int = _N_CAP) -> int:
+def _envelope_n(r: float, alpha: float, v0: float, n_start: int, n_cap: int = _N_CAP) -> int:
     # Smallest n >= n_start with r <= r_cn(n), for an r above r_cn(n_start - 1):
     # a linear scan of up to _SCAN_CUTOVER steps, then doubling n plus
     # integer bisection.  A caller walking sorted radii passes the previous
@@ -158,14 +176,14 @@ def _envelope_n(r: float, alpha: float, n_start: int, n_cap: int = _N_CAP) -> in
     # segment and row.
     n = n_start
     while n <= min(n_start + _SCAN_CUTOVER - 1, n_cap):
-        if r <= r_cn(n, alpha):
+        if r <= _r_cn(n, alpha, v0):
             return n
         n += 1
     if n > n_cap:
         raise ConvergenceError(f"rho_min: minimizing n exceeds cap {n_cap} at r = {r}")
     lo = n - 1  # r_cn(lo) < r
     hi = min(2 * lo, n_cap)
-    while r_cn(hi, alpha) < r:
+    while _r_cn(hi, alpha, v0) < r:
         if hi >= n_cap:
             raise ConvergenceError(
                 f"rho_min: minimizing n exceeds cap {n_cap} at r = {r}"
@@ -174,7 +192,7 @@ def _envelope_n(r: float, alpha: float, n_start: int, n_cap: int = _N_CAP) -> in
         hi = min(2 * hi, n_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if r_cn(mid, alpha) < r:
+        if _r_cn(mid, alpha, v0) < r:
             lo = mid
         else:
             hi = mid
@@ -186,15 +204,41 @@ def envelope_segments(alpha: float, r_max: float) -> list[EnvelopeSegment]:
     _check_alpha(alpha, 1.0, "envelope_segments")
     if not r_max > 0.0:
         raise DomainError(f"envelope_segments: r_max must be positive, got {r_max}")
+    v0 = v0_const(alpha)
     segments: list[EnvelopeSegment] = []
     lo = 0.0
     n = 1
     while lo < r_max:
-        hi = r_cn(n, alpha)
+        hi = _r_cn(n, alpha, v0)
         segments.append(EnvelopeSegment(n=n, r_lo=lo, r_hi=hi))
         lo = hi
         n += 1
     return segments
+
+
+def envelope_rows(
+    alpha: float, radii: Iterable[float]
+) -> Iterator[tuple[float, float, float, float, float, int]]:
+    """Yield (r, rho_1, rho_2, rho_3, rho_min, n_opt) for nondecreasing radii r.
+
+    The rows equal rho_n and rho_min at every radius.  One v0 serves the
+    whole table, and each radius's search for the minimizing n starts at
+    the previous radius's n, so the table costs about one r_cn evaluation
+    per segment passed and per row.
+    """
+    _check_alpha(alpha, 1.0, "envelope_rows")
+    v0 = v0_const(alpha)
+    n = 1
+    prev = 0.0
+    for r in radii:
+        if not r > 0.0 or r < prev:
+            raise DomainError(
+                f"envelope_rows: radii must be positive and nondecreasing, got {r} after {prev}"
+            )
+        prev = r
+        n = _envelope_n(r, alpha, v0, n)
+        yield (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0), _rho_n(3, r, alpha, v0),
+               _rho_n(n, r, alpha, v0), n)
 
 
 def energy_upper_bound(m: float, alpha: float) -> float:

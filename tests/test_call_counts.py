@@ -1,6 +1,7 @@
 """Work counts of the per-exponent hot paths.
 
-The fixture rebinds gamma, v0_const and r_cn in every rieszdrop module to a
+The fixture rebinds gamma, v0_const, r_cn and its private form _r_cn (the
+one every crossover scale is computed by) in every rieszdrop module to a
 counting wrapper, the way the benchmark's tracer does (the layers import
 these names directly, so patching the defining module alone would miss most
 calls).  The tests bound how often one operation calls them.  Counts do not
@@ -17,7 +18,12 @@ from rieszdrop.splitting import envelope_segments
 from rieszdrop.thresholds import threshold_sample
 from rieszdrop.verify import run_ledger
 
-COUNTED = {"gamma": specfun.gamma, "v0_const": splitting.v0_const, "r_cn": splitting.r_cn}
+COUNTED = {
+    "gamma": specfun.gamma,
+    "v0_const": splitting.v0_const,
+    "r_cn": splitting.r_cn,
+    "_r_cn": splitting._r_cn,
+}
 
 
 @pytest.fixture
@@ -59,7 +65,7 @@ def test_ledger_gamma_calls_per_point(calls):
 def test_envelope_walks_each_segment_once(calls, tmp_path):
     alpha, r_max, steps = 0.04, 40.0, 400
     segments = len(envelope_segments(alpha, r_max))
-    calls["r_cn"] = 0
+    calls["_r_cn"] = calls["v0_const"] = 0
     code = main(
         ["envelope", "--alpha", str(alpha), "--r-max", str(r_max), "--steps", str(steps),
          "--out", str(tmp_path / "envelope.csv")]
@@ -67,4 +73,7 @@ def test_envelope_walks_each_segment_once(calls, tmp_path):
     assert code == 0
     # one r_cn per segment passed and one per row; a search from n = 1 on
     # every row costs about 7 times as many
-    assert calls["r_cn"] <= segments + steps + 64
+    assert calls["_r_cn"] <= segments + steps + 64
+    # one v0 serves the whole table; one per rho_n and r_cn call costs
+    # about 2,000
+    assert calls["v0_const"] <= 5

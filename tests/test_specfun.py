@@ -25,6 +25,7 @@ SEED = 20260819
 GAMMA_1966 = 0.98609831298053193552
 HYP_HALF = 1.000695746378497379324883  # 2F1(0.05, 0.05; 2; 0.5)
 HYP_GAUSS = 1.0491916435698633120403  # 2F1(0.25, 0.25; 2; 1)
+HYP_C_MINUS_A_POLE = 3.5872971197991594  # 2F1(1.5, 0.2; 0.5; 0.8)
 VB_AT_ONE = {
     0.1: 3.1468268887421140531,
     0.5: 3.2961327596468834105,
@@ -87,6 +88,14 @@ def test_hyp2f1_spot_values():
     assert hyp2f1(0.0, 0.9, 1.4, 0.6) == 1.0  # terminating series
 
 
+def test_hyp2f1_gamma_pole_terms_vanish():
+    # for z > 0.75 a transformation term whose 1/Gamma factor (of a, b,
+    # c - a or c - b) sits on a pole is exactly 0, not an error
+    assert hyp2f1(0.0, 0.9, 1.4, 0.8) == 1.0
+    assert rel(hyp2f1(-1.0, 0.5, 1.0, 0.9), 0.55) < 1e-14
+    assert rel(hyp2f1(1.5, 0.2, 0.5, 0.8), HYP_C_MINUS_A_POLE) < 1e-14
+
+
 def test_hyp2f1_gauss_endpoint():
     assert rel(hyp2f1(0.25, 0.25, 2.0, 1.0), HYP_GAUSS) < 1e-14
     # z = 1 converges only for c - a - b > 0
@@ -130,8 +139,8 @@ def test_hyp2f1_symmetric_in_a_b(a, b, c, z):
 
 def test_hyp2f1_against_mpmath():
     # the two shapes the disk potential uses, straddling the z = 0.75
-    # branch point of the implementation; alpha near 1 and near 2 take the
-    # degenerate long-series path
+    # branch point of the implementation; alpha = 1 puts c - a - b on the
+    # integer 1 and takes the interpolation bridge
     zs = (0.01, 0.3, 0.6, 0.74, 0.76, 0.9, 0.97, 0.999)
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9, 1.0, 1.02, 1.1, 1.5, 1.9):
@@ -152,6 +161,29 @@ def vb_reference(r, alpha):
     if rr >= 1:
         return float(mpmath.pi / rr**a * mpmath.hyp2f1(a / 2, a / 2, 2, 1 / rr**2))
     return float(2 * mpmath.pi / (2 - a) * mpmath.hyp2f1((a - 2) / 2, a / 2, 1, rr**2))
+
+
+# c - a - b = 2 - alpha on both shapes: each exponent sits on, or within
+# 1e-3 of, the integers 2, 1 and 0 except 0.034 and 1.97
+PROMPT_ALPHAS = (1e-9, 0.034, 0.999, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.001, 1.97, 2.0 - 1e-9)
+PROMPT_ZS = (0.76, 0.9, 0.99, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 2.0**-52)
+
+
+def test_hyp2f1_degenerate_band_is_prompt():
+    # counted in series terms, not time: each transformation series
+    # converges with ratio below 1/4, while a plain series in z needs up to
+    # 32M terms this close to z = 1
+    cfg = SeriesConfig(max_terms=500)
+    for alpha in PROMPT_ALPHAS:
+        for a, b, c in ((alpha / 2.0, alpha / 2.0, 2.0), ((alpha - 2.0) / 2.0, alpha / 2.0, 1.0)):
+            for z in PROMPT_ZS:
+                want = float(mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), c, mpmath.mpf(z)))
+                assert rel(hyp2f1(a, b, c, z, cfg), want) <= 1e-10, (alpha, c, z)
+        # 1 / r^2 rounds z by up to half an ulp, and near z = 1 that alone
+        # moves the outer branch by up to 4e-10 (alpha near 2, r = 1 + 1e-8)
+        for r in (1.0 - 1e-8, 1.0 + 1e-8):
+            want = vb_reference(r, alpha)
+            assert rel(disk_potential(r, alpha, cfg), want) <= 1e-9, (alpha, r)
 
 
 def test_disk_potential_center_value():

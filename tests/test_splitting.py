@@ -13,6 +13,7 @@ from rieszdrop.splitting import (
     disk_energy,
     energy_upper_bound,
     envelope_segments,
+    envelope_rows,
     r_cn,
     r_n_min,
     rho_c1,
@@ -201,6 +202,24 @@ def test_envelope_segments_structure():
         envelope_segments(0.1, 0.0)
     with pytest.raises(DomainError):
         envelope_segments(1.5, 2.0)
+
+
+def test_envelope_rows_match_pointwise():
+    # one v0 and a walk from the previous n give the same bits as the
+    # public functions at every radius, past the linear-scan window too
+    radii = [0.05 * k for k in range(1, 201)] + [10.0, 10.0, 40.0]
+    for alpha in (0.04, 1.0):
+        rows = list(envelope_rows(alpha, radii))
+        assert [row[0] for row in rows] == radii
+        for r, *values in rows:
+            rmin, n = rho_min(r, alpha)
+            assert values == [rho_n(1, r, alpha), rho_n(2, r, alpha), rho_n(3, r, alpha), rmin, n]
+    assert list(envelope_rows(0.1, [])) == []
+    for bad in ([1.0, 0.5], [0.0], [-1.0]):
+        with pytest.raises(DomainError):
+            list(envelope_rows(0.1, bad))
+    with pytest.raises(DomainError):
+        list(envelope_rows(1.5, [1.0]))
 
 
 def test_energy_upper_bound():
