@@ -23,7 +23,6 @@ bit-for-bit across runs.  The command line tool is `rieszdrop`.
 
 from .errors import BracketError, ConvergenceError, DomainError
 from .specfun import (
-    SeriesConfig,
     disk_potential,
     disk_potential_max_slope,
     gamma,
@@ -32,18 +31,15 @@ from .specfun import (
 from .splitting import (
     EnvelopeSegment,
     disk_energy,
-    energy_upper_bound,
     envelope_rows,
     envelope_segments,
     r_cn,
-    r_n_min,
     rho_c1,
     rho_min,
     rho_n,
     v0_const,
 )
 from .thresholds import (
-    RootSolveConfig,
     ThresholdSample,
     c0,
     c1,
@@ -73,8 +69,6 @@ __all__ = [
     "EnvelopeSegment",
     "LedgerCheck",
     "LedgerReport",
-    "RootSolveConfig",
-    "SeriesConfig",
     "ThresholdSample",
     "__version__",
     "c0",
@@ -85,7 +79,6 @@ __all__ = [
     "disk_energy",
     "disk_potential",
     "disk_potential_max_slope",
-    "energy_upper_bound",
     "envelope_rows",
     "envelope_segments",
     "f1",
@@ -96,7 +89,6 @@ __all__ = [
     "m_c1",
     "m_of_eps",
     "r_cn",
-    "r_n_min",
     "rho0",
     "rho_c1",
     "rho_min",

@@ -29,11 +29,9 @@ import os
 import sys
 from typing import NoReturn
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .splitting import envelope_rows, r_cn, rho_c1
 from .thresholds import (
-    _ALPHA0_BRACKET,
-    RootSolveConfig,
     m_c1,
     m_of_eps,
     solve_alpha0,
@@ -99,8 +97,7 @@ def _csv_text(header: tuple[str, ...], rows: list[list[str]]) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     alpha = args.alpha
-    if not 0.0 < alpha <= 0.5:
-        raise DomainError(f"eval: alpha must lie in (0, 0.5], got {alpha}")
+    check_alpha(alpha, "eval", 0.5, lo_open=True)
     r0 = solve_r0(alpha)
     eps0 = solve_eps0(alpha)
     eps1 = solve_eps1(alpha)
@@ -159,8 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
     alpha, r_max, steps = args.alpha, args.r_max, args.steps
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"envelope: alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha, "envelope", 1, lo_open=True)
     if not r_max > 0.0:
         raise DomainError(f"envelope: r-max must be positive, got {r_max}")
     if steps < 1:
@@ -184,8 +180,7 @@ def _cmd_alpha0(args: argparse.Namespace) -> int:
     tol = args.tol
     if not tol > 0.0:
         raise DomainError(f"alpha0: tol must be positive, got {tol}")
-    cfg = RootSolveConfig(_ALPHA0_BRACKET[0], _ALPHA0_BRACKET[1], rel_tol=tol)
-    a0 = solve_alpha0(cfg)
+    a0 = solve_alpha0(tol)
     m_at = min(m_of_eps(solve_eps0(a0), a0), m_of_eps(solve_eps1(a0), a0))
     payload = {"alpha0": a0, "m_at_crossing": m_at, "tol": tol}
     _emit(_json_text(payload), args.out)

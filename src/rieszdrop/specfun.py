@@ -29,46 +29,30 @@ potential shapes have c - a - b = 2 - alpha, which is degenerate (an
 integer) at alpha = 1 and in the limits alpha -> 0, 2.  Against 40-digit
 mpmath, for r in [0.87, 1.15]: about 1e-13 relative error where 2 - alpha
 is at least 1e-3 from an integer, and at most 1.1e-11 closer than that,
-where the interpolation bridge takes over.
+where the interpolation bridge takes over.  disk_potential hands the
+transformation 1 - z as (r - 1)(r + 1) / r^2 or (1 - r)(1 + r), free of
+cancellation, which keeps it within about 5e-15 of mpmath at r = 1 - 1e-8
+and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesConfig",
     "gamma",
     "hyp2f1",
     "disk_potential",
     "disk_potential_max_slope",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Stopping rule for the hypergeometric power series.
-
-    rel_term_tol: stop once the next term is below tol * |partial sum|.
-    max_terms: hard cap on the number of terms of every series summed,
-    including each series of the z > 0.75 transformation; reaching it
-    raises ConvergenceError.
-    """
-
-    rel_term_tol: float = 1e-16
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_term_tol > 0.0:
-            raise DomainError("SeriesConfig: rel_term_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("SeriesConfig: max_terms must be at least 1")
-
-
-_DEFAULT_SERIES = SeriesConfig()
+# Every series stops once its next term is below _TERM_TOL times the partial
+# sum, and raises ConvergenceError after _MAX_TERMS terms, including each
+# series of the z > 0.75 transformation.
+_TERM_TOL = 1e-16
+_MAX_TERMS = 1_000_000
 
 
 def gamma(x: float) -> float:
@@ -93,9 +77,10 @@ def _gamma_real(x: float) -> float:
         raise DomainError(f"gamma: no finite value at {x}") from None
 
 
-def _series(a: float, b: float, c: float, z: float, tol: float, max_terms: int) -> float:
+def _series(a: float, b: float, c: float, z: float) -> float:
     # plain power series with the term-ratio stopping rule; c may be any
     # real that is not a non-positive integer here (internal use)
+    tol, max_terms = _TERM_TOL, _MAX_TERMS
     s = 1.0
     term = 1.0
     k = 0
@@ -111,47 +96,52 @@ def _series(a: float, b: float, c: float, z: float, tol: float, max_terms: int) 
     )
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, cfg: SeriesConfig | None = None) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) on z in [0, 1].
 
-    z = 1 requires c - a - b > 0 and is summed in closed form (Gauss).
-    For z <= 0.75 the power series in z is summed.  For z > 0.75 the
-    linear transformation to 1 - z is used, whose two series converge
-    geometrically with ratio below 1/4 however close z is to 1.  When
-    c - a - b lies within 1e-3 of an integer, where that transformation
-    degenerates, it is evaluated at ten shifted values of b and
-    interpolated back (see _bridge).  cfg bounds every series summed.
+    a, b and c must be finite and c positive.  z = 1 requires c - a - b > 0
+    and is summed in closed form (Gauss).  For z <= 0.75 the power series
+    in z is summed.  For z > 0.75 the linear transformation to 1 - z is
+    used, whose two series converge geometrically with ratio below 1/4
+    however close z is to 1.  When c - a - b lies within 1e-3 of an
+    integer, where that transformation degenerates, it is evaluated at ten
+    shifted values of b and interpolated back (see _bridge).  A series that
+    has not converged after 1,000,000 terms raises ConvergenceError.
     """
-    if cfg is None:
-        cfg = _DEFAULT_SERIES
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"hyp2f1: a, b and c must be finite, got {a}, {b}, {c}")
     if not c > 0.0:
         raise DomainError(f"hyp2f1: c must be positive, got {c}")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"hyp2f1: z must lie in [0, 1], got {z}")
+    return _hyp2f1(a, b, c, z, 1.0 - z)
+
+
+def _hyp2f1(a: float, b: float, c: float, z: float, w: float) -> float:
+    # hyp2f1 for checked arguments, with w = 1 - z passed in: a caller that
+    # knows 1 - z without cancellation (disk_potential near r = 1) keeps
+    # the transformation to 1 - z accurate
     if z == 1.0:
         s = c - a - b
         if not s > 0.0:
             raise DomainError("hyp2f1: z = 1 requires c - a - b > 0")
         return gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
     if z <= 0.75:
-        return _series(a, b, c, z, cfg.rel_term_tol, cfg.max_terms)
+        return _series(a, b, c, z)
     s = c - a - b
     eps = s - round(s)
     if abs(eps) < _BRIDGE_BELOW:
-        return _bridge(a, b, c, z, eps, cfg)
-    return _connection(a, b, c, z, cfg)
+        return _bridge(a, b, c, w, eps)
+    return _connection(a, b, c, w)
 
 
-def _connection(a: float, b: float, c: float, z: float, cfg: SeriesConfig) -> float:
+def _connection(a: float, b: float, c: float, w: float) -> float:
     # linear transformation to w = 1 - z (DLMF 15.8.4); both Gamma
     # prefactors have poles at integer c - a - b, where the two terms only
     # cancel analytically, and it loses about log10(1/|eps|) digits near them
     s = c - a - b
-    w = 1.0 - z
-    t1 = _gamma_ratio(c, s, c - a, c - b)
-    t1 *= _series(a, b, a + b - c + 1.0, w, cfg.rel_term_tol, cfg.max_terms)
-    t2 = _gamma_ratio(c, -s, a, b)
-    t2 *= w**s * _series(c - a, c - b, s + 1.0, w, cfg.rel_term_tol, cfg.max_terms)
+    t1 = _gamma_ratio(c, s, c - a, c - b) * _series(a, b, a + b - c + 1.0, w)
+    t2 = _gamma_ratio(c, -s, a, b) * (w**s * _series(c - a, c - b, s + 1.0, w))
     return t1 + t2
 
 
@@ -173,7 +163,7 @@ _BRIDGE_NODES = tuple(0.01 * math.cos((2 * k + 1) * math.pi / 20) for k in range
 _BRIDGE_WEIGHTS = tuple((-1) ** k * math.sin((2 * k + 1) * math.pi / 20) for k in range(10))
 
 
-def _bridge(a: float, b: float, c: float, z: float, eps: float, cfg: SeriesConfig) -> float:
+def _bridge(a: float, b: float, c: float, w: float, eps: float) -> float:
     # c - a - b = m + eps with |eps| < _BRIDGE_BELOW.  2F1 is entire in b,
     # so evaluate the connection formula at b + eps - tau, where
     # c - a - b sits tau from the integer m, for every node tau, and
@@ -182,29 +172,34 @@ def _bridge(a: float, b: float, c: float, z: float, eps: float, cfg: SeriesConfi
     num = den = 0.0
     for tau, weight in zip(_BRIDGE_NODES, _BRIDGE_WEIGHTS):
         q = weight / (eps - tau)
-        num += q * _connection(a, b0 - tau, c, z, cfg)
+        num += q * _connection(a, b0 - tau, c, w)
         den += q
     return num / den
 
 
-def disk_potential(r: float, alpha: float, cfg: SeriesConfig | None = None) -> float:
+def disk_potential(r: float, alpha: float) -> float:
     """Interaction potential of the unit disk at distance r from its center.
 
     Evaluates integral_B |x - y|^(-alpha) dy for |x| = r >= 0, 0 < alpha < 2,
     through the two-branch hypergeometric closed form.  At r = 1 the outer
-    branch is returned; both branches agree there.
+    branch is returned; both branches agree there.  1 - z is formed as a
+    product with the factor r - 1 or 1 - r, so it keeps full relative
+    accuracy next to r = 1.
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"disk_potential: alpha must lie in (0, 2), got {alpha}")
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"disk_potential: r must be nonnegative, got {r}")
     if r >= 1.0:
-        return math.pi / r**alpha * hyp2f1(alpha / 2.0, alpha / 2.0, 2.0, 1.0 / (r * r), cfg)
+        r2 = r * r
+        return math.pi / r**alpha * _hyp2f1(
+            alpha / 2.0, alpha / 2.0, 2.0, 1.0 / r2, (r - 1.0) * (r + 1.0) / r2
+        )
     return (
         2.0
         * math.pi
         / (2.0 - alpha)
-        * hyp2f1((alpha - 2.0) / 2.0, alpha / 2.0, 1.0, r * r, cfg)
+        * _hyp2f1((alpha - 2.0) / 2.0, alpha / 2.0, 1.0, r * r, (1.0 - r) * (1.0 + r))
     )
 
 

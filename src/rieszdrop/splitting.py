@@ -28,7 +28,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
 
 __all__ = [
@@ -37,12 +37,10 @@ __all__ = [
     "disk_energy",
     "rho_n",
     "r_cn",
-    "r_n_min",
     "rho_c1",
     "rho_min",
     "envelope_segments",
     "envelope_rows",
-    "energy_upper_bound",
 ]
 
 # linear scan below this n, geometric bracket + bisection above
@@ -59,12 +57,6 @@ class EnvelopeSegment:
     r_hi: float
 
 
-def _check_alpha(alpha: float, hi: float, what: str) -> None:
-    if not 0.0 <= alpha < 2.0 or alpha > hi:
-        hi_txt = "2)" if hi == 2.0 else f"{hi}]"
-        raise DomainError(f"{what}: alpha must lie in [0, {hi_txt}, got {alpha}")
-
-
 def _check_n(n: int, what: str) -> int:
     if n != int(n) or n < 1:
         raise DomainError(f"{what}: n must be an integer >= 1, got {n}")
@@ -73,7 +65,7 @@ def _check_n(n: int, what: str) -> int:
 
 def v0_const(alpha: float) -> float:
     """Self-interaction energy of the unit disk under the |x-y|^(-alpha) kernel."""
-    _check_alpha(alpha, 2.0, "v0_const")
+    check_alpha(alpha, "v0_const", 2, hi_open=True)
     return (
         2.0
         * math.pi**2
@@ -84,7 +76,7 @@ def v0_const(alpha: float) -> float:
 
 def disk_energy(r: float, alpha: float) -> float:
     """Perimeter plus interaction energy of a single disk of radius r."""
-    _check_alpha(alpha, 2.0, "disk_energy")
+    check_alpha(alpha, "disk_energy", 2, hi_open=True)
     if not r > 0.0:
         raise DomainError(f"disk_energy: r must be positive, got {r}")
     return _disk_energy(r, alpha, v0_const(alpha))
@@ -97,7 +89,7 @@ def _disk_energy(r: float, alpha: float, v0: float) -> float:
 def rho_n(n: int, r: float, alpha: float) -> float:
     """Energy per unit area of n equal disks at total radius-scale r."""
     n = _check_n(n, "rho_n")
-    _check_alpha(alpha, 2.0, "rho_n")
+    check_alpha(alpha, "rho_n", 2, hi_open=True)
     if not r > 0.0:
         raise DomainError(f"rho_n: r must be positive, got {r}")
     return _rho_n(n, r, alpha, v0_const(alpha))
@@ -116,7 +108,7 @@ def r_cn(n: int, alpha: float) -> float:
     expm1/log1p respectively.
     """
     n = _check_n(n, "r_cn")
-    _check_alpha(alpha, 2.0, "r_cn")
+    check_alpha(alpha, "r_cn", 2, hi_open=True)
     return _r_cn(n, alpha, v0_const(alpha))
 
 
@@ -131,22 +123,9 @@ def _r_cn(n: int, alpha: float, v0: float) -> float:
     return (num / den) ** (1.0 / (3.0 - alpha))
 
 
-def r_n_min(n: int, alpha: float) -> float:
-    """Scale minimizing rho_n; the minima shift like sqrt(n).
-
-    Restricted to alpha <= 1, where the single-disk density is strictly
-    convex with a unique interior minimum.
-    """
-    n = _check_n(n, "r_n_min")
-    _check_alpha(alpha, 1.0, "r_n_min")
-    return math.sqrt(n) * (2.0 * math.pi / (v0_const(alpha) * (2.0 - alpha))) ** (
-        1.0 / (3.0 - alpha)
-    )
-
-
 def rho_c1(alpha: float) -> float:
     """Density at the first crossover, rho_1(r_cn(1)); the flat-envelope level."""
-    _check_alpha(alpha, 2.0, "rho_c1")
+    check_alpha(alpha, "rho_c1", 2, hi_open=True)
     v0 = v0_const(alpha)
     return _rho_n(1, _r_cn(1, alpha, v0), alpha, v0)
 
@@ -159,7 +138,7 @@ def rho_min(r: float, alpha: float, n_cap: int = _N_CAP) -> tuple[float, int]:
     increasing sequence r_cn.  Raises ConvergenceError when the minimizing
     n would exceed n_cap.
     """
-    _check_alpha(alpha, 1.0, "rho_min")
+    check_alpha(alpha, "rho_min", 1.0)
     if not r > 0.0:
         raise DomainError(f"rho_min: r must be positive, got {r}")
     n_cap = _check_n(n_cap, "rho_min n_cap")
@@ -201,7 +180,7 @@ def _envelope_n(r: float, alpha: float, v0: float, n_start: int, n_cap: int = _N
 
 def envelope_segments(alpha: float, r_max: float) -> list[EnvelopeSegment]:
     """Envelope segments (r_cn(n-1), r_cn(n)] covering (0, r_max]."""
-    _check_alpha(alpha, 1.0, "envelope_segments")
+    check_alpha(alpha, "envelope_segments", 1.0)
     if not r_max > 0.0:
         raise DomainError(f"envelope_segments: r_max must be positive, got {r_max}")
     v0 = v0_const(alpha)
@@ -226,7 +205,7 @@ def envelope_rows(
     the previous radius's n, so the table costs about one r_cn evaluation
     per segment passed and per row.
     """
-    _check_alpha(alpha, 1.0, "envelope_rows")
+    check_alpha(alpha, "envelope_rows", 1.0)
     v0 = v0_const(alpha)
     n = 1
     prev = 0.0
@@ -240,18 +219,3 @@ def envelope_rows(
         yield (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0), _rho_n(3, r, alpha, v0),
                _rho_n(n, r, alpha, v0), n)
 
-
-def energy_upper_bound(m: float, alpha: float) -> float:
-    """Linear-in-mass energy bound m * rho_c1 for masses above the crossover.
-
-    Valid once m >= pi * r_cn(1)^2, the mass at which splitting into two
-    disks first matches a single disk.
-    """
-    _check_alpha(alpha, 1.0, "energy_upper_bound")
-    rc = r_cn(1, alpha)
-    m_split = math.pi * rc * rc
-    if m < m_split:
-        raise DomainError(
-            f"energy_upper_bound: m = {m} is below the splitting mass {m_split}"
-        )
-    return m * rho_c1(alpha)

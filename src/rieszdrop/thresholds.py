@@ -25,8 +25,12 @@ on every call, and results are bit-deterministic for identical inputs.
 
 Everything above depends on alpha only through a handful of constants (V0,
 pi^(2-a), C2, the slope lead of C3, r_cn(1), rho_c1 and the rho_0
-coefficient).  A solve computes each of them once, in one _AlphaConstants
+coefficient).  A solve computes each of them once, in one AlphaConstants
 record, and its objective reads them from there on every bisection step.
+
+Tolerances are fixed: every bisection stops at a bracket width of 1e-12
+relative, or raises ConvergenceError after 200 iterations.  The one
+setting left to callers is the tolerance of the outer alpha_0 solve.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
 from .splitting import r_cn, rho_c1, v0_const
 
 __all__ = [
-    "RootSolveConfig",
+    "AlphaConstants",
     "ThresholdSample",
     "m_c1",
     "rho0",
@@ -63,24 +67,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
-
-
-@dataclass(frozen=True)
-class RootSolveConfig:
-    """Bisection bracket and stopping rule."""
-
-    bracket_lo: float
-    bracket_hi: float
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.bracket_lo < self.bracket_hi:
-            raise DomainError("RootSolveConfig: bracket_lo must be below bracket_hi")
-        if not self.rel_tol > 0.0:
-            raise DomainError("RootSolveConfig: rel_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("RootSolveConfig: max_iter must be at least 1")
+_MAX_ITER = 200  # bisection iteration budget
 
 
 @dataclass(frozen=True)
@@ -94,14 +81,15 @@ class ThresholdSample:
     m_eps1: float
 
 
-def _bisect(f: Callable[[float], float], cfg: RootSolveConfig, expand_hi: bool = True) -> float:
-    """Bisection on [bracket_lo, bracket_hi], growing hi geometrically.
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-12, expand_hi: bool = True
+) -> float:
+    """Bisection on [lo, hi] down to width rel_tol, growing hi geometrically.
 
     The sign change is asserted before iterating, so a violated
     monotonicity assumption surfaces as BracketError rather than a silent
     wrong root.
     """
-    lo, hi = cfg.bracket_lo, cfg.bracket_hi
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -118,9 +106,9 @@ def _bisect(f: Callable[[float], float], cfg: RootSolveConfig, expand_hi: bool =
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo) = {flo}, f(hi) = {fhi}"
         )
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.rel_tol * max(abs(lo), abs(hi)):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -130,23 +118,13 @@ def _bisect(f: Callable[[float], float], cfg: RootSolveConfig, expand_hi: bool =
         else:
             hi = mid
     raise ConvergenceError(
-        f"bisection did not reach rel_tol {cfg.rel_tol} in {cfg.max_iter} iterations"
+        f"bisection did not reach rel_tol {rel_tol} in {_MAX_ITER} iterations"
     )
-
-
-def _check_alpha(alpha: float, lo_open: bool, hi: float, hi_open: bool, what: str) -> None:
-    ok = (alpha > 0.0 if lo_open else alpha >= 0.0) and (
-        alpha < hi if hi_open else alpha <= hi
-    )
-    if not ok:
-        lo_b = "(" if lo_open else "["
-        hi_b = ")" if hi_open else "]"
-        raise DomainError(f"{what}: alpha must lie in {lo_b}0, {hi}{hi_b}, got {alpha}")
 
 
 def m_c1(alpha: float) -> float:
     """Mass where one disk ties with two half-mass disks (closed form)."""
-    _check_alpha(alpha, False, 2.0, True, "m_c1")
+    check_alpha(alpha, "m_c1", 2.0, hi_open=True)
     num = (_SQRT2 - 1.0) * gamma(2.0 - alpha / 2.0) * gamma(3.0 - alpha / 2.0)
     den = math.pi * (1.0 - 2.0 ** ((alpha - 2.0) / 2.0)) * gamma(2.0 - alpha)
     return math.pi * (num / den) ** (2.0 / (3.0 - alpha))
@@ -155,16 +133,19 @@ def m_c1(alpha: float) -> float:
 _EPS_BRACKET = (1e-6, 4.0)
 
 
-class _AlphaConstants:
+class AlphaConstants:
     """The per-exponent constants of one alpha, with the objectives that read them.
 
     Each constant is computed on first use and then kept, through gamma,
     v0_const, r_cn and rho_c1, so a solve pays for its Gamma products once
     rather than once per bisection step.  The methods are the only written
     form of C0, C1, C3, F1, F2 and rho_0; the public functions of the same
-    names wrap them, so both give the same bits.  Arguments are not checked
-    here, except that the two constants with a narrower alpha domain (the C3
-    slope lead and the rho_0 coefficient) check theirs on first use.
+    names wrap them, so both give the same bits.
+
+    The methods take checked arguments: alpha in the domain of the solve or
+    objective called, eps and r positive.  Nothing here checks them, except
+    that the two constants with a narrower alpha domain (the C3 slope lead
+    and the rho_0 coefficient) check theirs on first use.
     """
 
     def __init__(self, alpha: float) -> None:
@@ -190,7 +171,7 @@ class _AlphaConstants:
     def c3_lead(self) -> float:
         # pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2)
         alpha = self.alpha
-        _check_alpha(alpha, True, 1.0, True, "c3")
+        check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
         g = gamma(2.0 - alpha / 2.0)
         return math.pi**2 * alpha * (2.0 - alpha) * gamma(1.0 - alpha) / (2.0 * g * g)
 
@@ -206,7 +187,7 @@ class _AlphaConstants:
     def rho0_coeff(self) -> float:
         # 2^a pi^(1-a) / rho_c1^a
         alpha = self.alpha
-        _check_alpha(alpha, False, 0.5, False, "rho0")
+        check_alpha(alpha, "rho0", 0.5)
         return 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
 
     def c0(self, eps: float) -> float:
@@ -237,53 +218,47 @@ class _AlphaConstants:
     def rho0(self, r: float) -> float:
         return 2.0 / r + self.rho0_coeff * r ** (2.0 - 2.0 * self.alpha)
 
-    def solve_r0(self, cfg: RootSolveConfig | None = None) -> float:
-        if cfg is None:
-            rc = self.r_c1
-            cfg = RootSolveConfig(bracket_lo=rc, bracket_hi=4.0 * rc)
+    def solve_r0(self) -> float:
+        rc = self.r_c1
         level = self.rho_c1
-        return _bisect(lambda r: self.rho0(r) - level, cfg)
+        return _bisect(lambda r: self.rho0(r) - level, rc, 4.0 * rc)
 
-    def solve_m2(self, cfg: RootSolveConfig | None = None) -> float:
-        r0 = self.solve_r0(cfg)
+    def solve_m2(self) -> float:
+        r0 = self.solve_r0()
         return math.pi * r0 * r0
 
-    def solve_eps0(self, cfg: RootSolveConfig | None = None) -> float:
-        if cfg is None:
-            cfg = RootSolveConfig(*_EPS_BRACKET)
-        return _bisect(self.f2, cfg)
+    def solve_eps0(self) -> float:
+        return _bisect(self.f2, *_EPS_BRACKET)
 
-    def solve_eps1(self, cfg: RootSolveConfig | None = None) -> float:
-        if cfg is None:
-            cfg = RootSolveConfig(*_EPS_BRACKET)
-        return _bisect(self.f1, cfg)
+    def solve_eps1(self) -> float:
+        return _bisect(self.f1, *_EPS_BRACKET)
 
 
 def rho0(r: float, alpha: float) -> float:
     """Comparison density 2/r + (2^a pi^(1-a) / rho_c1^a) r^(2-2a), a <= 1/2."""
     if not r > 0.0:
         raise DomainError(f"rho0: r must be positive, got {r}")
-    return _AlphaConstants(alpha).rho0(r)
+    return AlphaConstants(alpha).rho0(r)
 
 
-def solve_r0(alpha: float, cfg: RootSolveConfig | None = None) -> float:
+def solve_r0(alpha: float) -> float:
     """Unique scale R_0 >= r_cn(1) where rho0 climbs back to rho_c1."""
-    _check_alpha(alpha, True, 0.5, False, "solve_r0")
-    return _AlphaConstants(alpha).solve_r0(cfg)
+    check_alpha(alpha, "solve_r0", 0.5, lo_open=True)
+    return AlphaConstants(alpha).solve_r0()
 
 
-def solve_m2(alpha: float, cfg: RootSolveConfig | None = None) -> float:
+def solve_m2(alpha: float) -> float:
     """Nonexistence threshold mass pi R_0^2."""
-    _check_alpha(alpha, True, 0.5, False, "solve_m2")
-    return _AlphaConstants(alpha).solve_m2(cfg)
+    check_alpha(alpha, "solve_m2", 0.5, lo_open=True)
+    return AlphaConstants(alpha).solve_m2()
 
 
-def _with_eps(alpha: float, eps: float) -> _AlphaConstants:
+def _with_eps(alpha: float, eps: float) -> AlphaConstants:
     # the argument checks shared by C0 and everything built on it
-    _check_alpha(alpha, True, 2.0, True, "c0")
+    check_alpha(alpha, "c0", 2.0, lo_open=True, hi_open=True)
     if not eps > 0.0:
         raise DomainError(f"c0: eps must be positive, got {eps}")
-    return _AlphaConstants(alpha)
+    return AlphaConstants(alpha)
 
 
 def c0(alpha: float, eps: float) -> float:
@@ -299,8 +274,8 @@ def c1(alpha: float, eps: float) -> float:
 
 def c2(alpha: float) -> float:
     """Outer-interaction upper constant 2 pi / (2 - alpha)."""
-    _check_alpha(alpha, False, 2.0, True, "c2")
-    return _AlphaConstants(alpha).c2
+    check_alpha(alpha, "c2", 2.0, hi_open=True)
+    return AlphaConstants(alpha).c2
 
 
 def delta_bound(d: float) -> float:
@@ -329,48 +304,48 @@ def f2(alpha: float, eps: float) -> float:
 
 def m_of_eps(eps: float, alpha: float) -> float:
     """Mass corresponding to the scale parameter: m = pi eps^(2/(3-a))."""
-    _check_alpha(alpha, False, 2.0, True, "m_of_eps")
+    check_alpha(alpha, "m_of_eps", 2.0, hi_open=True)
     if not eps > 0.0:
         raise DomainError(f"m_of_eps: eps must be positive, got {eps}")
     return math.pi * eps ** (2.0 / (3.0 - alpha))
 
 
-def solve_eps0(alpha: float, cfg: RootSolveConfig | None = None) -> float:
+def solve_eps0(alpha: float) -> float:
     """Root of the convexity objective f2; masses above it are non-disk-like."""
-    _check_alpha(alpha, True, 2.0, True, "solve_eps0")
-    return _AlphaConstants(alpha).solve_eps0(cfg)
+    check_alpha(alpha, "solve_eps0", 2.0, lo_open=True, hi_open=True)
+    return AlphaConstants(alpha).solve_eps0()
 
 
-def solve_eps1(alpha: float, cfg: RootSolveConfig | None = None) -> float:
+def solve_eps1(alpha: float) -> float:
     """Root of the rigidity objective f1."""
-    _check_alpha(alpha, True, 1.0, True, "solve_eps1")
-    return _AlphaConstants(alpha).solve_eps1(cfg)
+    check_alpha(alpha, "solve_eps1", 1.0, lo_open=True, hi_open=True)
+    return AlphaConstants(alpha).solve_eps1()
 
 
 _ALPHA0_BRACKET = (0.01, 0.10)
 
 
-def solve_alpha0(cfg: RootSolveConfig | None = None) -> float:
+def solve_alpha0(rel_tol: float = 1e-12) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
-    Outer bisection on [0.01, 0.10]; the three inner solves run at their
-    default tolerances, which keeps the nesting stable (the outer objective
-    is evaluated to ~1e-12 relative).
+    Outer bisection on [0.01, 0.10] down to a relative width rel_tol > 0;
+    the three inner solves run at their fixed tolerance, which keeps the
+    nesting stable (the outer objective is evaluated to ~1e-12 relative).
     """
-    if cfg is None:
-        cfg = RootSolveConfig(*_ALPHA0_BRACKET)
+    if not rel_tol > 0.0:
+        raise DomainError(f"solve_alpha0: rel_tol must be positive, got {rel_tol}")
 
     def crossing_gap(alpha: float) -> float:
         s = threshold_sample(alpha)
         return min(s.m_eps0, s.m_eps1) - s.m_2
 
-    return _bisect(crossing_gap, cfg, expand_hi=False)
+    return _bisect(crossing_gap, *_ALPHA0_BRACKET, rel_tol=rel_tol, expand_hi=False)
 
 
 def threshold_sample(alpha: float) -> ThresholdSample:
     """All four threshold masses at one exponent (0 < alpha <= 1/2)."""
-    _check_alpha(alpha, True, 0.5, False, "threshold_sample")
-    k = _AlphaConstants(alpha)
+    check_alpha(alpha, "threshold_sample", 0.5, lo_open=True)
+    k = AlphaConstants(alpha)
     return ThresholdSample(
         alpha=alpha,
         m_c1=m_c1(alpha),

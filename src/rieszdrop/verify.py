@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .specfun import gamma
 from .splitting import rho_c1
-from .thresholds import _AlphaConstants, m_c1, m_of_eps, rho0
+from .thresholds import AlphaConstants, m_c1, m_of_eps, rho0
 
 __all__ = ["LedgerCheck", "LedgerReport", "f3", "run_ledger"]
 
@@ -103,7 +103,7 @@ def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, 
     # one constants record per grid point serves every row and all three
     # root solves; rho0 goes first, so an alpha above 1/2 fails there, naming
     # rho0, before any solve runs
-    k = _AlphaConstants(alpha)
+    k = AlphaConstants(alpha)
     rho0_probe = k.rho0(r_probe)
     d0 = k.c0(eps_probe)
     return {

@@ -12,7 +12,6 @@ from rieszdrop.errors import BracketError, ConvergenceError
 from rieszdrop.specfun import disk_potential
 from rieszdrop.splitting import r_cn, rho_min, rho_n, v0_const
 from rieszdrop.thresholds import (
-    RootSolveConfig,
     c0,
     f1,
     f2,
@@ -75,7 +74,7 @@ def test_ac01_critical_mass_limit():
 
 def test_ac02_crossing_exponent():
     t0 = time.perf_counter()
-    a0 = solve_alpha0(RootSolveConfig(0.01, 0.10, rel_tol=1e-10))
+    a0 = solve_alpha0(rel_tol=1e-10)
     dt = time.perf_counter() - t0
     ok = abs(a0 - 0.04273) <= 0.0005 and dt < 10.0
     _report("AC 2", ok, f"alpha0 = {a0!r} (target 0.04273 +/- 0.0005) in {dt:.3f} s")

@@ -11,11 +11,9 @@ from rieszdrop.errors import ConvergenceError, DomainError
 from rieszdrop.splitting import (
     EnvelopeSegment,
     disk_energy,
-    energy_upper_bound,
     envelope_segments,
     envelope_rows,
     r_cn,
-    r_n_min,
     rho_c1,
     rho_min,
     rho_n,
@@ -105,21 +103,6 @@ def test_crossover_reference_values_and_growth():
     for alpha in (0.034, 0.1, 0.5, 1.0):
         vals = [r_cn(n, alpha) for n in range(1, 51)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_scale_of_minimum():
-    assert rel(r_n_min(1, 0.0), (1.0 / math.pi) ** (1.0 / 3.0)) < 1e-14
-    for n in (2, 7):
-        for alpha in (0.1, 1.0):
-            assert rel(r_n_min(n, alpha), math.sqrt(n) * r_n_min(1, alpha)) < 1e-14
-    # interior minimum: nudging the scale either way raises the density
-    for n, alpha in ((1, 0.1), (5, 1.0)):
-        r_star = r_n_min(n, alpha)
-        at = rho_n(n, r_star, alpha)
-        assert at < rho_n(n, r_star * 1.001, alpha)
-        assert at < rho_n(n, r_star * 0.999, alpha)
-    with pytest.raises(DomainError):
-        r_n_min(1, 1.5)
 
 
 def test_envelope_level():
@@ -221,13 +204,3 @@ def test_envelope_rows_match_pointwise():
     with pytest.raises(DomainError):
         list(envelope_rows(1.5, [1.0]))
 
-
-def test_energy_upper_bound():
-    rc = r_cn(1, 0.1)
-    m_split = math.pi * rc * rc
-    assert energy_upper_bound(3.0, 0.1) == 3.0 * rho_c1(0.1)
-    assert energy_upper_bound(m_split, 0.1) == m_split * rho_c1(0.1)
-    with pytest.raises(DomainError):
-        energy_upper_bound(0.9 * m_split, 0.1)
-    with pytest.raises(DomainError):
-        energy_upper_bound(3.0, 1.5)

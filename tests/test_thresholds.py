@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rieszdrop import thresholds
 from rieszdrop.errors import BracketError, ConvergenceError, DomainError
 from rieszdrop.specfun import disk_potential_max_slope
 from rieszdrop.splitting import r_cn, rho_c1
 from rieszdrop.thresholds import (
-    RootSolveConfig,
+    AlphaConstants,
     ThresholdSample,
     c0,
     c1,
@@ -127,13 +128,20 @@ def test_m2_exceeds_m_c1():
         assert solve_m2(alpha) > m_c1(alpha)
 
 
-def test_solve_r0_solver_failures():
+def test_solve_r0_solver_failures(monkeypatch):
+    # the R_0 objective on brackets its solve does not use
+    k = AlphaConstants(0.034)
+
+    def gap(r):
+        return k.rho0(r) - k.rho_c1
+
     # bracket entirely right of the root, both endpoints positive
     with pytest.raises(BracketError):
-        solve_r0(0.034, RootSolveConfig(3.0, 4.0))
+        thresholds._bisect(gap, 3.0, 4.0, expand_hi=False)
     rc = r_cn(1, 0.034)
+    monkeypatch.setattr(thresholds, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_r0(0.034, RootSolveConfig(rc, 4.0 * rc, max_iter=1))
+        thresholds._bisect(gap, rc, 4.0 * rc)
 
 
 def test_c0_reference_and_monotone():
@@ -190,6 +198,14 @@ def test_c3_dominates_potential_slope():
         assert val > math.pi * disk_potential_max_slope(alpha)
     with pytest.raises(DomainError):
         c3(1.0, 0.846)
+
+
+def test_c3_lead_is_pi_times_potential_slope():
+    # the lead of C3 is written out by hand; it is pi times the steepest
+    # slope of the disk potential
+    for alpha in (1e-9, 1e-4, 0.01, 0.034, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999):
+        want = math.pi * disk_potential_max_slope(alpha)
+        assert rel(AlphaConstants(alpha).c3_lead, want) <= 1e-15, alpha
 
 
 def test_f1_f2_shape():
@@ -264,14 +280,15 @@ def test_alpha0_reference_value():
 
 
 def test_alpha0_loose_tolerance():
-    cfg = RootSolveConfig(0.01, 0.10, rel_tol=1e-6)
-    assert abs(solve_alpha0(cfg) - ALPHA0_REF) < 1e-5
+    assert abs(solve_alpha0(rel_tol=1e-6) - ALPHA0_REF) < 1e-5
 
 
-def test_alpha0_bad_bracket():
-    # crossing gap is negative on both ends of [0.05, 0.09]
+def test_alpha0_bad_bracket(monkeypatch):
+    # crossing gap is negative on both ends of [0.05, 0.09], and the outer
+    # solve does not grow its bracket
+    monkeypatch.setattr(thresholds, "_ALPHA0_BRACKET", (0.05, 0.09))
     with pytest.raises(BracketError):
-        solve_alpha0(RootSolveConfig(0.05, 0.09))
+        solve_alpha0()
 
 
 def test_threshold_sample_consistency():
@@ -290,9 +307,7 @@ def test_threshold_sample_consistency():
 
 
 def test_root_solve_config_validation():
-    with pytest.raises(DomainError):
-        RootSolveConfig(2.0, 1.0)
-    with pytest.raises(DomainError):
-        RootSolveConfig(1.0, 2.0, rel_tol=0.0)
-    with pytest.raises(DomainError):
-        RootSolveConfig(1.0, 2.0, max_iter=0)
+    # the outer alpha_0 tolerance is the one root-solve setting a caller has
+    for bad in (0.0, -1e-12, math.nan):
+        with pytest.raises(DomainError):
+            solve_alpha0(rel_tol=bad)
