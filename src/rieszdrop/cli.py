@@ -223,7 +223,10 @@ def _build_parser() -> _Parser:
     p_env.set_defaults(handler=_cmd_envelope)
 
     p_a0 = sub.add_parser("alpha0", help="crossing exponent of the threshold ordering")
-    p_a0.add_argument("--tol", type=float, default=1e-12, help="relative bisection tolerance")
+    p_a0.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="relative bracket width that stops the crossing solve",
+    )
     p_a0.add_argument("--out", help="write JSON here instead of stdout")
     p_a0.set_defaults(handler=_cmd_alpha0)
 

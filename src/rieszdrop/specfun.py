@@ -125,7 +125,7 @@ def _hyp2f1(a: float, b: float, c: float, z: float, w: float) -> float:
         s = c - a - b
         if not s > 0.0:
             raise DomainError("hyp2f1: z = 1 requires c - a - b > 0")
-        return gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
+        return _gamma_ratio(c, s, c - a, c - b)
     if z <= 0.75:
         return _series(a, b, c, z)
     s = c - a - b

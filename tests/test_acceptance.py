@@ -218,7 +218,7 @@ def test_ac06_monotonicity_and_preconditions():
         amps = [c0(alpha, 10.0**e) for e in range(-6, 2)]
         if not all(b > a for a, b in zip(amps, amps[1:])):
             problems.append(f"c0 not increasing in eps at alpha={alpha}")
-    # every bisection target changes sign over its default bracket
+    # every root-solve target changes sign over its default bracket
     for alpha in (0.01, 0.034, 0.3):
         if not f2(alpha, 1e-6) > 0.0 > f2(alpha, solve_eps0(alpha) * 2.0):
             problems.append(f"f2 bracket broken at alpha={alpha}")

@@ -1,11 +1,13 @@
 """Work counts of the per-exponent hot paths.
 
-The fixture rebinds gamma, v0_const, r_cn and its private form _r_cn (the
-one every crossover scale is computed by) in every rieszdrop module to a
-counting wrapper, the way the benchmark's tracer does (the layers import
+The calls fixture rebinds gamma, v0_const, r_cn and its private form _r_cn
+(the one every crossover scale is computed by) in every rieszdrop module to
+a counting wrapper, the way the benchmark's tracer does (the layers import
 these names directly, so patching the defining module alone would miss most
-calls).  The tests bound how often one operation calls them.  Counts do not
-depend on the machine, so these bounds cannot flake the way timings do.
+calls).  The evals fixture wraps the objectives the root solves evaluate,
+AlphaConstants.f1, f2 and rho0.  The tests bound how often one operation
+calls them.  Counts do not depend on the machine, so these bounds cannot
+flake the way timings do.
 """
 
 import sys
@@ -15,7 +17,7 @@ import pytest
 from rieszdrop import specfun, splitting
 from rieszdrop.cli import main
 from rieszdrop.splitting import envelope_segments
-from rieszdrop.thresholds import threshold_sample
+from rieszdrop.thresholds import AlphaConstants, solve_alpha0, threshold_sample
 from rieszdrop.verify import run_ledger
 
 COUNTED = {
@@ -45,6 +47,22 @@ def calls(monkeypatch):
             if vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, wrappers[name])
     return counts
+
+
+@pytest.fixture
+def evals(monkeypatch):
+    count = [0]
+
+    def counting(fn):
+        def wrapper(self, x):
+            count[0] += 1
+            return fn(self, x)
+
+        return wrapper
+
+    for name in ("f1", "f2", "rho0"):
+        monkeypatch.setattr(AlphaConstants, name, counting(getattr(AlphaConstants, name)))
+    return count
 
 
 def test_threshold_sample_computes_constants_once(calls):
@@ -77,3 +95,28 @@ def test_envelope_walks_each_segment_once(calls, tmp_path):
     # one v0 serves the whole table; one per rho_n and r_cn call costs
     # about 2,000
     assert calls["v0_const"] <= 5
+
+
+# Bisection needs about 44 objective evaluations per root on these
+# brackets; ITP needs about 13.  The bounds sit well below bisection's
+# counts and leave room above ITP's.
+
+
+def test_threshold_sample_objective_evals(evals):
+    # 132 with bisection, 33 now
+    threshold_sample(0.034)
+    assert evals[0] <= 80
+
+
+def test_ledger_objective_evals_per_point(evals):
+    # 3 root solves and 3 probes per point: 134.6 with bisection, 39.0 now
+    grid = 50
+    run_ledger(grid=grid)
+    assert evals[0] <= 60 * grid
+
+
+def test_alpha0_objective_evals(evals):
+    # every outer step runs the three inner solves: 5,717 with bisection
+    # (43 outer steps), 497 now (14)
+    solve_alpha0()
+    assert evals[0] <= 1000

@@ -33,6 +33,15 @@ VB_AT_ONE = {
     1.0: 4.0,
     1.5: 6.7777046783518326929,
 }
+# disk_potential(1.0, alpha) as computed before Gauss's formula took the
+# pole-aware Gamma ratio; on positive arguments it is the same product
+VB_AT_ONE_BITS = {
+    0.034: "0x1.92331aa368fadp+1",
+    0.5: "0x1.a5e7ada2fa925p+1",
+    1.0: "0x1.fffffffffffffp+1",
+    1.5: "0x1.b1c5e9d7dde86p+2",
+    1.97: "0x1.a307dfd270dc3p+6",
+}
 VB_INSIDE = 3.988266263759679714681328  # r = 0.5, alpha = 0.5
 VB_OUTSIDE = 2.240064105185437951834972  # r = 2.0, alpha = 0.5
 SLOPE_MAX = {
@@ -99,6 +108,10 @@ def test_hyp2f1_gamma_pole_terms_vanish():
 
 def test_hyp2f1_gauss_endpoint():
     assert rel(hyp2f1(0.25, 0.25, 2.0, 1.0), HYP_GAUSS) < 1e-14
+    # c - a < 0 puts a Gamma factor at a negative argument or on a pole,
+    # where 2F1(1) is still finite
+    assert abs(hyp2f1(0.5, -1.0, 0.2, 1.0) - float(mpmath.hyp2f1(0.5, -1, 0.2, 1))) < 1e-14
+    assert hyp2f1(3.0, -3.0, 1.0, 1.0) == float(mpmath.hyp2f1(3, -3, 1, 1)) == 0.0
     # z = 1 converges only for c - a - b > 0
     with pytest.raises(DomainError):
         hyp2f1(1.0, 1.0, 2.0, 1.0)
@@ -200,6 +213,8 @@ def test_disk_potential_center_value():
 def test_disk_potential_boundary_values():
     for alpha, want in VB_AT_ONE.items():
         assert rel(disk_potential(1.0, alpha), want) < 1e-12
+    for alpha, bits in VB_AT_ONE_BITS.items():
+        assert disk_potential(1.0, alpha) == float.fromhex(bits)
 
 
 def test_disk_potential_branch_agreement_at_boundary():

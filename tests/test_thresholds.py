@@ -137,11 +137,106 @@ def test_solve_r0_solver_failures(monkeypatch):
 
     # bracket entirely right of the root, both endpoints positive
     with pytest.raises(BracketError):
-        thresholds._bisect(gap, 3.0, 4.0, expand_hi=False)
+        thresholds._root(gap, 3.0, 4.0, expand_hi=False)
     rc = r_cn(1, 0.034)
     monkeypatch.setattr(thresholds, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        thresholds._bisect(gap, rc, 4.0 * rc)
+        thresholds._root(gap, rc, 4.0 * rc)
+
+
+def _bisection_evals(f, lo, hi, rel_tol=1e-12):
+    # evaluations plain bisection makes on [lo, hi], with the solver's stop
+    flo, n = f(lo), 2
+    for _ in range(200):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
+            return n
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        n += 1
+        if fm == 0.0:
+            return n
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not stop")
+
+
+def _counted(f):
+    count = [0]
+
+    def wrapper(x):
+        count[0] += 1
+        return f(x)
+
+    return wrapper, count
+
+
+def _flat(x):
+    # every derivative vanishes at the root 0.3
+    d = x - 0.3
+    return math.copysign(math.exp(-1.0 / abs(d)), d) if d else 0.0
+
+
+ADVERSARIAL = {
+    "power_21": lambda x: (x - 1.7) ** 21,
+    "sign_step": lambda x: 1.0 if x > 1.2345 else -1.0,
+    "flat": _flat,
+    "steep_atan": lambda x: math.atan(1e6 * (x - 0.0123)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_root_worst_case_within_one_of_bisection(name):
+    # ITP keeps bisection's minmax bound: at most n0 = 1 evaluation more
+    f = ADVERSARIAL[name]
+    wrapped, count = _counted(f)
+    x = thresholds._root(wrapped, 1e-6, 4.0)
+    assert count[0] <= _bisection_evals(f, 1e-6, 4.0) + 1
+    assert f(x * (1.0 - 1e-10)) <= 0.0 <= f(x * (1.0 + 1e-10))
+
+
+def test_root_smooth_objective_beats_bisection():
+    f = lambda x: x * x - 2.0  # noqa: E731
+    wrapped, count = _counted(f)
+    x = thresholds._root(wrapped, 1e-6, 4.0)
+    assert rel(x, math.sqrt(2.0)) < 1e-12
+    assert _bisection_evals(f, 1e-6, 4.0) == 44
+    assert count[0] <= 15
+
+
+NON_FINITE = {
+    # every value NaN: the endpoint lo is the first to report it
+    "nan_everywhere": (lambda x: math.nan, "nan at x = 1.0"),
+    "nan_right_of_1.5": (lambda x: x - 1.2 if x <= 1.5 else math.nan, "nan at x = 2.0"),
+    "nan_inside": (lambda x: x - 1.5 if abs(x - 1.5) >= 0.3 else math.nan, "nan at x = "),
+    "inf_when_grown": (lambda x: -1.0 if x < 3.0 else math.inf, "inf at x = 4.0"),
+    "not_a_float": (lambda x: -1 if x < 1.5 else 1, "-1 at x = 1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_root_rejects_non_finite_values(name):
+    f, where = NON_FINITE[name]
+    with pytest.raises(BracketError, match=where):
+        thresholds._root(f, 1.0, 2.0)
+
+
+ROOT_ALPHAS = [0.5 * 2.0 ** (-k / 2) for k in range(20)]  # 0.5 down to 6.9e-4
+
+
+@pytest.mark.parametrize("alpha", ROOT_ALPHAS)
+def test_roots_change_sign_within_1e10(alpha):
+    k = AlphaConstants(alpha)
+    r0 = math.sqrt(solve_m2(alpha) / math.pi)
+    cases = [
+        (lambda r: k.rho0(r) - k.rho_c1, r0),
+        (k.f2, solve_eps0(alpha)),
+        (k.f1, solve_eps1(alpha)),
+    ]
+    for f, root in cases:
+        below, above = f(root * (1.0 - 1e-10)), f(root * (1.0 + 1e-10))
+        assert below == 0.0 or above == 0.0 or (below > 0.0) != (above > 0.0)
 
 
 def test_c0_reference_and_monotone():
@@ -275,7 +370,7 @@ def test_alpha0_reference_value():
     a0 = solve_alpha0()
     assert abs(a0 - ALPHA0_REF) < 1e-9
     assert abs(a0 - 0.04273) < 0.0005
-    # identical inputs give identical bisection paths
+    # identical inputs give identical solver paths
     assert solve_alpha0() == a0
 
 
