@@ -11,7 +11,15 @@ Five subcommands cover the library surface:
 Exit codes: 0 success, 1 usage or domain error, 2 ledger verification
 failure, 3 sweep completed with some rows unsolved.  Floating point fields
 are written with 15 significant digits in CSV and full round-trip precision
-in JSON; unsolved CSV fields read "nan" and JSON ones are null.
+in JSON; unsolved CSV fields read "nan" and JSON ones are null.  The sweep
+and envelope tables are written from one row template each, and their
+bytes equal what json.dumps(rows, indent=2, allow_nan=False) and
+csv.writer, with every number written "%.15g", give for the same rows.
+
+alpha0 --tol must be at least 2**-52 (about 2.2e-16): below the relative
+spacing of doubles no bracket can get narrow enough.
+
+`python -m rieszdrop` runs the same command as `rieszdrop`.
 
 RIESZDROP_THREADS is validated for compatibility (it must be unset, empty
 or a non-negative integer) and otherwise has no effect: every subcommand
@@ -21,25 +29,16 @@ runs in one thread.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
-from .splitting import envelope_rows, r_cn, rho_c1
-from .thresholds import (
-    m_c1,
-    m_of_eps,
-    solve_alpha0,
-    solve_eps0,
-    solve_eps1,
-    solve_m2,
-    solve_r0,
-)
+from .splitting import envelope_rows
+from .thresholds import MIN_REL_TOL, AlphaConstants, m_c1, m_of_eps, solve_alpha0
 from .verify import run_ledger
 
 __all__ = ["main", "entrypoint"]
@@ -83,29 +82,60 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _fmt(value: float | None) -> str:
-    return "nan" if value is None else "%.15g" % value
+def _json_finite(values: Iterable[float | int]) -> None:
+    # json's own error, for the first value it could not write
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
 
 
-def _csv_text(header: tuple[str, ...], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _table_text(
+    fields: tuple[str, ...], rows: Iterable[tuple[float | int | None, ...]], fmt: str
+) -> str:
+    """The rows as a CSV or JSON table, one value per field in each row.
+
+    The bytes equal json.dumps([dict(zip(fields, row)) ...], indent=2,
+    allow_nan=False) plus a newline, or csv.writer output with every number
+    written "%.15g", but come from one row template filled once per row:
+    JSON numbers are their repr (str and repr agree on float and int, and
+    repr is what json writes), CSV ones "%.15g".  None reads null or nan.  A
+    non-finite number raises json's own ValueError in JSON and reads nan or
+    inf in CSV.
+    """
+    json_out = fmt == "json"
+    if json_out:
+        line = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
+        head, sep, tail, missing = "[\n", ",\n", "\n]\n", "null"
+    else:
+        line = ",".join(["%.15g"] * len(fields))
+        head, sep, tail, missing = ",".join(fields) + "\n", "\n", "\n", math.nan
+    isfinite = math.isfinite
+    lines = []
+    for row in rows:
+        if None in row:
+            if json_out:
+                _json_finite(v for v in row if v is not None)
+            row = tuple(missing if v is None else v for v in row)
+        elif json_out and not all(map(isfinite, row)):
+            _json_finite(row)
+        lines.append(line % row)
+    if not lines:
+        return "[]\n" if json_out else head
+    return head + sep.join(lines) + tail
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     alpha = args.alpha
     check_alpha(alpha, "eval", 0.5, lo_open=True)
-    r0 = solve_r0(alpha)
-    eps0 = solve_eps0(alpha)
-    eps1 = solve_eps1(alpha)
+    k = AlphaConstants(alpha)
+    r0 = k.solve_r0()
+    eps0 = k.solve_eps0()
+    eps1 = k.solve_eps1()
     payload = {
         "alpha": alpha,
         "m_c1": m_c1(alpha),
-        "R_c1": r_cn(1, alpha),
-        "rho_c1": rho_c1(alpha),
+        "R_c1": k.r_c1,
+        "rho_c1": k.rho_c1,
         "m_2": math.pi * r0 * r0,
         "R_0": r0,
         "eps_0": eps0,
@@ -117,20 +147,29 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(alpha: float) -> dict[str, float | None]:
+def _sweep_row(alpha: float) -> tuple[float | None, ...]:
     def attempt(fn):
         try:
             return fn()
         except (DomainError, BracketError, ConvergenceError):
             return None
 
-    return {
-        "alpha": alpha,
-        "m_c1": attempt(lambda: m_c1(alpha)),
-        "m_2": attempt(lambda: solve_m2(alpha)),
-        "m_eps0": attempt(lambda: m_of_eps(solve_eps0(alpha), alpha)),
-        "m_eps1": attempt(lambda: m_of_eps(solve_eps1(alpha), alpha)),
-    }
+    m1 = attempt(lambda: m_c1(alpha))
+    try:
+        # the domain of the eps solves; alpha = 0 has a closed-form m_c1 but
+        # no solver thresholds, and the record itself rejects an alpha above
+        # 0.5 for m_2 (the last grid point can overshoot alpha-max by an ulp)
+        check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
+    except DomainError:
+        return (alpha, m1, None, None, None)
+    k = AlphaConstants(alpha)
+    return (
+        alpha,
+        m1,
+        attempt(k.solve_m2),
+        attempt(lambda: m_of_eps(k.solve_eps0(), alpha)),
+        attempt(lambda: m_of_eps(k.solve_eps1(), alpha)),
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -143,15 +182,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     _check_thread_setting()
     rows = [_sweep_row(lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
-
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        table = [[_fmt(row[key]) for key in _SWEEP_FIELDS] for row in rows]
-        _emit(_csv_text(_SWEEP_FIELDS, table), args.out)
-
-    incomplete = any(row[key] is None for row in rows for key in _SWEEP_FIELDS)
-    return 3 if incomplete else 0
+    _emit(_table_text(_SWEEP_FIELDS, rows, args.format), args.out)
+    return 3 if any(None in row for row in rows) else 0
 
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
@@ -163,25 +195,20 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         raise DomainError(f"envelope: steps must be at least 1, got {steps}")
 
     radii = (r_max * i / steps for i in range(1, steps + 1))
-    rows = [dict(zip(_ENVELOPE_FIELDS, row)) for row in envelope_rows(alpha, radii)]
-
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        table = [
-            [_fmt(row[key]) for key in _ENVELOPE_FIELDS[:-1]] + [str(row["n_opt"])]
-            for row in rows
-        ]
-        _emit(_csv_text(_ENVELOPE_FIELDS, table), args.out)
+    # every row is computed before any is written, so a failing row
+    # raises its own error first
+    rows = list(envelope_rows(alpha, radii))
+    _emit(_table_text(_ENVELOPE_FIELDS, rows, args.format), args.out)
     return 0
 
 
 def _cmd_alpha0(args: argparse.Namespace) -> int:
     tol = args.tol
-    if not tol > 0.0:
-        raise DomainError(f"alpha0: tol must be positive, got {tol}")
+    if not tol >= MIN_REL_TOL:
+        raise DomainError(f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {tol}")
     a0 = solve_alpha0(tol)
-    m_at = min(m_of_eps(solve_eps0(a0), a0), m_of_eps(solve_eps1(a0), a0))
+    k = AlphaConstants(a0)
+    m_at = min(m_of_eps(k.solve_eps0(), a0), m_of_eps(k.solve_eps1(), a0))
     payload = {"alpha0": a0, "m_at_crossing": m_at, "tol": tol}
     _emit(_json_text(payload), args.out)
     return 0
@@ -225,7 +252,7 @@ def _build_parser() -> _Parser:
     p_a0 = sub.add_parser("alpha0", help="crossing exponent of the threshold ordering")
     p_a0.add_argument(
         "--tol", type=float, default=1e-12,
-        help="relative bracket width that stops the crossing solve",
+        help="relative bracket width that stops the crossing solve, at least 2**-52",
     )
     p_a0.add_argument("--out", help="write JSON here instead of stdout")
     p_a0.set_defaults(handler=_cmd_alpha0)
@@ -257,3 +284,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> NoReturn:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -33,7 +33,8 @@ record, and its objective reads them from there on every solver step.
 
 Tolerances are fixed: every root solve stops at a bracket width of 1e-12
 relative, or raises ConvergenceError after 200 iterations.  The one
-setting left to callers is the tolerance of the outer alpha_0 solve.
+setting left to callers is the tolerance of the outer alpha_0 solve, which
+must be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .specfun import gamma
 from .splitting import r_cn, rho_c1, v0_const
 
 __all__ = [
+    "MIN_REL_TOL",
     "AlphaConstants",
     "ThresholdSample",
     "m_c1",
@@ -107,7 +109,10 @@ def _root(
     root lies: after j steps the bracket is at most 2 w0 / 2^j wide, one
     halving behind bisection (n0 = 1), so no bracket needs more than one
     iteration beyond bisection's count, while a smooth objective needs far
-    fewer.
+    fewer.  Each point is kept at least half the stop width inside the
+    bracket, as Brent's method does; that only moves it toward the
+    midpoint, so the bound holds, and a point that has converged onto one
+    end is not evaluated there again.
 
     The sign change is asserted before iterating, so a violated
     monotonicity assumption surfaces as BracketError rather than a silent
@@ -136,7 +141,8 @@ def _root(
     for _ in range(_MAX_ITER):
         width = hi - lo
         mid = 0.5 * (lo + hi)
-        if width <= rel_tol * max(abs(lo), abs(hi)):
+        tol = rel_tol * max(abs(lo), abs(hi))
+        if width <= tol:
             return mid
         cap *= 0.5
         # interpolate: regula falsi, written so the point stays in [lo, hi]
@@ -150,6 +156,13 @@ def _root(
         else:
             step = min(step, max(cap - 0.5 * width, 0.0))
             x = mid - step if d > 0.0 else mid + step
+        # keep x tol / 2 inside the bracket (Brent's tol1): once regula falsi
+        # has converged onto an end, a truncation step below one ulp would
+        # evaluate that end again until the projection radius caught up
+        if x < lo + 0.5 * tol:
+            x = lo + 0.5 * tol
+        elif x > hi - 0.5 * tol:
+            x = hi - 0.5 * tol
         fx = _checked(f, x)
         if fx == 0.0:
             return x
@@ -363,17 +376,23 @@ def solve_eps1(alpha: float) -> float:
 
 
 _ALPHA0_BRACKET = (0.01, 0.10)
+# two adjacent doubles x < y always satisfy y - x <= 2**-52 y, so the outer
+# solve can meet any relative width from here up, and none below
+MIN_REL_TOL = 2.0**-52
 
 
 def solve_alpha0(rel_tol: float = 1e-12) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
-    Outer ITP solve on [0.01, 0.10] down to a relative width rel_tol > 0;
-    the three inner solves run at their fixed tolerance, which keeps the
-    nesting stable (the outer objective is evaluated to ~1e-12 relative).
+    Outer ITP solve on [0.01, 0.10] down to a relative width
+    rel_tol >= MIN_REL_TOL = 2**-52; the three inner solves run at their
+    fixed tolerance, which keeps the nesting stable (the outer objective is
+    evaluated to ~1e-12 relative).
     """
-    if not rel_tol > 0.0:
-        raise DomainError(f"solve_alpha0: rel_tol must be positive, got {rel_tol}")
+    if not rel_tol >= MIN_REL_TOL:
+        raise DomainError(
+            f"solve_alpha0: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {rel_tol}"
+        )
 
     def crossing_gap(alpha: float) -> float:
         s = threshold_sample(alpha)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from rieszdrop import specfun, splitting
+from rieszdrop import specfun, splitting, thresholds
 from rieszdrop.cli import main
 from rieszdrop.splitting import envelope_segments
 from rieszdrop.thresholds import AlphaConstants, solve_alpha0, threshold_sample
@@ -74,6 +74,20 @@ def test_threshold_sample_computes_constants_once(calls):
     assert calls["v0_const"] <= 10
 
 
+def test_eval_and_sweep_compute_constants_once_per_exponent(calls, tmp_path):
+    # one constants record per exponent: v0 for the eps solves, r_cn(1) and
+    # rho_c1 for the R_0 solve, 3 v0_const calls where a record per solve
+    # (and a fresh r_cn(1) and rho_c1 in eval) cost 4 per sweep row and 6
+    # per eval
+    assert main(["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]) == 0
+    assert calls["v0_const"] <= 3
+    calls["v0_const"] = 0
+    steps = 21
+    code = main(["sweep", "--steps", str(steps), "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert calls["v0_const"] <= 3 * steps
+
+
 def test_ledger_gamma_calls_per_point(calls):
     grid = 5
     run_ledger(grid=grid)
@@ -120,3 +134,31 @@ def test_alpha0_objective_evals(evals):
     # (43 outer steps), 497 now (14)
     solve_alpha0()
     assert evals[0] <= 1000
+
+
+def test_ledger_no_root_stalls(monkeypatch):
+    # once regula falsi has converged onto one end of the bracket, a step
+    # below one ulp re-evaluated that end until the projection radius
+    # caught up: 126 of these 3,000 roots took 36 to 48 evaluations and
+    # 37,846 in all; kept tol / 2 inside the bracket, none takes over 20
+    # and all take 32,535
+    per_root = []
+    root = thresholds._root
+
+    def counting_root(f, *args, **kwargs):
+        n = [0]
+
+        def counted(x):
+            n[0] += 1
+            return f(x)
+
+        try:
+            return root(counted, *args, **kwargs)
+        finally:
+            per_root.append(n[0])
+
+    monkeypatch.setattr(thresholds, "_root", counting_root)
+    run_ledger(0.032, grid=1000)
+    assert len(per_root) == 3000
+    assert max(per_root) <= 25
+    assert sum(per_root) <= 33_500

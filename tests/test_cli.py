@@ -1,13 +1,17 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import rieszdrop
 from rieszdrop.cli import main
 from rieszdrop.splitting import r_cn, rho_min
 from rieszdrop.thresholds import m_c1
@@ -252,6 +256,23 @@ def test_alpha0_loose_and_invalid_tol(capsys):
     assert code == 0
     assert abs(json.loads(out)["alpha0"] - ALPHA0_REF) < 1e-4
     assert run_cli(["alpha0", "--tol", "-1"], capsys)[0] == 1
+    # the smallest tolerance accepted, 2**-52, still converges
+    code, out, _ = run_cli(["alpha0", "--tol", repr(2.0**-52)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["alpha0"] - ALPHA0_REF) < 1e-9
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300", "0", "-1", "nan"])
+def test_alpha0_rejects_tol_below_double_spacing(tol, capsys):
+    # no relative bracket width below 2**-52 can be met; the solve used to
+    # run all 200 outer steps before a ConvergenceError naming neither
+    start = time.perf_counter()
+    code, out, err = run_cli(["alpha0", "--tol", tol], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rieszdrop: error: alpha0: --tol must be at least 2**-52")
+    assert "Traceback" not in err
 
 
 def test_verify_pass_and_fail(capsys):
@@ -300,3 +321,19 @@ def test_console_script_module_invocation():
     )
     assert proc.returncode == 0
     assert "eval" in proc.stdout and "verify" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--alpha", "0.034"], ["eval", "--alpha", "0.6"], ["bogus"]]
+)
+def test_python_dash_m_matches_main(argv, capsys):
+    # `python -m rieszdrop` and `python -m rieszdrop.cli` run the same command
+    code, out, err = run_cli(argv, capsys)
+    env = dict(os.environ)
+    src = str(Path(rieszdrop.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("rieszdrop", "rieszdrop.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), module

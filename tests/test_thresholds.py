@@ -402,7 +402,10 @@ def test_threshold_sample_consistency():
 
 
 def test_root_solve_config_validation():
-    # the outer alpha_0 tolerance is the one root-solve setting a caller has
-    for bad in (0.0, -1e-12, math.nan):
-        with pytest.raises(DomainError):
+    # the outer alpha_0 tolerance is the one root-solve setting a caller
+    # has; below 2**-52 no bracket can get narrow enough, so such a value
+    # is rejected up front rather than after 200 outer steps
+    for bad in (0.0, -1e-12, math.nan, 1e-16, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match=r"solve_alpha0: rel_tol must be at least 2\*\*-52"):
             solve_alpha0(rel_tol=bad)
+    assert abs(solve_alpha0(rel_tol=2.0**-52) - ALPHA0_REF) < 1e-9
