@@ -29,10 +29,7 @@ from .specfun import (
     hyp2f1,
 )
 from .splitting import (
-    EnvelopeSegment,
-    disk_energy,
     envelope_rows,
-    envelope_segments,
     r_cn,
     rho_c1,
     rho_min,
@@ -40,7 +37,6 @@ from .splitting import (
     v0_const,
 )
 from .thresholds import (
-    ThresholdSample,
     c0,
     c1,
     c2,
@@ -56,7 +52,6 @@ from .thresholds import (
     solve_eps1,
     solve_m2,
     solve_r0,
-    threshold_sample,
 )
 from .verify import LedgerCheck, LedgerReport, f3, run_ledger
 
@@ -66,21 +61,17 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "DomainError",
-    "EnvelopeSegment",
     "LedgerCheck",
     "LedgerReport",
-    "ThresholdSample",
     "__version__",
     "c0",
     "c1",
     "c2",
     "c3",
     "delta_bound",
-    "disk_energy",
     "disk_potential",
     "disk_potential_max_slope",
     "envelope_rows",
-    "envelope_segments",
     "f1",
     "f2",
     "f3",
@@ -99,6 +90,5 @@ __all__ = [
     "solve_eps1",
     "solve_m2",
     "solve_r0",
-    "threshold_sample",
     "v0_const",
 ]

@@ -20,10 +20,6 @@ alpha0 --tol must be at least 2**-52 (about 2.2e-16): below the relative
 spacing of doubles no bracket can get narrow enough.
 
 `python -m rieszdrop` runs the same command as `rieszdrop`.
-
-RIESZDROP_THREADS is validated for compatibility (it must be unset, empty
-or a non-negative integer) and otherwise has no effect: every subcommand
-runs in one thread.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Iterable
 from typing import NoReturn
@@ -54,20 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _check_thread_setting() -> None:
-    # the value sizes nothing (sweep rows are GIL-bound pure Python, which
-    # a thread pool only slowed down), but invalid settings stay errors
-    raw = os.environ.get("RIESZDROP_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"RIESZDROP_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise DomainError(f"RIESZDROP_THREADS must be non-negative, got {n}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -180,7 +161,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(
             f"sweep: need 0 <= alpha-min < alpha-max <= 0.5, got {lo} and {hi}"
         )
-    _check_thread_setting()
     rows = [_sweep_row(lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
     _emit(_table_text(_SWEEP_FIELDS, rows, args.format), args.out)
     return 3 if any(None in row for row in rows) else 0

@@ -184,7 +184,8 @@ def disk_potential(r: float, alpha: float) -> float:
     through the two-branch hypergeometric closed form.  At r = 1 the outer
     branch is returned; both branches agree there.  1 - z is formed as a
     product with the factor r - 1 or 1 - r, so it keeps full relative
-    accuracy next to r = 1.
+    accuracy next to r = 1.  Where r^alpha overflows a double, the value
+    underflows toward 0 instead.
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"disk_potential: alpha must lie in (0, 2), got {alpha}")
@@ -192,7 +193,12 @@ def disk_potential(r: float, alpha: float) -> float:
         raise DomainError(f"disk_potential: r must be nonnegative, got {r}")
     if r >= 1.0:
         r2 = r * r
-        return math.pi / r**alpha * _hyp2f1(
+        try:
+            scale = math.pi / r**alpha
+        except OverflowError:
+            # r^alpha overflows a double; r^-alpha underflows to a finite value
+            scale = math.pi * r**-alpha
+        return scale * _hyp2f1(
             alpha / 2.0, alpha / 2.0, 2.0, 1.0 / r2, (r - 1.0) * (r + 1.0) / r2
         )
     return (

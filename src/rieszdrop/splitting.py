@@ -26,35 +26,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
 
 __all__ = [
-    "EnvelopeSegment",
     "v0_const",
-    "disk_energy",
     "rho_n",
     "r_cn",
     "rho_c1",
     "rho_min",
-    "envelope_segments",
     "envelope_rows",
 ]
 
 # linear scan below this n, geometric bracket + bisection above
 _SCAN_CUTOVER = 64
-_N_CAP = 1_000_000  # default cap on the minimizing n of the envelope
-
-
-@dataclass(frozen=True)
-class EnvelopeSegment:
-    """Maximal interval (r_lo, r_hi] on which n disks minimize the density."""
-
-    n: int
-    r_lo: float
-    r_hi: float
+_N_CAP = 1_000_000  # cap on the minimizing n of the envelope
 
 
 def _check_n(n: int, what: str) -> int:
@@ -72,14 +59,6 @@ def v0_const(alpha: float) -> float:
         * gamma(2.0 - alpha)
         / (gamma(2.0 - alpha / 2.0) * gamma(3.0 - alpha / 2.0))
     )
-
-
-def disk_energy(r: float, alpha: float) -> float:
-    """Perimeter plus interaction energy of a single disk of radius r."""
-    check_alpha(alpha, "disk_energy", 2, hi_open=True)
-    if not r > 0.0:
-        raise DomainError(f"disk_energy: r must be positive, got {r}")
-    return _disk_energy(r, alpha, v0_const(alpha))
 
 
 def _disk_energy(r: float, alpha: float, v0: float) -> float:
@@ -130,45 +109,42 @@ def rho_c1(alpha: float) -> float:
     return _rho_n(1, _r_cn(1, alpha, v0), alpha, v0)
 
 
-def rho_min(r: float, alpha: float, n_cap: int = _N_CAP) -> tuple[float, int]:
+def rho_min(r: float, alpha: float) -> tuple[float, int]:
     """Lower envelope min_n rho_n(r) together with the minimizing n.
 
     Walks n upward while r exceeds the crossover r_cn(n); beyond n = 64 the
     segment is located by geometric doubling plus integer bisection on the
     increasing sequence r_cn.  Raises ConvergenceError when the minimizing
-    n would exceed n_cap.
+    n would exceed 1,000,000.
     """
     check_alpha(alpha, "rho_min", 1.0)
     if not r > 0.0:
         raise DomainError(f"rho_min: r must be positive, got {r}")
-    n_cap = _check_n(n_cap, "rho_min n_cap")
     v0 = v0_const(alpha)
-    n = _envelope_n(r, alpha, v0, 1, n_cap)
+    n = _envelope_n(r, alpha, v0, 1, "rho_min")
     return _rho_n(n, r, alpha, v0), n
 
 
-def _envelope_n(r: float, alpha: float, v0: float, n_start: int, n_cap: int = _N_CAP) -> int:
+def _envelope_n(r: float, alpha: float, v0: float, n_start: int, stage: str) -> int:
     # Smallest n >= n_start with r <= r_cn(n), for an r above r_cn(n_start - 1):
     # a linear scan of up to _SCAN_CUTOVER steps, then doubling n plus
     # integer bisection.  A caller walking sorted radii passes the previous
     # radius's n, which makes a whole table cost about one r_cn call per
-    # segment and row.
+    # segment and row.  An n above _N_CAP raises ConvergenceError naming stage.
     n = n_start
-    while n <= min(n_start + _SCAN_CUTOVER - 1, n_cap):
+    while n <= min(n_start + _SCAN_CUTOVER - 1, _N_CAP):
         if r <= _r_cn(n, alpha, v0):
             return n
         n += 1
-    if n > n_cap:
-        raise ConvergenceError(f"rho_min: minimizing n exceeds cap {n_cap} at r = {r}")
+    if n > _N_CAP:
+        raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
     lo = n - 1  # r_cn(lo) < r
-    hi = min(2 * lo, n_cap)
+    hi = min(2 * lo, _N_CAP)
     while _r_cn(hi, alpha, v0) < r:
-        if hi >= n_cap:
-            raise ConvergenceError(
-                f"rho_min: minimizing n exceeds cap {n_cap} at r = {r}"
-            )
+        if hi >= _N_CAP:
+            raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
         lo = hi
-        hi = min(2 * hi, n_cap)
+        hi = min(2 * hi, _N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _r_cn(mid, alpha, v0) < r:
@@ -176,23 +152,6 @@ def _envelope_n(r: float, alpha: float, v0: float, n_start: int, n_cap: int = _N
         else:
             hi = mid
     return hi
-
-
-def envelope_segments(alpha: float, r_max: float) -> list[EnvelopeSegment]:
-    """Envelope segments (r_cn(n-1), r_cn(n)] covering (0, r_max]."""
-    check_alpha(alpha, "envelope_segments", 1.0)
-    if not r_max > 0.0:
-        raise DomainError(f"envelope_segments: r_max must be positive, got {r_max}")
-    v0 = v0_const(alpha)
-    segments: list[EnvelopeSegment] = []
-    lo = 0.0
-    n = 1
-    while lo < r_max:
-        hi = _r_cn(n, alpha, v0)
-        segments.append(EnvelopeSegment(n=n, r_lo=lo, r_hi=hi))
-        lo = hi
-        n += 1
-    return segments
 
 
 def envelope_rows(
@@ -215,7 +174,7 @@ def envelope_rows(
                 f"envelope_rows: radii must be positive and nondecreasing, got {r} after {prev}"
             )
         prev = r
-        n = _envelope_n(r, alpha, v0, n)
+        n = _envelope_n(r, alpha, v0, n, "envelope_rows")
         yield (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0), _rho_n(3, r, alpha, v0),
                _rho_n(n, r, alpha, v0), n)
 

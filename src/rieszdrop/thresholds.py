@@ -40,7 +40,6 @@ must be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -51,7 +50,6 @@ from .splitting import r_cn, rho_c1, v0_const
 __all__ = [
     "MIN_REL_TOL",
     "AlphaConstants",
-    "ThresholdSample",
     "m_c1",
     "rho0",
     "solve_r0",
@@ -67,23 +65,11 @@ __all__ = [
     "solve_eps0",
     "solve_eps1",
     "solve_alpha0",
-    "threshold_sample",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
-
-
-@dataclass(frozen=True)
-class ThresholdSample:
-    """All four threshold masses at one exponent."""
-
-    alpha: float
-    m_c1: float
-    m_2: float
-    m_eps0: float
-    m_eps1: float
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -309,8 +295,8 @@ def solve_m2(alpha: float) -> float:
 def _with_eps(alpha: float, eps: float) -> AlphaConstants:
     # the argument checks shared by C0 and everything built on it
     check_alpha(alpha, "c0", 2.0, lo_open=True, hi_open=True)
-    if not eps > 0.0:
-        raise DomainError(f"c0: eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"c0: eps must be positive and finite, got {eps}")
     return AlphaConstants(alpha)
 
 
@@ -358,8 +344,8 @@ def f2(alpha: float, eps: float) -> float:
 def m_of_eps(eps: float, alpha: float) -> float:
     """Mass corresponding to the scale parameter: m = pi eps^(2/(3-a))."""
     check_alpha(alpha, "m_of_eps", 2.0, hi_open=True)
-    if not eps > 0.0:
-        raise DomainError(f"m_of_eps: eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"m_of_eps: eps must be positive and finite, got {eps}")
     return math.pi * eps ** (2.0 / (3.0 - alpha))
 
 
@@ -395,20 +381,8 @@ def solve_alpha0(rel_tol: float = 1e-12) -> float:
         )
 
     def crossing_gap(alpha: float) -> float:
-        s = threshold_sample(alpha)
-        return min(s.m_eps0, s.m_eps1) - s.m_2
+        k = AlphaConstants(alpha)
+        return min(m_of_eps(k.solve_eps0(), alpha), m_of_eps(k.solve_eps1(), alpha)) - k.solve_m2()
 
     return _root(crossing_gap, *_ALPHA0_BRACKET, rel_tol=rel_tol, expand_hi=False)
 
-
-def threshold_sample(alpha: float) -> ThresholdSample:
-    """All four threshold masses at one exponent (0 < alpha <= 1/2)."""
-    check_alpha(alpha, "threshold_sample", 0.5, lo_open=True)
-    k = AlphaConstants(alpha)
-    return ThresholdSample(
-        alpha=alpha,
-        m_c1=m_c1(alpha),
-        m_2=k.solve_m2(),
-        m_eps0=m_of_eps(k.solve_eps0(), alpha),
-        m_eps1=m_of_eps(k.solve_eps1(), alpha),
-    )

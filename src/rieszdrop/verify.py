@@ -101,8 +101,7 @@ _CHECK_TABLE: tuple[tuple[str, str, str, str, float | None, float | None], ...] 
 
 def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, float]:
     # one constants record per grid point serves every row and all three
-    # root solves; rho0 goes first, so an alpha above 1/2 fails there, naming
-    # rho0, before any solve runs
+    # root solves
     k = AlphaConstants(alpha)
     rho0_probe = k.rho0(r_probe)
     d0 = k.c0(eps_probe)
@@ -136,11 +135,14 @@ def run_ledger(
 ) -> LedgerReport:
     """Check every ledger inequality on alpha = alpha_max * i / grid, i = 1..grid.
 
-    Solver exceptions propagate; an inequality that merely fails is
-    reported with passed = False and the violating extreme.
+    alpha_max must lie in (0, 0.5], the domain of the comparison density
+    rho0 that every grid point evaluates; anything else raises DomainError
+    naming alpha_max before any point is computed.  Solver exceptions
+    propagate; an inequality that merely fails is reported with
+    passed = False and the violating extreme.
     """
-    if not 0.0 < alpha_max < 1.0:
-        raise DomainError(f"run_ledger: alpha_max must lie in (0, 1), got {alpha_max}")
+    if not 0.0 < alpha_max <= 0.5:
+        raise DomainError(f"run_ledger: alpha_max must lie in (0, 0.5], got {alpha_max}")
     if grid < 2:
         raise DomainError(f"run_ledger: grid must be at least 2, got {grid}")
     if not eps_probe > 0.0:

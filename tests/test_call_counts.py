@@ -16,8 +16,7 @@ import pytest
 
 from rieszdrop import specfun, splitting, thresholds
 from rieszdrop.cli import main
-from rieszdrop.splitting import envelope_segments
-from rieszdrop.thresholds import AlphaConstants, solve_alpha0, threshold_sample
+from rieszdrop.thresholds import AlphaConstants, solve_alpha0
 from rieszdrop.verify import run_ledger
 
 COUNTED = {
@@ -65,11 +64,11 @@ def evals(monkeypatch):
     return count
 
 
-def test_threshold_sample_computes_constants_once(calls):
-    # the three root solves share one constants record (17 gamma and 4
-    # v0_const calls); recomputing the Gamma products in every bisection
-    # step costs about 900 and 280
-    threshold_sample(0.034)
+def test_threshold_sample_computes_constants_once(calls, tmp_path):
+    # eval's three root solves (m_2, eps_0, eps_1) share one constants
+    # record; recomputing the Gamma products in every bisection step costs
+    # about 900 gamma and 280 v0_const calls
+    assert main(["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]) == 0
     assert calls["gamma"] <= 100
     assert calls["v0_const"] <= 10
 
@@ -96,7 +95,10 @@ def test_ledger_gamma_calls_per_point(calls):
 
 def test_envelope_walks_each_segment_once(calls, tmp_path):
     alpha, r_max, steps = 0.04, 40.0, 400
-    segments = len(envelope_segments(alpha, r_max))
+    # segments (r_cn(n-1), r_cn(n)] meeting (0, r_max]
+    segments = 1
+    while splitting.r_cn(segments, alpha) < r_max:
+        segments += 1
     calls["_r_cn"] = calls["v0_const"] = 0
     code = main(
         ["envelope", "--alpha", str(alpha), "--r-max", str(r_max), "--steps", str(steps),
@@ -116,9 +118,9 @@ def test_envelope_walks_each_segment_once(calls, tmp_path):
 # counts and leave room above ITP's.
 
 
-def test_threshold_sample_objective_evals(evals):
-    # 132 with bisection, 33 now
-    threshold_sample(0.034)
+def test_threshold_sample_objective_evals(evals, tmp_path):
+    # eval's three root solves: 132 with bisection, 33 now
+    assert main(["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]) == 0
     assert evals[0] <= 80
 
 

@@ -151,27 +151,16 @@ def test_sweep_validation(capsys):
     assert run_cli(["sweep", "--alpha-max", "0.6"], capsys)[0] == 1
 
 
-def test_sweep_deterministic_across_worker_counts(tmp_path, monkeypatch, capsys):
+def test_sweep_deterministic_across_worker_counts(tmp_path, capsys):
+    # every sweep runs in one worker; repeated runs write the same bytes
     args = ["sweep", "--alpha-min", "0.01", "--alpha-max", "0.04", "--steps", "7"]
     outputs = []
-    for setting in (None, "1", "2", "0"):
-        if setting is None:
-            monkeypatch.delenv("RIESZDROP_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("RIESZDROP_THREADS", setting)
-        target = tmp_path / f"sweep-{setting}.csv"
+    for run in range(3):
+        target = tmp_path / f"sweep-{run}.csv"
         code, _, _ = run_cli(args + ["--out", str(target)], capsys)
         assert code == 0
         outputs.append(target.read_bytes())
     assert all(blob == outputs[0] for blob in outputs)
-
-
-def test_bad_thread_setting(monkeypatch, capsys):
-    for bad in ("abc", "-3"):
-        monkeypatch.setenv("RIESZDROP_THREADS", bad)
-        code, _, err = run_cli(["sweep", "--steps", "2"], capsys)
-        assert code == 1
-        assert "RIESZDROP_THREADS" in err
 
 
 def test_envelope_csv_table(capsys):
@@ -237,6 +226,21 @@ def test_envelope_validation(capsys):
     assert run_cli(["envelope", "--alpha", "1.5"], capsys)[0] == 1
     assert run_cli(["envelope", "--alpha", "0.1", "--r-max", "0"], capsys)[0] == 1
     assert run_cli(["envelope", "--alpha", "0.1", "--steps", "0"], capsys)[0] == 1
+
+
+def test_envelope_past_the_cap_names_its_stage(capsys):
+    # a minimizing n above 1,000,000 fails in envelope_rows, which the
+    # message names, and not in rho_min, which envelope never calls
+    code, out, err = run_cli(
+        ["envelope", "--alpha", "0.1", "--r-max", "1e300", "--steps", "3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "rieszdrop: error: envelope_rows: minimizing n exceeds cap 1000000 at r = "
+    )
+    assert "rho_min" not in err
+    assert "Traceback" not in err
 
 
 def test_alpha0_payload(capsys):

@@ -1,11 +1,14 @@
-"""Module boundaries of the package: no module imports another's private names."""
+"""Module boundaries of the package: no module imports another's private
+names, and every public name has a caller or a README line."""
 
 import ast
 import pathlib
+import re
 
 import rieszdrop
 
 SRC = pathlib.Path(rieszdrop.__file__).parent
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def test_no_private_cross_module_imports():
@@ -22,3 +25,20 @@ def test_no_private_cross_module_imports():
                 if alias.name.startswith("_")
             ]
     assert not found, found
+
+
+def test_every_public_name_has_a_caller_or_a_readme_line():
+    # a public name stays only if the command line or the ledger calls it,
+    # or the README names it as the paper quantity it computes
+    callers = (SRC / "cli.py").read_text(encoding="utf-8") + (SRC / "verify.py").read_text(
+        encoding="utf-8"
+    )
+    readme = README.read_text(encoding="utf-8")
+    orphans = [
+        name
+        for name in rieszdrop.__all__
+        if name != "__version__"
+        and not re.search(rf"\b{name}\b", callers)
+        and not re.search(rf"`{name}(\(.*?\))?`", readme)
+    ]
+    assert not orphans, orphans

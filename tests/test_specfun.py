@@ -250,6 +250,17 @@ def test_disk_potential_strictly_decreasing():
             prev = cur
 
 
+def test_disk_potential_huge_r_is_finite():
+    # r^alpha overflows a double past about 1e308^(1/alpha); the potential
+    # underflows toward 0 there instead of raising OverflowError
+    for alpha in (0.5, 1.5, 1.99):
+        prev = disk_potential(1e100, alpha)
+        for r in (1e200, 1e300, 1.7e308):
+            cur = disk_potential(r, alpha)
+            assert math.isfinite(cur) and 0.0 <= cur <= prev, (r, alpha)
+            prev = cur
+
+
 def test_disk_potential_domain():
     for r in (-0.1, math.nan):
         with pytest.raises(DomainError):

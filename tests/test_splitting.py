@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 
 from rieszdrop.errors import ConvergenceError, DomainError
 from rieszdrop.splitting import (
-    EnvelopeSegment,
-    disk_energy,
-    envelope_segments,
     envelope_rows,
     r_cn,
     rho_c1,
@@ -52,15 +49,6 @@ def test_v0_increasing_in_alpha():
     grid = [0.1 * k for k in range(20)]
     vals = [v0_const(a) for a in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_disk_energy_decomposition():
-    for alpha in (0.034, 0.5, 1.0, 1.9):
-        assert disk_energy(1.0, alpha) == 2.0 * math.pi + v0_const(alpha)
-    with pytest.raises(DomainError):
-        disk_energy(0.0, 0.5)
-    with pytest.raises(DomainError):
-        disk_energy(1.0, 2.0)
 
 
 def test_density_scale_identity_sampled():
@@ -113,6 +101,17 @@ def test_envelope_level():
     assert rho_c1(0.034) < 4.656
 
 
+def segments(alpha, r_max):
+    # the envelope segments (r_cn(n-1), r_cn(n)] covering (0, r_max], as
+    # (n, r_lo, r_hi)
+    out, lo, n = [], 0.0, 1
+    while lo < r_max:
+        hi = r_cn(n, alpha)
+        out.append((n, lo, hi))
+        lo, n = hi, n + 1
+    return out
+
+
 def brute_min(r, alpha, top):
     best, best_n = float("inf"), 0
     for n in range(1, top + 1):
@@ -131,8 +130,8 @@ def test_envelope_matches_brute_force():
             r = top * k / 50.0
             assert rel(rho_min(r, alpha)[0], brute_min(r, alpha, 100)[0]) < 1e-12
         # at segment midpoints the minimizer is unambiguous
-        for s in envelope_segments(alpha, top):
-            mid = 0.5 * (s.r_lo + s.r_hi)
+        for _, r_lo, r_hi in segments(alpha, top):
+            mid = 0.5 * (r_lo + r_hi)
             assert rho_min(mid, alpha) == brute_min(mid, alpha, 100)
     # past the linear-scan window the bracketing search takes over
     assert rho_min(10.0, 0.1) == brute_min(10.0, 0.1, 400)
@@ -146,16 +145,15 @@ def test_envelope_tie_prefers_smaller_n():
 
 
 def test_envelope_cap_semantics():
-    assert rho_min(3.0, 0.1, n_cap=19)[1] == 19
-    with pytest.raises(ConvergenceError):
-        rho_min(3.0, 0.1, n_cap=18)
-    n_opt = rho_min(10.0, 0.1)[1]
-    assert n_opt > 64
-    assert rho_min(10.0, 0.1, n_cap=n_opt)[1] == n_opt
-    with pytest.raises(ConvergenceError):
-        rho_min(10.0, 0.1, n_cap=n_opt - 1)
-    with pytest.raises(ConvergenceError):
-        rho_min(50.0, 0.1, n_cap=10)
+    # the minimizing n may reach the cap of 1,000,000 but not pass it; each
+    # search names the stage that ran it
+    cap = 10**6
+    assert rho_min(r_cn(cap - 1, 0.1) * (1.0 + 1e-12), 0.1)[1] == cap
+    above = r_cn(cap, 0.1) * (1.0 + 1e-12)
+    with pytest.raises(ConvergenceError, match=r"^rho_min: minimizing n exceeds cap 1000000 at r"):
+        rho_min(above, 0.1)
+    with pytest.raises(ConvergenceError, match=r"^envelope_rows: minimizing n exceeds cap"):
+        list(envelope_rows(0.1, [1.0, above]))
 
 
 def test_envelope_domain():
@@ -163,28 +161,6 @@ def test_envelope_domain():
         rho_min(0.0, 0.1)
     with pytest.raises(DomainError):
         rho_min(1.0, 1.5)
-    with pytest.raises(DomainError):
-        rho_min(1.0, 0.1, n_cap=0)
-
-
-def test_envelope_segments_structure():
-    segs = envelope_segments(0.1, 2.0)
-    assert [s.n for s in segs] == list(range(1, len(segs) + 1))
-    assert segs[0].r_lo == 0.0
-    assert segs[-1].r_hi >= 2.0
-    for s, nxt in zip(segs, segs[1:]):
-        assert s.r_hi == nxt.r_lo
-    for s in segs:
-        assert s.r_hi == r_cn(s.n, 0.1)
-        mid = 0.5 * (max(s.r_lo, 1e-6) + s.r_hi)
-        assert rho_min(mid, 0.1)[1] == s.n
-    # tiny range still yields the first segment
-    short = envelope_segments(0.1, 0.01)
-    assert short == [EnvelopeSegment(n=1, r_lo=0.0, r_hi=r_cn(1, 0.1))]
-    with pytest.raises(DomainError):
-        envelope_segments(0.1, 0.0)
-    with pytest.raises(DomainError):
-        envelope_segments(1.5, 2.0)
 
 
 def test_envelope_rows_match_pointwise():

@@ -13,7 +13,6 @@ from rieszdrop.specfun import disk_potential_max_slope
 from rieszdrop.splitting import r_cn, rho_c1
 from rieszdrop.thresholds import (
     AlphaConstants,
-    ThresholdSample,
     c0,
     c1,
     c2,
@@ -29,7 +28,6 @@ from rieszdrop.thresholds import (
     solve_eps1,
     solve_m2,
     solve_r0,
-    threshold_sample,
 )
 
 SEED = 20260819
@@ -343,6 +341,25 @@ def test_m_of_eps_round_trip_property(alpha, eps):
     assert rel(back, eps) < 1e-12
 
 
+# every eps-taking function, as a function of eps alone at alpha = 0.1
+EPS_FUNCTIONS = {
+    "c0": lambda eps: c0(0.1, eps),
+    "c1": lambda eps: c1(0.1, eps),
+    "c3": lambda eps: c3(0.1, eps),
+    "f1": lambda eps: f1(0.1, eps),
+    "f2": lambda eps: f2(0.1, eps),
+    "m_of_eps": lambda eps: m_of_eps(eps, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPS_FUNCTIONS))
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_non_finite_eps_rejected(name, eps):
+    # an infinite eps used to come back as inf from c0 and m_of_eps
+    with pytest.raises(DomainError, match="eps must be positive and finite"):
+        EPS_FUNCTIONS[name](eps)
+
+
 def test_eps_roots_reference_values():
     for alpha, (want0, want1) in EPS_REF.items():
         tol = 1e-9 if alpha == 0.034 else 1e-8
@@ -384,21 +401,6 @@ def test_alpha0_bad_bracket(monkeypatch):
     monkeypatch.setattr(thresholds, "_ALPHA0_BRACKET", (0.05, 0.09))
     with pytest.raises(BracketError):
         solve_alpha0()
-
-
-def test_threshold_sample_consistency():
-    alpha = 0.02
-    s = threshold_sample(alpha)
-    assert isinstance(s, ThresholdSample)
-    assert s.alpha == alpha
-    assert s.m_c1 == m_c1(alpha)
-    assert s.m_2 == solve_m2(alpha)
-    assert s.m_eps0 == m_of_eps(solve_eps0(alpha), alpha)
-    assert s.m_eps1 == m_of_eps(solve_eps1(alpha), alpha)
-    with pytest.raises(DomainError):
-        threshold_sample(0.0)
-    with pytest.raises(DomainError):
-        threshold_sample(0.6)
 
 
 def test_root_solve_config_validation():

@@ -1,6 +1,7 @@
 """Inequality ledger: grid sweep, reported extremes, failure reporting."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -147,10 +148,12 @@ def test_report_matches_schema(report):
 
 
 def test_run_ledger_domain():
-    with pytest.raises(DomainError):
-        run_ledger(alpha_max=0.0)
-    with pytest.raises(DomainError):
-        run_ledger(alpha_max=1.0)
+    # alpha_max above 0.5 is rejected up front, naming alpha_max, not by
+    # rho0 at the first grid point past 0.5
+    for bad in (0.0, 0.9, 1.0, math.nan):
+        with pytest.raises(DomainError, match=r"^run_ledger: alpha_max must lie in \(0, 0.5\]"):
+            run_ledger(alpha_max=bad)
+    assert run_ledger(alpha_max=0.5, grid=2).alpha_max == 0.5
     with pytest.raises(DomainError):
         run_ledger(grid=1)
     with pytest.raises(DomainError):
