@@ -53,7 +53,7 @@ from .thresholds import (
     solve_m2,
     solve_r0,
 )
-from .verify import LedgerCheck, LedgerReport, f3, run_ledger
+from .verify import f3, run_ledger
 
 __version__ = "0.1.0"
 
@@ -61,8 +61,6 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "DomainError",
-    "LedgerCheck",
-    "LedgerReport",
     "__version__",
     "c0",
     "c1",

@@ -196,8 +196,8 @@ def _cmd_alpha0(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_ledger(alpha_max=args.alpha_max, grid=args.grid)
-    _emit(_json_text(report.to_dict()), args.out)
-    return 0 if report.passed else 2
+    _emit(_json_text(report), args.out)
+    return 0 if report["passed"] else 2
 
 
 def _build_parser() -> _Parser:

@@ -42,11 +42,12 @@ __all__ = [
 # linear scan below this n, geometric bracket + bisection above
 _SCAN_CUTOVER = 64
 _N_CAP = 1_000_000  # cap on the minimizing n of the envelope
+_N_MAX = 2**53  # from here on n + 1 is not exact in a double
 
 
 def _check_n(n: int, what: str) -> int:
-    if n != int(n) or n < 1:
-        raise DomainError(f"{what}: n must be an integer >= 1, got {n}")
+    if not 1 <= n < _N_MAX or n != int(n):
+        raise DomainError(f"{what}: n must be an integer in [1, 2**53), got {n}")
     return int(n)
 
 
@@ -66,12 +67,22 @@ def _disk_energy(r: float, alpha: float, v0: float) -> float:
 
 
 def rho_n(n: int, r: float, alpha: float) -> float:
-    """Energy per unit area of n equal disks at total radius-scale r."""
+    """Energy per unit area of n equal disks at total radius-scale r.
+
+    An r where the density leaves double range raises DomainError.
+    """
     n = _check_n(n, "rho_n")
     check_alpha(alpha, "rho_n", 2, hi_open=True)
-    if not r > 0.0:
-        raise DomainError(f"rho_n: r must be positive, got {r}")
-    return _rho_n(n, r, alpha, v0_const(alpha))
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"rho_n: r must lie in (0, inf), got {r}")
+    v0 = v0_const(alpha)
+    try:
+        value = _rho_n(n, r, alpha, v0)
+    except (OverflowError, ZeroDivisionError):  # r^(4 - alpha) overflows, r^2 underflows
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"rho_n: the density is out of double range at r = {r}")
+    return value
 
 
 def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:

@@ -274,10 +274,20 @@ class AlphaConstants:
 
 
 def rho0(r: float, alpha: float) -> float:
-    """Comparison density 2/r + (2^a pi^(1-a) / rho_c1^a) r^(2-2a), a <= 1/2."""
-    if not r > 0.0:
-        raise DomainError(f"rho0: r must be positive, got {r}")
-    return AlphaConstants(alpha).rho0(r)
+    """Comparison density 2/r + (2^a pi^(1-a) / rho_c1^a) r^(2-2a), a <= 1/2.
+
+    An r where the density leaves double range raises DomainError.
+    """
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"rho0: r must lie in (0, inf), got {r}")
+    k = AlphaConstants(alpha)
+    try:
+        value = k.rho0(r)
+    except OverflowError:  # r^(2 - 2a)
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"rho0: the density is out of double range at r = {r}")
+    return value
 
 
 def solve_r0(alpha: float) -> float:

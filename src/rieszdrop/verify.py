@@ -14,14 +14,14 @@ evaluation error (~1e-13), which is what makes the grid verdict meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .errors import DomainError
 from .specfun import gamma
 from .splitting import rho_c1
 from .thresholds import AlphaConstants, m_c1, m_of_eps, rho0
 
-__all__ = ["LedgerCheck", "LedgerReport", "f3", "run_ledger"]
+__all__ = ["f3", "run_ledger"]
 
 
 def f3(alpha: float, r: float) -> float:
@@ -29,73 +29,27 @@ def f3(alpha: float, r: float) -> float:
     return rho0(r, alpha) - rho_c1(alpha)
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
-    """One verified inequality: attained extreme vs claimed bound."""
-
-    name: str
-    claim: str
-    attained: float
-    bound: float
-    margin: float
-    passed: bool
-    worst_alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "attained": self.attained,
-            "bound": self.bound,
-            "margin": self.margin,
-            "pass": self.passed,
-            "worst_alpha": self.worst_alpha,
-        }
-
-
-@dataclass(frozen=True)
-class LedgerReport:
-    """Grid verdict over all ledger checks."""
-
-    checks: tuple[LedgerCheck, ...]
-    grid_points: int
-    alpha_max: float
-    eps_probe: float
-    r_probe: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid_points": self.grid_points,
-            "alpha_max": self.alpha_max,
-            "eps_probe": self.eps_probe,
-            "r_probe": self.r_probe,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-# (name, claim template, value key, kind, lo, hi); kind one of
-# window (lo <= v <= hi), le, lt, ge, gt against hi/lo respectively
-_CHECK_TABLE: tuple[tuple[str, str, str, str, float | None, float | None], ...] = (
-    ("gamma_2_minus_alpha", "0.986 <= gamma(2 - alpha) <= 1", "g2a", "window", 0.986, 1.0),
-    ("gamma_2_minus_half_alpha", "0.992 <= gamma(2 - alpha/2) <= 1", "g2ah", "window", 0.992, 1.0),
-    ("gamma_3_minus_half_alpha", "1.968 <= gamma(3 - alpha/2) <= 2", "g3ah", "window", 1.968, 2.0),
-    ("gamma_1_minus_alpha", "1 <= gamma(1 - alpha) <= 1.021", "g1a", "window", 1.0, 1.021),
-    ("m_c1_window", "2.007 <= m_c1 <= 2.087", "m_c1", "window", 2.007, 2.087),
-    ("c0_cap", "c0(alpha, {eps}) <= 0.121", "c0", "le", None, 0.121),
-    ("c3_cap", "c3(alpha, {eps}) <= 0.557", "c3", "le", None, 0.557),
-    ("f1_negative", "f1(alpha, {eps}) < 0", "f1", "lt", None, 0.0),
-    ("c1_floor", "c1(alpha, {eps}) >= 3.009", "c1", "ge", 3.009, None),
-    ("c2_cap", "c2(alpha) <= 3.196", "c2", "le", None, 3.196),
-    ("f2_floor", "f2(alpha, {eps}) >= 0.575", "f2", "ge", 0.575, None),
-    ("r_c1_window", "0.799 <= r_cn(1, alpha) <= 0.815", "r_c1", "window", 0.799, 0.815),
-    ("rho_c1_cap", "rho_c1(alpha) <= 4.656", "rho_c1", "le", None, 4.656),
-    ("rho0_probe_floor", "rho0({r}, alpha) >= 4.677", "rho0_probe", "ge", 4.677, None),
-    ("f3_floor", "f3(alpha, {r}) >= 0.021", "f3", "ge", 0.021, None),
-    ("m_2_cap", "m_2(alpha) < 2.806", "m_2", "lt", None, 2.806),
-    ("m_eps0_floor", "m(eps_0(alpha)) > 2.806", "m_eps0", "gt", 2.806, None),
-    ("m_eps1_floor", "m(eps_1(alpha)) > 2.806", "m_eps1", "gt", 2.806, None),
+# (name, claim template, value key, lo, hi, strict): lo <= value <= hi on
+# each given side, with < in place of <= where strict
+_CHECK_TABLE: tuple[tuple[str, str, str, float | None, float | None, bool], ...] = (
+    ("gamma_2_minus_alpha", "0.986 <= gamma(2 - alpha) <= 1", "g2a", 0.986, 1.0, False),
+    ("gamma_2_minus_half_alpha", "0.992 <= gamma(2 - alpha/2) <= 1", "g2ah", 0.992, 1.0, False),
+    ("gamma_3_minus_half_alpha", "1.968 <= gamma(3 - alpha/2) <= 2", "g3ah", 1.968, 2.0, False),
+    ("gamma_1_minus_alpha", "1 <= gamma(1 - alpha) <= 1.021", "g1a", 1.0, 1.021, False),
+    ("m_c1_window", "2.007 <= m_c1 <= 2.087", "m_c1", 2.007, 2.087, False),
+    ("c0_cap", "c0(alpha, {eps}) <= 0.121", "c0", None, 0.121, False),
+    ("c3_cap", "c3(alpha, {eps}) <= 0.557", "c3", None, 0.557, False),
+    ("f1_negative", "f1(alpha, {eps}) < 0", "f1", None, 0.0, True),
+    ("c1_floor", "c1(alpha, {eps}) >= 3.009", "c1", 3.009, None, False),
+    ("c2_cap", "c2(alpha) <= 3.196", "c2", None, 3.196, False),
+    ("f2_floor", "f2(alpha, {eps}) >= 0.575", "f2", 0.575, None, False),
+    ("r_c1_window", "0.799 <= r_cn(1, alpha) <= 0.815", "r_c1", 0.799, 0.815, False),
+    ("rho_c1_cap", "rho_c1(alpha) <= 4.656", "rho_c1", None, 4.656, False),
+    ("rho0_probe_floor", "rho0({r}, alpha) >= 4.677", "rho0_probe", 4.677, None, False),
+    ("f3_floor", "f3(alpha, {r}) >= 0.021", "f3", 0.021, None, False),
+    ("m_2_cap", "m_2(alpha) < 2.806", "m_2", None, 2.806, True),
+    ("m_eps0_floor", "m(eps_0(alpha)) > 2.806", "m_eps0", 2.806, None, True),
+    ("m_eps1_floor", "m(eps_1(alpha)) > 2.806", "m_eps1", 2.806, None, True),
 )
 
 
@@ -132,23 +86,25 @@ def run_ledger(
     eps_probe: float = 0.846,
     r_probe: float = 0.945,
     grid: int = 1000,
-) -> LedgerReport:
+) -> dict:
     """Check every ledger inequality on alpha = alpha_max * i / grid, i = 1..grid.
 
     alpha_max must lie in (0, 0.5], the domain of the comparison density
     rho0 that every grid point evaluates; anything else raises DomainError
-    naming alpha_max before any point is computed.  Solver exceptions
-    propagate; an inequality that merely fails is reported with
-    passed = False and the violating extreme.
+    naming alpha_max before any point is computed, as do a grid below 2
+    and a probe outside (0, inf).  Solver exceptions propagate; an
+    inequality that merely fails is reported with "pass" false and the
+    violating extreme.  Returns the dict described by ledger_report in
+    schemas/output.schema.json, which the command line writes as is.
     """
     if not 0.0 < alpha_max <= 0.5:
         raise DomainError(f"run_ledger: alpha_max must lie in (0, 0.5], got {alpha_max}")
     if grid < 2:
         raise DomainError(f"run_ledger: grid must be at least 2, got {grid}")
-    if not eps_probe > 0.0:
-        raise DomainError(f"run_ledger: eps_probe must be positive, got {eps_probe}")
-    if not r_probe > 0.0:
-        raise DomainError(f"run_ledger: r_probe must be positive, got {r_probe}")
+    if not 0.0 < eps_probe < math.inf:
+        raise DomainError(f"run_ledger: eps_probe must lie in (0, inf), got {eps_probe}")
+    if not 0.0 < r_probe < math.inf:
+        raise DomainError(f"run_ledger: r_probe must lie in (0, inf), got {r_probe}")
 
     keys = [row[2] for row in _CHECK_TABLE]
     min_val = dict.fromkeys(keys, float("inf"))
@@ -165,42 +121,33 @@ def run_ledger(
             if value > max_val[key]:
                 max_val[key], max_at[key] = value, alpha
 
-    checks: list[LedgerCheck] = []
-    for name, claim_tpl, key, kind, lo, hi in _CHECK_TABLE:
-        claim = claim_tpl.format(eps=eps_probe, r=r_probe)
-        if kind == "window":
-            lo_margin = min_val[key] - lo
-            hi_margin = hi - max_val[key]
-            ok = lo_margin >= 0.0 and hi_margin >= 0.0
-            if lo_margin <= hi_margin:
-                attained, bound, margin, worst = min_val[key], lo, lo_margin, min_at[key]
-            else:
-                attained, bound, margin, worst = max_val[key], hi, hi_margin, max_at[key]
-        elif kind in ("le", "lt"):
-            attained, bound, worst = max_val[key], hi, max_at[key]
-            margin = bound - attained
-            ok = margin > 0.0 if kind == "lt" else margin >= 0.0
-        else:  # ge / gt
-            attained, bound, worst = min_val[key], lo, min_at[key]
-            margin = attained - bound
-            ok = margin > 0.0 if kind == "gt" else margin >= 0.0
+    checks = []
+    for name, claim, key, lo, hi, strict in _CHECK_TABLE:
+        # (margin, attained, bound, worst_alpha) per given side; the
+        # smaller margin is reported, lo on a tie (min keeps the first)
+        sides = []
+        if lo is not None:
+            sides.append((min_val[key] - lo, min_val[key], lo, min_at[key]))
+        if hi is not None:
+            sides.append((hi - max_val[key], max_val[key], hi, max_at[key]))
+        margin, attained, bound, worst = min(sides, key=lambda side: side[0])
         checks.append(
-            LedgerCheck(
-                name=name,
-                claim=claim,
-                attained=attained,
-                bound=bound,
-                margin=margin,
-                passed=ok,
-                worst_alpha=worst,
-            )
+            {
+                "name": name,
+                "claim": claim.format(eps=eps_probe, r=r_probe),
+                "attained": attained,
+                "bound": bound,
+                "margin": margin,
+                "pass": margin > 0.0 if strict else margin >= 0.0,
+                "worst_alpha": worst,
+            }
         )
 
-    return LedgerReport(
-        checks=tuple(checks),
-        grid_points=grid,
-        alpha_max=alpha_max,
-        eps_probe=eps_probe,
-        r_probe=r_probe,
-        passed=all(c.passed for c in checks),
-    )
+    return {
+        "passed": all(c["pass"] for c in checks),
+        "grid_points": grid,
+        "alpha_max": alpha_max,
+        "eps_probe": eps_probe,
+        "r_probe": r_probe,
+        "checks": checks,
+    }

@@ -85,30 +85,30 @@ def test_ac03_inequality_ledger():
     report = run_ledger(0.034, 0.846, 0.945, 1000)
     dt = time.perf_counter() - t0
     problems = []
-    if not report.passed:
+    if not report["passed"]:
         problems.append("report did not pass")
-    if len(report.checks) != 18:
-        problems.append(f"expected 18 checks, got {len(report.checks)}")
-    for c in report.checks:
-        kind, *bounds = LEDGER_BOUNDS[c.name]
+    if len(report["checks"]) != 18:
+        problems.append(f"expected 18 checks, got {len(report['checks'])}")
+    for c in report["checks"]:
+        kind, *bounds = LEDGER_BOUNDS[c["name"]]
         if kind == "window":
             lo, hi = bounds
-            if not lo <= c.attained <= hi:
-                problems.append(f"{c.name}: {c.attained} outside [{lo}, {hi}]")
-            if c.bound not in (lo, hi):
-                problems.append(f"{c.name}: bound {c.bound} not a window edge")
+            if not lo <= c["attained"] <= hi:
+                problems.append(f"{c['name']}: {c['attained']} outside [{lo}, {hi}]")
+            if c["bound"] not in (lo, hi):
+                problems.append(f"{c['name']}: bound {c['bound']} not a window edge")
         else:
             (bound,) = bounds
-            if c.bound != bound:
-                problems.append(f"{c.name}: bound {c.bound} != {bound}")
+            if c["bound"] != bound:
+                problems.append(f"{c['name']}: bound {c['bound']} != {bound}")
             holds = {
-                "le": c.attained <= bound,
-                "lt": c.attained < bound,
-                "ge": c.attained >= bound,
-                "gt": c.attained > bound,
+                "le": c["attained"] <= bound,
+                "lt": c["attained"] < bound,
+                "ge": c["attained"] >= bound,
+                "gt": c["attained"] > bound,
             }[kind]
             if not holds:
-                problems.append(f"{c.name}: {c.attained} violates {kind} {bound}")
+                problems.append(f"{c['name']}: {c['attained']} violates {kind} {bound}")
     if dt >= 60.0:
         problems.append(f"ledger took {dt:.1f} s")
     _report("AC 3", not problems, "; ".join(problems) or f"18 checks pass with documented bounds in {dt:.2f} s")

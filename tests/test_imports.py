@@ -1,9 +1,13 @@
 """Module boundaries of the package: no module imports another's private
-names, and every public name has a caller or a README line."""
+names, every public name has a caller or a README line, and importing the
+package loads none of the heavy standard modules."""
 
 import ast
+import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import rieszdrop
 
@@ -42,3 +46,20 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
         and not re.search(rf"`{name}(\(.*?\))?`", readme)
     ]
     assert not orphans, orphans
+
+
+def test_import_loads_no_introspection_modules():
+    # dataclasses alone pulls in inspect, ast, dis and tokenize; a fresh
+    # isolated interpreter shows what `import rieszdrop` itself adds
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import json, rieszdrop; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    added = set(json.loads(out))
+    assert "rieszdrop" in added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not heavy & added, sorted(heavy & added)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from rieszdrop.splitting import (
     rho_n,
     v0_const,
 )
+from rieszdrop.thresholds import rho0
 
 SEED = 20260819
 
@@ -161,6 +163,50 @@ def test_envelope_domain():
         rho_min(0.0, 0.1)
     with pytest.raises(DomainError):
         rho_min(1.0, 1.5)
+
+
+def test_huge_n_rejected_naming_the_function():
+    # from 2**53 on n + 1 is not exact in a double; past that the float
+    # conversion overflows (10**400) or the denominator underflows (10**200)
+    assert math.isfinite(r_cn(2**53 - 1, 0.1))
+    for n in (2**53, 10**200, 10**400):
+        with pytest.raises(DomainError, match=r"^r_cn: n must be an integer in \[1, 2\*\*53\)"):
+            r_cn(n, 0.1)
+        with pytest.raises(DomainError, match=r"^rho_n: n must be an integer in \[1, 2\*\*53\)"):
+            rho_n(n, 1.0, 0.1)
+
+
+# one disk's density and the comparison density: each is finite or raises
+# DomainError naming itself and r, never nan, inf, OverflowError or
+# ZeroDivisionError
+DENSITIES = {"rho_n": lambda r, alpha: rho_n(1, r, alpha), "rho0": rho0}
+DENSITY_EDGES = [  # (name, r, alpha, finite)
+    ("rho_n", math.inf, 0.1, False),
+    ("rho_n", math.nan, 0.1, False),
+    ("rho_n", 1e100, 0.1, False),
+    ("rho_n", 1e300, 0.0, False),
+    ("rho_n", 1e-200, 0.1, False),
+    ("rho_n", 5e-324, 0.1, False),
+    ("rho_n", 1e-160, 0.1, True),
+    ("rho_n", 1.2e154, 1.9999999999, False),  # inf / inf
+    ("rho_n", 1e77, 1.99, True),
+    ("rho0", math.inf, 0.1, False),
+    ("rho0", 1e200, 0.1, False),
+    ("rho0", 1.7e308, 0.5, False),
+    ("rho0", 5e-324, 0.1, False),
+    ("rho0", 1e308, 0.5, True),
+    ("rho0", 1e-300, 0.1, True),
+]
+
+
+@pytest.mark.parametrize("name, r, alpha, finite", DENSITY_EDGES)
+def test_density_finite_or_domain_error(name, r, alpha, finite):
+    density = DENSITIES[name]
+    if finite:
+        assert math.isfinite(density(r, alpha))
+    else:
+        with pytest.raises(DomainError, match=rf"^{name}: .*{re.escape(repr(r))}$"):
+            density(r, alpha)
 
 
 def test_envelope_rows_match_pointwise():

@@ -10,7 +10,7 @@ import pytest
 from rieszdrop.errors import DomainError
 from rieszdrop.splitting import r_cn
 from rieszdrop.thresholds import solve_r0
-from rieszdrop.verify import LedgerCheck, LedgerReport, f3, run_ledger
+from rieszdrop.verify import f3, run_ledger
 
 CHECK_ORDER = (
     "gamma_2_minus_alpha",
@@ -61,52 +61,52 @@ def rel(got, want):
 
 
 def test_default_ledger_passes(report):
-    assert isinstance(report, LedgerReport)
-    assert report.passed
-    assert report.grid_points == 1000
-    assert report.alpha_max == 0.034
-    assert len(report.checks) == 18
-    assert tuple(c.name for c in report.checks) == CHECK_ORDER
-    for c in report.checks:
-        assert isinstance(c, LedgerCheck)
-        assert c.passed
-        assert c.margin > 0.0
-        assert "{" not in c.claim
+    assert isinstance(report, dict)
+    assert report["passed"]
+    assert report["grid_points"] == 1000
+    assert report["alpha_max"] == 0.034
+    assert len(report["checks"]) == 18
+    assert tuple(c["name"] for c in report["checks"]) == CHECK_ORDER
+    for c in report["checks"]:
+        assert isinstance(c, dict)
+        assert c["pass"]
+        assert c["margin"] > 0.0
+        assert "{" not in c["claim"]
 
 
 def test_one_sided_extremes(report):
-    by_name = {c.name: c for c in report.checks}
+    by_name = {c["name"]: c for c in report["checks"]}
     for name, want in ONE_SIDED_ATTAINED.items():
         c = by_name[name]
-        assert rel(c.attained, want) < 1e-9
-        assert c.worst_alpha == 0.034
+        assert rel(c["attained"], want) < 1e-9
+        assert c["worst_alpha"] == 0.034
 
 
 def test_window_extremes_sit_on_grid_endpoints(report):
     endpoints = {0.034 * 1 / 1000, 0.034}
-    for c in report.checks:
-        if c.name.endswith("_window") or c.name.startswith("gamma_"):
-            assert c.worst_alpha in endpoints
+    for c in report["checks"]:
+        if c["name"].endswith("_window") or c["name"].startswith("gamma_"):
+            assert c["worst_alpha"] in endpoints
 
 
 def test_coarse_grid_same_verdict(report):
     coarse = run_ledger(grid=2)
-    assert coarse.passed == report.passed
-    assert tuple(c.name for c in coarse.checks) == CHECK_ORDER
-    assert all(c.passed for c in coarse.checks)
+    assert coarse["passed"] == report["passed"]
+    assert tuple(c["name"] for c in coarse["checks"]) == CHECK_ORDER
+    assert all(c["pass"] for c in coarse["checks"])
 
 
 def test_failure_reporting():
     rep = run_ledger(alpha_max=0.05, grid=40)
-    assert not rep.passed
-    assert rep.passed == all(c.passed for c in rep.checks)
-    failed = {c.name for c in rep.checks if not c.passed}
+    assert not rep["passed"]
+    assert rep["passed"] == all(c["pass"] for c in rep["checks"])
+    failed = {c["name"] for c in rep["checks"] if not c["pass"]}
     # both extremes land on the endpoint, so the verdict is grid-stable
     assert "gamma_2_minus_alpha" in failed
     assert "m_eps1_floor" in failed
-    for c in rep.checks:
-        if not c.passed:
-            assert c.margin <= 0.0
+    for c in rep["checks"]:
+        if not c["pass"]:
+            assert c["margin"] <= 0.0
 
 
 def test_f3_clearance():
@@ -128,15 +128,14 @@ def test_f3_clearance():
 
 
 def test_to_dict_shape(report):
-    d = report.to_dict()
-    assert set(d) == {"passed", "grid_points", "alpha_max", "eps_probe", "r_probe", "checks"}
-    assert d["passed"] is True
-    assert len(d["checks"]) == 18
-    for cd in d["checks"]:
-        assert set(cd) == {"name", "claim", "attained", "bound", "margin", "pass", "worst_alpha"}
+    assert list(report) == ["passed", "grid_points", "alpha_max", "eps_probe", "r_probe", "checks"]
+    assert report["passed"] is True
+    assert len(report["checks"]) == 18
+    for cd in report["checks"]:
+        assert list(cd) == ["name", "claim", "attained", "bound", "margin", "pass", "worst_alpha"]
         assert cd["pass"] is True
-    # the dict is exactly what the CLI serializes
-    json.dumps(d, allow_nan=False)
+    # the dict the CLI serializes, in the key order it writes
+    json.dumps(report, allow_nan=False)
 
 
 def test_report_matches_schema(report):
@@ -144,7 +143,7 @@ def test_report_matches_schema(report):
         resources.files("rieszdrop").joinpath("schemas/output.schema.json").read_text()
     )
     schema = json.loads(schema_text)
-    jsonschema.Draft202012Validator(schema).validate(report.to_dict())
+    jsonschema.Draft202012Validator(schema).validate(report)
 
 
 def test_run_ledger_domain():
@@ -153,13 +152,18 @@ def test_run_ledger_domain():
     for bad in (0.0, 0.9, 1.0, math.nan):
         with pytest.raises(DomainError, match=r"^run_ledger: alpha_max must lie in \(0, 0.5\]"):
             run_ledger(alpha_max=bad)
-    assert run_ledger(alpha_max=0.5, grid=2).alpha_max == 0.5
+    assert run_ledger(alpha_max=0.5, grid=2)["alpha_max"] == 0.5
     with pytest.raises(DomainError):
         run_ledger(grid=1)
     with pytest.raises(DomainError):
         run_ledger(eps_probe=0.0)
     with pytest.raises(DomainError):
         run_ledger(r_probe=-1.0)
+    # an infinite probe is rejected, naming it, rather than reported as an
+    # infinite margin (r_probe) or as infinite rows (eps_probe)
+    for probe in ("eps_probe", "r_probe"):
+        with pytest.raises(DomainError, match=rf"^run_ledger: {probe} must lie in \(0, inf\)"):
+            run_ledger(grid=2, **{probe: math.inf})
 
 
 def test_ledger_deterministic():
