@@ -143,7 +143,7 @@ def test_ledger_no_root_stalls(monkeypatch):
     # below one ulp re-evaluated that end until the projection radius
     # caught up: 126 of these 3,000 roots took 36 to 48 evaluations and
     # 37,846 in all; kept tol / 2 inside the bracket, none takes over 20
-    # and all take 32,535
+    # and all take 32,535 (pinned exactly: the loop's points are fixed)
     per_root = []
     root = thresholds._root
 
@@ -162,5 +162,5 @@ def test_ledger_no_root_stalls(monkeypatch):
     monkeypatch.setattr(thresholds, "_root", counting_root)
     run_ledger(0.032, grid=1000)
     assert len(per_root) == 3000
-    assert max(per_root) <= 25
-    assert sum(per_root) <= 33_500
+    assert max(per_root) == 20
+    assert sum(per_root) == 32_535

@@ -12,6 +12,7 @@ moved, never to make this test pass.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -19,6 +20,7 @@ import pathlib
 import pytest
 
 from rieszdrop import cli
+from rieszdrop.thresholds import solve_eps0, solve_eps1, solve_m2
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -33,3 +35,20 @@ def test_cli_output_matches_golden(name):
     assert code == case["exit"]
     assert err.getvalue() == ""
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+# sha256 of the float.hex of m_2, eps_0 and eps_1 at alpha = 0.032 i / 1000,
+# i = 1..1000, one line per alpha.  A change to the solver loop or to the
+# constants record that moves any evaluated point moves some root's last
+# bit, and with it this digest.  Like the corpus, it is exact only on the
+# libm that wrote it.
+ROOTS_SHA256 = "663e046fd3f6462b5b62c3e4ca3900095e1d4203eb11fbf8b31984713878a290"
+
+
+def test_threshold_roots_bit_identical():
+    lines = []
+    for i in range(1, 1001):
+        alpha = 0.032 * i / 1000
+        lines.append(" ".join(f(alpha).hex() for f in (solve_m2, solve_eps0, solve_eps1)))
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == ROOTS_SHA256
