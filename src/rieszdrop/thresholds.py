@@ -34,13 +34,13 @@ record, and its objective reads them from there on every solver step.
 Tolerances are fixed: every root solve stops at a bracket width of 1e-12
 relative, or raises ConvergenceError after 200 iterations.  The one
 setting left to callers is the tolerance of the outer alpha_0 solve, which
-must be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles.
+must be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles;
+below 1e-12 it tightens the inner solves with it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -72,19 +72,21 @@ _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
 
 
-def _checked(f: Callable[[float], float], x: float) -> float:
+def _not_finite(y: object, x: float) -> BracketError:
     # an objective value that is NaN, infinite or not a float would compare
     # false against 0 and carry into every later interpolation point
-    y = f(x)
-    if not (isinstance(y, float) and math.isfinite(y)):
-        raise BracketError(f"objective value {y!r} at x = {x!r} is not a finite float")
-    return y
+    return BracketError(f"objective value {y!r} at x = {x!r} is not a finite float")
 
 
 def _root(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-12, expand_hi: bool = True
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    rel_tol: float = 1e-12,
+    expand_hi: bool = True,
+    level: float = 0.0,
 ) -> float:
-    """Root of f on [lo, hi] by ITP, down to width rel_tol, growing hi geometrically.
+    """Root of f - level on [lo, hi] by ITP, down to width rel_tol, growing hi geometrically.
 
     ITP (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS
     47(1), 2020) steps from the regula falsi point toward the midpoint by
@@ -100,25 +102,41 @@ def _root(
     midpoint, so the bound holds, and a point that has converged onto one
     end is not evaluated there again.
 
+    The loop is written for speed (the finiteness test inline, branches in
+    place of abs, min and max), but its iterates are exactly those of the
+    description above: the same expressions in the same order.
+
     The sign change is asserted before iterating, so a violated
     monotonicity assumption surfaces as BracketError rather than a silent
     wrong root; so does an objective value that is not a finite float.
     """
-    flo = _checked(f, lo)
+    isfinite = math.isfinite
+    y = f(lo)
+    if not (isinstance(y, float) and isfinite(y)):
+        raise _not_finite(y, lo)
+    flo = y - level
     if flo == 0.0:
         return lo
-    fhi = _checked(f, hi)
+    # every later sign is compared with this one, never multiplied by it:
+    # the product of two tiny values underflows to 0 and would read as a
+    # sign change
+    pos = flo > 0.0
+    y = f(hi)
+    if not (isinstance(y, float) and isfinite(y)):
+        raise _not_finite(y, hi)
+    fhi = y - level
     if expand_hi:
         grown = 0
-        while fhi != 0.0 and (fhi > 0.0) == (flo > 0.0) and grown < _EXPANSIONS:
+        while fhi != 0.0 and (fhi > 0.0) == pos and grown < _EXPANSIONS:
             hi *= 2.0
-            fhi = _checked(f, hi)
+            y = f(hi)
+            if not (isinstance(y, float) and isfinite(y)):
+                raise _not_finite(y, hi)
+            fhi = y - level
             grown += 1
     if fhi == 0.0:
         return hi
-    # signs are compared, never multiplied: the product of two tiny values
-    # underflows to 0 and would read as a sign change
-    if (fhi > 0.0) == (flo > 0.0):
+    if (fhi > 0.0) == pos:
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo) = {flo}, f(hi) = {fhi}"
         )
@@ -127,7 +145,10 @@ def _root(
     for _ in range(_MAX_ITER):
         width = hi - lo
         mid = 0.5 * (lo + hi)
-        tol = rel_tol * max(abs(lo), abs(hi))
+        # rel_tol * max(|lo|, |hi|)
+        a = -lo if lo < 0.0 else lo
+        b = -hi if hi < 0.0 else hi
+        tol = rel_tol * (b if b > a else a)
         if width <= tol:
             return mid
         cap *= 0.5
@@ -135,24 +156,30 @@ def _root(
         # (flo and -fhi share a sign, so the fraction lies in [0, 1])
         d = mid - (lo + width * (flo / (flo - fhi)))
         # truncate toward the midpoint by k1 width^2, project onto the ball
-        # of radius cap - width / 2 around it
-        step = abs(d) - k1 * width * width
+        # of radius max(cap - width / 2, 0) around it
+        step = (d if d > 0.0 else -d) - k1 * width * width
         if step <= 0.0:
             x = mid
         else:
-            step = min(step, max(cap - 0.5 * width, 0.0))
+            radius = cap - 0.5 * width
+            if step > radius:
+                step = radius if radius >= 0.0 else 0.0
             x = mid - step if d > 0.0 else mid + step
         # keep x tol / 2 inside the bracket (Brent's tol1): once regula falsi
         # has converged onto an end, a truncation step below one ulp would
         # evaluate that end again until the projection radius caught up
-        if x < lo + 0.5 * tol:
-            x = lo + 0.5 * tol
-        elif x > hi - 0.5 * tol:
-            x = hi - 0.5 * tol
-        fx = _checked(f, x)
+        half = 0.5 * tol
+        if x < lo + half:
+            x = lo + half
+        elif x > hi - half:
+            x = hi - half
+        y = f(x)
+        if not (isinstance(y, float) and isfinite(y)):
+            raise _not_finite(y, x)
+        fx = y - level
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (flo > 0.0):
+        if (fx > 0.0) == pos:
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
@@ -175,62 +202,82 @@ _EPS_BRACKET = (1e-6, 4.0)
 class AlphaConstants:
     """The per-exponent constants of one alpha, with the objectives that read them.
 
-    Each constant is computed on first use and then kept, through gamma,
-    v0_const, r_cn and rho_c1, so a solve pays for its Gamma products once
-    rather than once per solver step.  The methods are the only written
-    form of C0, C1, C3, F1, F2 and rho_0; the public functions of the same
-    names wrap them, so both give the same bits.
+    pi^(2-a), pi^(1-a) and C2 cost one power or quotient each and are set
+    on construction.  V0, r_cn(1), rho_c1, the C3 slope lead and the rho_0
+    coefficient cost Gamma products and are computed on first use, through
+    v0_const, r_cn, rho_c1 and gamma, and then kept; so a solve pays for
+    them once rather than once per solver step, and a caller of c2 alone
+    pays for none.  The record is slotted: each lazy constant sits in a slot
+    holding None until it is computed, and the objectives read the slots
+    directly.  (functools.cached_property did the same job, but its __get__
+    takes a class-wide lock on every first read, and its cached values live
+    in an instance __dict__; that cost more than the ledger's arithmetic.)
 
-    The methods take checked arguments: alpha in the domain of the solve or
-    objective called, eps and r positive.  Nothing here checks them, except
-    that the two constants with a narrower alpha domain (the C3 slope lead
-    and the rho_0 coefficient) check theirs on first use.
+    The methods are the only written form of C0, C1, C3, F1, F2 and rho_0;
+    the public functions of the same names wrap them, so both give the same
+    bits.  They take checked arguments: alpha in [0, 2) to construct the
+    record, in the domain of the solve or objective called, eps and r
+    positive.  Nothing here checks them, except that the two constants with
+    a narrower alpha domain (the C3 slope lead, alpha in (0, 1), and the
+    rho_0 coefficient, alpha in [0, 1/2]) check theirs on first use.
+
+    The solve_* methods prefix a BracketError or ConvergenceError with the
+    solve and alpha, e.g. "solve_eps0(alpha=1e-20): no sign change ...";
+    solve_m2 reports the solve_r0 that failed under it.
     """
+
+    __slots__ = (
+        "alpha", "pi_2ma", "pi_1ma", "c2", "_v0", "_r_c1", "_rho_c1", "_c3_lead", "_rho0_coeff"
+    )
 
     def __init__(self, alpha: float) -> None:
         self.alpha = alpha
+        self.pi_2ma = math.pi ** (2.0 - alpha)
+        self.pi_1ma = math.pi ** (1.0 - alpha)
+        self.c2 = 2.0 * math.pi / (2.0 - alpha)
+        self._v0 = self._r_c1 = self._rho_c1 = self._c3_lead = self._rho0_coeff = None
 
-    @cached_property
+    @property
     def v0(self) -> float:
-        return v0_const(self.alpha)
+        if self._v0 is None:
+            self._v0 = v0_const(self.alpha)
+        return self._v0
 
-    @cached_property
-    def pi_2ma(self) -> float:
-        return math.pi ** (2.0 - self.alpha)
+    @property
+    def r_c1(self) -> float:
+        if self._r_c1 is None:
+            self._r_c1 = r_cn(1, self.alpha)
+        return self._r_c1
 
-    @cached_property
-    def pi_1ma(self) -> float:
-        return math.pi ** (1.0 - self.alpha)
+    @property
+    def rho_c1(self) -> float:
+        if self._rho_c1 is None:
+            self._rho_c1 = rho_c1(self.alpha)
+        return self._rho_c1
 
-    @cached_property
-    def c2(self) -> float:
-        return 2.0 * math.pi / (2.0 - self.alpha)
-
-    @cached_property
+    @property
     def c3_lead(self) -> float:
         # pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2)
-        alpha = self.alpha
-        check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
-        g = gamma(2.0 - alpha / 2.0)
-        return math.pi**2 * alpha * (2.0 - alpha) * gamma(1.0 - alpha) / (2.0 * g * g)
+        if self._c3_lead is None:
+            alpha = self.alpha
+            check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
+            g = gamma(2.0 - alpha / 2.0)
+            self._c3_lead = math.pi**2 * alpha * (2.0 - alpha) * gamma(1.0 - alpha) / (2.0 * g * g)
+        return self._c3_lead
 
-    @cached_property
-    def r_c1(self) -> float:
-        return r_cn(1, self.alpha)
-
-    @cached_property
-    def rho_c1(self) -> float:
-        return rho_c1(self.alpha)
-
-    @cached_property
+    @property
     def rho0_coeff(self) -> float:
         # 2^a pi^(1-a) / rho_c1^a
-        alpha = self.alpha
-        check_alpha(alpha, "rho0", 0.5)
-        return 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
+        if self._rho0_coeff is None:
+            alpha = self.alpha
+            check_alpha(alpha, "rho0", 0.5)
+            self._rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
+        return self._rho0_coeff
 
     def c0(self, eps: float) -> float:
-        v0 = self.v0
+        v0 = self._v0
+        if v0 is None:
+            v0 = self.v0
         return (
             eps
             / (2.0 * math.pi)
@@ -243,7 +290,10 @@ class AlphaConstants:
 
     def c3(self, d0: float) -> float:
         """C3 given C0 = d0."""
-        return self.c3_lead * (1.0 + (2.0 / 3.0) * delta_bound(d0))
+        lead = self._c3_lead
+        if lead is None:
+            lead = self.c3_lead
+        return lead * (1.0 + (2.0 / 3.0) * delta_bound(d0))
 
     def f1(self, eps: float) -> float:
         d0 = self.c0(eps)
@@ -255,22 +305,42 @@ class AlphaConstants:
         return 1.0 / (1.0 + d0) + 2.0 * eps * (self.c1(d0) - self.c2)
 
     def rho0(self, r: float) -> float:
-        return 2.0 / r + self.rho0_coeff * r ** (2.0 - 2.0 * self.alpha)
+        coeff = self._rho0_coeff
+        if coeff is None:
+            coeff = self.rho0_coeff
+        return 2.0 / r + coeff * r ** (2.0 - 2.0 * self.alpha)
 
-    def solve_r0(self) -> float:
+    def _solve(
+        self,
+        name: str,
+        f: Callable[[float], float],
+        lo: float,
+        hi: float,
+        rel_tol: float,
+        level: float = 0.0,
+    ) -> float:
+        # one try per solve, not per objective evaluation
+        try:
+            return _root(f, lo, hi, rel_tol, level=level)
+        except (BracketError, ConvergenceError) as exc:
+            raise type(exc)(f"{name}(alpha={self.alpha}): {exc}") from None
+
+    # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else
+
+    def solve_r0(self, *, _rel_tol: float = 1e-12) -> float:
         rc = self.r_c1
-        level = self.rho_c1
-        return _root(lambda r: self.rho0(r) - level, rc, 4.0 * rc)
+        # the R_0 objective is rho0(r) - rho_c1; _root takes the level
+        return self._solve("solve_r0", self.rho0, rc, 4.0 * rc, _rel_tol, self.rho_c1)
 
-    def solve_m2(self) -> float:
-        r0 = self.solve_r0()
+    def solve_m2(self, *, _rel_tol: float = 1e-12) -> float:
+        r0 = self.solve_r0(_rel_tol=_rel_tol)
         return math.pi * r0 * r0
 
-    def solve_eps0(self) -> float:
-        return _root(self.f2, *_EPS_BRACKET)
+    def solve_eps0(self, *, _rel_tol: float = 1e-12) -> float:
+        return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol)
 
-    def solve_eps1(self) -> float:
-        return _root(self.f1, *_EPS_BRACKET)
+    def solve_eps1(self, *, _rel_tol: float = 1e-12) -> float:
+        return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol)
 
 
 def rho0(r: float, alpha: float) -> float:
@@ -280,6 +350,7 @@ def rho0(r: float, alpha: float) -> float:
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho0: r must lie in (0, inf), got {r}")
+    check_alpha(alpha, "rho0", 0.5)
     k = AlphaConstants(alpha)
     try:
         value = k.rho0(r)
@@ -381,18 +452,23 @@ def solve_alpha0(rel_tol: float = 1e-12) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
     Outer ITP solve on [0.01, 0.10] down to a relative width
-    rel_tol >= MIN_REL_TOL = 2**-52; the three inner solves run at their
-    fixed tolerance, which keeps the nesting stable (the outer objective is
-    evaluated to ~1e-12 relative).
+    rel_tol >= MIN_REL_TOL = 2**-52.  The three inner solves stop at 1e-12
+    while rel_tol >= 1e-12, and at max(rel_tol / 100, 4 * 2**-52) below
+    that: the outer objective carries their error, so an outer bracket
+    narrower than it would only close in on noise.  The result lands
+    within about max(rel_tol, 2e-15) relative of the true crossing.
     """
     if not rel_tol >= MIN_REL_TOL:
         raise DomainError(
             f"solve_alpha0: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {rel_tol}"
         )
+    inner = 1e-12 if rel_tol >= 1e-12 else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
 
     def crossing_gap(alpha: float) -> float:
         k = AlphaConstants(alpha)
-        return min(m_of_eps(k.solve_eps0(), alpha), m_of_eps(k.solve_eps1(), alpha)) - k.solve_m2()
+        m_eps0 = m_of_eps(k.solve_eps0(_rel_tol=inner), alpha)
+        m_eps1 = m_of_eps(k.solve_eps1(_rel_tol=inner), alpha)
+        return min(m_eps0, m_eps1) - k.solve_m2(_rel_tol=inner)
 
     return _root(crossing_gap, *_ALPHA0_BRACKET, rel_tol=rel_tol, expand_hi=False)
 

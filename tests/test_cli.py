@@ -279,6 +279,25 @@ def test_alpha0_rejects_tol_below_double_spacing(tol, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-14, 2.0**-52])
+def test_alpha0_as_accurate_as_its_tol(tol, capsys):
+    # below 1e-12 the inner solves tighten with --tol, so the crossing is
+    # found to the tolerance asked for, down to a few ulps of alpha_0
+    code, out, _ = run_cli(["alpha0", "--tol", repr(tol)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["alpha0"] - ALPHA0_REF) / ALPHA0_REF <= max(tol, 2e-15)
+
+
+def test_solver_failure_names_the_solve_and_alpha(capsys):
+    code, out, err = run_cli(["eval", "--alpha", "1e-20"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "rieszdrop: error: solve_eps0(alpha=1e-20): no sign change on "
+        "[1e-06, 4.611686018427388e+18]: f(lo) = 1.0, f(hi) = 1.0\n"
+    )
+
+
 def test_verify_pass_and_fail(capsys):
     code, out, _ = run_cli(["verify", "--grid", "40"], capsys)
     assert code == 0

@@ -142,6 +142,36 @@ def test_solve_r0_solver_failures(monkeypatch):
         thresholds._root(gap, rc, 4.0 * rc)
 
 
+def test_solver_errors_name_the_solve_and_alpha(monkeypatch):
+    # each record solve prefixes its failure once, whichever root fails
+    where = r"^solve_eps0\(alpha=1e-17\): no sign change on "
+    with pytest.raises(BracketError, match=where) as info:
+        solve_eps0(1e-17)
+    assert str(info.value).count("solve_eps0") == 1
+    monkeypatch.setattr(thresholds, "_MAX_ITER", 1)
+    k = AlphaConstants(0.034)
+    where = r"^solve_r0\(alpha=0\.034\): ITP root solve did not reach"
+    for solve in (k.solve_r0, k.solve_m2):
+        with pytest.raises(ConvergenceError, match=where):
+            solve()
+    for name in ("solve_eps0", "solve_eps1"):
+        with pytest.raises(ConvergenceError, match=rf"^{name}\(alpha=0\.034\): ITP root solve"):
+            getattr(k, name)()
+
+
+def test_alpha_constants_domain_split():
+    # the record builds for any alpha in [0, 2); only the two narrower
+    # constants check their domain, when first read
+    for alpha in (0.0, 5e-324, 1e-17, 0.034, 0.5, 0.7, 1.0, 1.5, math.nextafter(2.0, 0.0)):
+        AlphaConstants(alpha)
+    k = AlphaConstants(0.7)
+    assert k.solve_eps0() == solve_eps0(0.7)
+    with pytest.raises(DomainError, match=r"^rho0: alpha must lie in \[0, 0\.5\], got 0\.7"):
+        k.solve_m2()
+    with pytest.raises(DomainError, match=r"^c3: alpha must lie in \(0, 1\.0\), got 1\.5"):
+        AlphaConstants(1.5).solve_eps1()
+
+
 def _bisection_evals(f, lo, hi, rel_tol=1e-12):
     # evaluations plain bisection makes on [lo, hi], with the solver's stop
     flo, n = f(lo), 2
