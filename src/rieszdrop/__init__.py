@@ -44,6 +44,7 @@ from .thresholds import (
     delta_bound,
     f1,
     f2,
+    m_at_crossing,
     m_c1,
     m_of_eps,
     rho0,
@@ -75,6 +76,7 @@ __all__ = [
     "f3",
     "gamma",
     "hyp2f1",
+    "m_at_crossing",
     "m_c1",
     "m_of_eps",
     "r_cn",

@@ -33,7 +33,7 @@ from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .splitting import envelope_rows
-from .thresholds import MIN_REL_TOL, AlphaConstants, m_c1, m_of_eps, solve_alpha0
+from .thresholds import MIN_REL_TOL, AlphaConstants, m_at_crossing, m_of_eps, solve_alpha0
 from .verify import run_ledger
 
 __all__ = ["main", "entrypoint"]
@@ -114,7 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     eps1 = k.solve_eps1()
     payload = {
         "alpha": alpha,
-        "m_c1": m_c1(alpha),
+        "m_c1": k.m_c1,
         "R_c1": k.r_c1,
         "rho_c1": k.rho_c1,
         "m_2": math.pi * r0 * r0,
@@ -135,7 +135,9 @@ def _sweep_row(alpha: float) -> tuple[float | None, ...]:
         except (DomainError, BracketError, ConvergenceError):
             return None
 
-    m1 = attempt(lambda: m_c1(alpha))
+    # alpha lies in [0, 0.5] up to an ulp (_cmd_sweep checks the range)
+    k = AlphaConstants(alpha)
+    m1 = k.m_c1
     try:
         # the domain of the eps solves; alpha = 0 has a closed-form m_c1 but
         # no solver thresholds, and the record itself rejects an alpha above
@@ -143,7 +145,6 @@ def _sweep_row(alpha: float) -> tuple[float | None, ...]:
         check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
     except DomainError:
         return (alpha, m1, None, None, None)
-    k = AlphaConstants(alpha)
     return (
         alpha,
         m1,
@@ -187,9 +188,7 @@ def _cmd_alpha0(args: argparse.Namespace) -> int:
     if not tol >= MIN_REL_TOL:
         raise DomainError(f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {tol}")
     a0 = solve_alpha0(tol)
-    k = AlphaConstants(a0)
-    m_at = min(m_of_eps(k.solve_eps0(), a0), m_of_eps(k.solve_eps1(), a0))
-    payload = {"alpha0": a0, "m_at_crossing": m_at, "tol": tol}
+    payload = {"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol}
     _emit(_json_text(payload), args.out)
     return 0
 

@@ -20,6 +20,10 @@ so the pointwise lower envelope rho_min(R) = min_n rho_n(R) is attained by
 n on the segment (r_cn(n-1), r_cn(n)], with ties going to the smaller n.
 alpha = 0 is an admitted limiting parameter; every closed form here is
 finite there.
+
+The three Gamma values in V0 and V0 itself are computed in one place, a
+DiskConstants record per exponent, which also keeps r_cn(1) and rho_c1
+once computed; every function here reads V0 from one.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
 
 __all__ = [
+    "DiskConstants",
     "v0_const",
     "rho_n",
     "r_cn",
@@ -43,6 +48,7 @@ __all__ = [
 _SCAN_CUTOVER = 64
 _N_CAP = 1_000_000  # cap on the minimizing n of the envelope
 _N_MAX = 2**53  # from here on n + 1 is not exact in a double
+_NORMAL_MIN = 2.0**-1022  # smallest normal double
 
 
 def _check_n(n: int, what: str) -> int:
@@ -51,15 +57,45 @@ def _check_n(n: int, what: str) -> int:
     return int(n)
 
 
+class DiskConstants:
+    """The disk constants of one exponent alpha in [0, 2), each computed once.
+
+    Gamma(2 - alpha), Gamma(2 - alpha/2), Gamma(3 - alpha/2) (g2a, g2ah,
+    g3ah) and V0 are set on construction; r_c1 = r_cn(1, alpha) and
+    rho_c1 = rho_1(r_c1) are computed on first use and kept.  The record
+    is the only place these are computed: the functions of this module
+    read V0 from one, and thresholds.AlphaConstants extends it with the
+    threshold constants.  It is slotted, and a lazy constant sits in a
+    slot holding None until it is computed.  alpha is not checked here.
+    """
+
+    __slots__ = ("alpha", "g2a", "g2ah", "g3ah", "v0", "_r_c1", "_rho_c1")
+
+    def __init__(self, alpha: float) -> None:
+        self.alpha = alpha
+        self.g2a = g2a = gamma(2.0 - alpha)
+        self.g2ah = g2ah = gamma(2.0 - alpha / 2.0)
+        self.g3ah = g3ah = gamma(3.0 - alpha / 2.0)
+        self.v0 = 2.0 * math.pi**2 * g2a / (g2ah * g3ah)
+        self._r_c1 = self._rho_c1 = None
+
+    @property
+    def r_c1(self) -> float:
+        if self._r_c1 is None:
+            self._r_c1 = _r_cn(1, self.alpha, self.v0)
+        return self._r_c1
+
+    @property
+    def rho_c1(self) -> float:
+        if self._rho_c1 is None:
+            self._rho_c1 = _rho_n(1, self.r_c1, self.alpha, self.v0)
+        return self._rho_c1
+
+
 def v0_const(alpha: float) -> float:
     """Self-interaction energy of the unit disk under the |x-y|^(-alpha) kernel."""
     check_alpha(alpha, "v0_const", 2, hi_open=True)
-    return (
-        2.0
-        * math.pi**2
-        * gamma(2.0 - alpha)
-        / (gamma(2.0 - alpha / 2.0) * gamma(3.0 - alpha / 2.0))
-    )
+    return DiskConstants(alpha).v0
 
 
 def _disk_energy(r: float, alpha: float, v0: float) -> float:
@@ -69,16 +105,25 @@ def _disk_energy(r: float, alpha: float, v0: float) -> float:
 def rho_n(n: int, r: float, alpha: float) -> float:
     """Energy per unit area of n equal disks at total radius-scale r.
 
-    An r where the density leaves double range raises DomainError.
+    Where r * r is below the normal range (r below about 1.5e-154) the
+    density is evaluated as 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi,
+    which never forms r^2.  An r where the density leaves double range
+    raises DomainError.
     """
     n = _check_n(n, "rho_n")
     check_alpha(alpha, "rho_n", 2, hi_open=True)
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_n: r must lie in (0, inf), got {r}")
-    v0 = v0_const(alpha)
+    v0 = DiskConstants(alpha).v0
     try:
-        value = _rho_n(n, r, alpha, v0)
-    except (OverflowError, ZeroDivisionError):  # r^(4 - alpha) overflows, r^2 underflows
+        if r * r < _NORMAL_MIN:
+            value = (
+                2.0 * math.sqrt(n) / r
+                + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
+            )
+        else:
+            value = _rho_n(n, r, alpha, v0)
+    except OverflowError:  # r^(4 - alpha)
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"rho_n: the density is out of double range at r = {r}")
@@ -99,7 +144,7 @@ def r_cn(n: int, alpha: float) -> float:
     """
     n = _check_n(n, "r_cn")
     check_alpha(alpha, "r_cn", 2, hi_open=True)
-    return _r_cn(n, alpha, v0_const(alpha))
+    return _r_cn(n, alpha, DiskConstants(alpha).v0)
 
 
 def _r_cn(n: int, alpha: float, v0: float) -> float:
@@ -116,8 +161,7 @@ def _r_cn(n: int, alpha: float, v0: float) -> float:
 def rho_c1(alpha: float) -> float:
     """Density at the first crossover, rho_1(r_cn(1)); the flat-envelope level."""
     check_alpha(alpha, "rho_c1", 2, hi_open=True)
-    v0 = v0_const(alpha)
-    return _rho_n(1, _r_cn(1, alpha, v0), alpha, v0)
+    return DiskConstants(alpha).rho_c1
 
 
 def rho_min(r: float, alpha: float) -> tuple[float, int]:
@@ -131,7 +175,7 @@ def rho_min(r: float, alpha: float) -> tuple[float, int]:
     check_alpha(alpha, "rho_min", 1.0)
     if not r > 0.0:
         raise DomainError(f"rho_min: r must be positive, got {r}")
-    v0 = v0_const(alpha)
+    v0 = DiskConstants(alpha).v0
     n = _envelope_n(r, alpha, v0, 1, "rho_min")
     return _rho_n(n, r, alpha, v0), n
 
@@ -176,7 +220,7 @@ def envelope_rows(
     per segment passed and per row.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
-    v0 = v0_const(alpha)
+    v0 = DiskConstants(alpha).v0
     n = 1
     prev = 0.0
     for r in radii:

@@ -26,10 +26,15 @@ needs about 44.  Every solver asserts the bracket sign change at runtime,
 so the monotonicity the formulas rely on is checked on every call, and
 results are bit-deterministic for identical inputs.
 
-Everything above depends on alpha only through a handful of constants (V0,
-pi^(2-a), C2, the slope lead of C3, r_cn(1), rho_c1 and the rho_0
-coefficient).  A solve computes each of them once, in one AlphaConstants
-record, and its objective reads them from there on every solver step.
+Everything above depends on alpha only through a handful of constants,
+kept in one record per exponent in two layers.  splitting.DiskConstants
+holds the disk constants: Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, and
+r_cn(1) and rho_c1 once used.  AlphaConstants extends it with the
+threshold constants: pi^(2-a), pi^(1-a) and C2, and once used Gamma(1-a),
+the slope lead of C3 and the rho_0 coefficient.  m_c1 and the C3 lead are
+built from the record's Gamma values, so each Gamma value is computed once
+per exponent, and an objective reads its constants from the record on
+every solver step.
 
 Tolerances are fixed: every root solve stops at a bracket width of 1e-12
 relative, or raises ConvergenceError after 200 iterations.  The one
@@ -45,7 +50,7 @@ from typing import Callable
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
-from .splitting import r_cn, rho_c1, v0_const
+from .splitting import DiskConstants
 
 __all__ = [
     "MIN_REL_TOL",
@@ -65,6 +70,7 @@ __all__ = [
     "solve_eps0",
     "solve_eps1",
     "solve_alpha0",
+    "m_at_crossing",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -191,69 +197,68 @@ def _root(
 def m_c1(alpha: float) -> float:
     """Mass where one disk ties with two half-mass disks (closed form)."""
     check_alpha(alpha, "m_c1", 2.0, hi_open=True)
-    num = (_SQRT2 - 1.0) * gamma(2.0 - alpha / 2.0) * gamma(3.0 - alpha / 2.0)
-    den = math.pi * (1.0 - 2.0 ** ((alpha - 2.0) / 2.0)) * gamma(2.0 - alpha)
-    return math.pi * (num / den) ** (2.0 / (3.0 - alpha))
+    return AlphaConstants(alpha).m_c1
 
 
 _EPS_BRACKET = (1e-6, 4.0)
 
 
-class AlphaConstants:
+class AlphaConstants(DiskConstants):
     """The per-exponent constants of one alpha, with the objectives that read them.
 
-    pi^(2-a), pi^(1-a) and C2 cost one power or quotient each and are set
-    on construction.  V0, r_cn(1), rho_c1, the C3 slope lead and the rho_0
-    coefficient cost Gamma products and are computed on first use, through
-    v0_const, r_cn, rho_c1 and gamma, and then kept; so a solve pays for
-    them once rather than once per solver step, and a caller of c2 alone
-    pays for none.  The record is slotted: each lazy constant sits in a slot
-    holding None until it is computed, and the objectives read the slots
-    directly.  (functools.cached_property did the same job, but its __get__
-    takes a class-wide lock on every first read, and its cached values live
-    in an instance __dict__; that cost more than the ledger's arithmetic.)
+    The record extends splitting.DiskConstants, which sets Gamma(2-a),
+    Gamma(2-a/2), Gamma(3-a/2) (g2a, g2ah, g3ah) and V0 on construction and
+    computes r_cn(1) and rho_c1 on first use.  On top of these, pi^(2-a),
+    pi^(1-a) and C2 cost one power or quotient each and are set on
+    construction; Gamma(1-a) (g1a), the C3 slope lead and the rho_0
+    coefficient are computed on first use and then kept.  m_c1 and the C3
+    lead are built from the record's Gamma values, so a record computes
+    each Gamma value once, and a solve pays for its constants once rather
+    than once per solver step.  The record is slotted: each lazy constant
+    sits in a slot holding None until it is computed, and the objectives
+    read the slots directly.  (functools.cached_property did the same job,
+    but its __get__ takes a class-wide lock on every first read, and its
+    cached values live in an instance __dict__; that cost more than the
+    ledger's arithmetic.)
 
-    The methods are the only written form of C0, C1, C3, F1, F2 and rho_0;
-    the public functions of the same names wrap them, so both give the same
-    bits.  They take checked arguments: alpha in [0, 2) to construct the
-    record, in the domain of the solve or objective called, eps and r
-    positive.  Nothing here checks them, except that the two constants with
-    a narrower alpha domain (the C3 slope lead, alpha in (0, 1), and the
-    rho_0 coefficient, alpha in [0, 1/2]) check theirs on first use.
+    m_c1 and the methods are the only written form of m_c1, C0, C1, C3, F1,
+    F2 and rho_0; the public functions of the same names wrap them, so both
+    give the same bits.  They take checked arguments: alpha in [0, 2) to
+    construct the record, in the domain of the solve or objective called,
+    eps and r positive.  Nothing here checks them, except that the
+    constants with a narrower alpha domain check theirs on first use:
+    Gamma(1-a), alpha in [0, 1), the C3 slope lead, alpha in (0, 1), and
+    the rho_0 coefficient, alpha in [0, 1/2].
 
     The solve_* methods prefix a BracketError or ConvergenceError with the
     solve and alpha, e.g. "solve_eps0(alpha=1e-20): no sign change ...";
     solve_m2 reports the solve_r0 that failed under it.
     """
 
-    __slots__ = (
-        "alpha", "pi_2ma", "pi_1ma", "c2", "_v0", "_r_c1", "_rho_c1", "_c3_lead", "_rho0_coeff"
-    )
+    __slots__ = ("pi_2ma", "pi_1ma", "c2", "_g1a", "_c3_lead", "_rho0_coeff")
 
     def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
+        DiskConstants.__init__(self, alpha)
         self.pi_2ma = math.pi ** (2.0 - alpha)
         self.pi_1ma = math.pi ** (1.0 - alpha)
         self.c2 = 2.0 * math.pi / (2.0 - alpha)
-        self._v0 = self._r_c1 = self._rho_c1 = self._c3_lead = self._rho0_coeff = None
+        self._g1a = self._c3_lead = self._rho0_coeff = None
 
     @property
-    def v0(self) -> float:
-        if self._v0 is None:
-            self._v0 = v0_const(self.alpha)
-        return self._v0
+    def g1a(self) -> float:
+        # Gamma(1 - a), finite for a < 1 only
+        if self._g1a is None:
+            check_alpha(self.alpha, "gamma(1 - alpha)", 1.0, hi_open=True)
+            self._g1a = gamma(1.0 - self.alpha)
+        return self._g1a
 
     @property
-    def r_c1(self) -> float:
-        if self._r_c1 is None:
-            self._r_c1 = r_cn(1, self.alpha)
-        return self._r_c1
-
-    @property
-    def rho_c1(self) -> float:
-        if self._rho_c1 is None:
-            self._rho_c1 = rho_c1(self.alpha)
-        return self._rho_c1
+    def m_c1(self) -> float:
+        """Mass where one disk ties with two half-mass disks (closed form)."""
+        alpha = self.alpha
+        num = (_SQRT2 - 1.0) * self.g2ah * self.g3ah
+        den = math.pi * (1.0 - 2.0 ** ((alpha - 2.0) / 2.0)) * self.g2a
+        return math.pi * (num / den) ** (2.0 / (3.0 - alpha))
 
     @property
     def c3_lead(self) -> float:
@@ -261,8 +266,8 @@ class AlphaConstants:
         if self._c3_lead is None:
             alpha = self.alpha
             check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
-            g = gamma(2.0 - alpha / 2.0)
-            self._c3_lead = math.pi**2 * alpha * (2.0 - alpha) * gamma(1.0 - alpha) / (2.0 * g * g)
+            g = self.g2ah
+            self._c3_lead = math.pi**2 * alpha * (2.0 - alpha) * self.g1a / (2.0 * g * g)
         return self._c3_lead
 
     @property
@@ -275,9 +280,7 @@ class AlphaConstants:
         return self._rho0_coeff
 
     def c0(self, eps: float) -> float:
-        v0 = self._v0
-        if v0 is None:
-            v0 = self.v0
+        v0 = self.v0
         return (
             eps
             / (2.0 * math.pi)
@@ -341,6 +344,13 @@ class AlphaConstants:
 
     def solve_eps1(self, *, _rel_tol: float = 1e-12) -> float:
         return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol)
+
+    def _m_eps_min(self, rel_tol: float) -> float:
+        # min(m(eps_0), m(eps_1)), the mass solve_alpha0 meets with m_2
+        alpha = self.alpha
+        m_eps0 = m_of_eps(self.solve_eps0(_rel_tol=rel_tol), alpha)
+        m_eps1 = m_of_eps(self.solve_eps1(_rel_tol=rel_tol), alpha)
+        return min(m_eps0, m_eps1)
 
 
 def rho0(r: float, alpha: float) -> float:
@@ -448,6 +458,15 @@ _ALPHA0_BRACKET = (0.01, 0.10)
 MIN_REL_TOL = 2.0**-52
 
 
+def _inner_rel_tol(rel_tol: float, stage: str) -> float:
+    # the stop of the inner solves under an outer alpha_0 solve to rel_tol
+    if not rel_tol >= MIN_REL_TOL:
+        raise DomainError(
+            f"{stage}: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {rel_tol}"
+        )
+    return 1e-12 if rel_tol >= 1e-12 else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
+
+
 def solve_alpha0(rel_tol: float = 1e-12) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
@@ -456,19 +475,27 @@ def solve_alpha0(rel_tol: float = 1e-12) -> float:
     while rel_tol >= 1e-12, and at max(rel_tol / 100, 4 * 2**-52) below
     that: the outer objective carries their error, so an outer bracket
     narrower than it would only close in on noise.  The result lands
-    within about max(rel_tol, 2e-15) relative of the true crossing.
+    within about max(rel_tol, 2e-15) relative of the true crossing.  A
+    failed outer solve raises its BracketError or ConvergenceError
+    prefixed with "solve_alpha0(rel_tol=...)".
     """
-    if not rel_tol >= MIN_REL_TOL:
-        raise DomainError(
-            f"solve_alpha0: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {rel_tol}"
-        )
-    inner = 1e-12 if rel_tol >= 1e-12 else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
+    inner = _inner_rel_tol(rel_tol, "solve_alpha0")
 
     def crossing_gap(alpha: float) -> float:
         k = AlphaConstants(alpha)
-        m_eps0 = m_of_eps(k.solve_eps0(_rel_tol=inner), alpha)
-        m_eps1 = m_of_eps(k.solve_eps1(_rel_tol=inner), alpha)
-        return min(m_eps0, m_eps1) - k.solve_m2(_rel_tol=inner)
+        return k._m_eps_min(inner) - k.solve_m2(_rel_tol=inner)
 
-    return _root(crossing_gap, *_ALPHA0_BRACKET, rel_tol=rel_tol, expand_hi=False)
+    try:
+        return _root(crossing_gap, *_ALPHA0_BRACKET, rel_tol=rel_tol, expand_hi=False)
+    except (BracketError, ConvergenceError) as exc:
+        raise type(exc)(f"solve_alpha0(rel_tol={rel_tol}): {exc}") from None
 
+
+def m_at_crossing(alpha0: float, rel_tol: float = 1e-12) -> float:
+    """min(m(eps_0), m(eps_1)) at the crossing alpha0 = solve_alpha0(rel_tol).
+
+    Both eps solves stop where solve_alpha0(rel_tol) stops its inner
+    solves, so the mass is as accurate as the crossing it is taken at.
+    """
+    check_alpha(alpha0, "m_at_crossing", 1.0, lo_open=True, hi_open=True)
+    return AlphaConstants(alpha0)._m_eps_min(_inner_rel_tol(rel_tol, "m_at_crossing"))

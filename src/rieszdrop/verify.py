@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .specfun import gamma
 from .splitting import rho_c1
-from .thresholds import AlphaConstants, m_c1, m_of_eps, rho0
+from .thresholds import AlphaConstants, m_of_eps, rho0
 
 __all__ = ["f3", "run_ledger"]
 
@@ -54,17 +53,17 @@ _CHECK_TABLE: tuple[tuple[str, str, str, float | None, float | None, bool], ...]
 
 
 def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, float]:
-    # one constants record per grid point serves every row and all three
-    # root solves
+    # one constants record per grid point serves every row, the Gamma rows
+    # included, and all three root solves
     k = AlphaConstants(alpha)
     rho0_probe = k.rho0(r_probe)
     d0 = k.c0(eps_probe)
     return {
-        "g2a": gamma(2.0 - alpha),
-        "g2ah": gamma(2.0 - alpha / 2.0),
-        "g3ah": gamma(3.0 - alpha / 2.0),
-        "g1a": gamma(1.0 - alpha),
-        "m_c1": m_c1(alpha),
+        "g2a": k.g2a,
+        "g2ah": k.g2ah,
+        "g3ah": k.g3ah,
+        "g1a": k.g1a,
+        "m_c1": k.m_c1,
         "c0": d0,
         "c3": k.c3(d0),
         "f1": k.f1(eps_probe),

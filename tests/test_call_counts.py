@@ -65,35 +65,43 @@ def evals(monkeypatch):
 
 
 def test_threshold_sample_computes_constants_once(calls, tmp_path):
-    # eval's three root solves (m_2, eps_0, eps_1) share one constants
-    # record; recomputing the Gamma products in every bisection step costs
-    # about 900 gamma and 280 v0_const calls
+    # eval's three root solves (m_2, eps_0, eps_1) and its m_c1 share one
+    # constants record, which computes each of its 4 Gamma values once;
+    # recomputing the Gamma products in every bisection step costs about
+    # 900 gamma and 280 v0_const calls, and building V0, m_c1 and the C3
+    # lead each from its own Gamma calls cost 14
     assert main(["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]) == 0
-    assert calls["gamma"] <= 100
-    assert calls["v0_const"] <= 10
+    assert calls["gamma"] == 4
+    assert calls["v0_const"] == 0
 
 
 def test_eval_and_sweep_compute_constants_once_per_exponent(calls, tmp_path):
-    # one constants record per exponent: v0 for the eps solves, r_cn(1) and
-    # rho_c1 for the R_0 solve, 3 v0_const calls where a record per solve
-    # (and a fresh r_cn(1) and rho_c1 in eval) cost 4 per sweep row and 6
-    # per eval
+    # one constants record per exponent holds V0, r_cn(1) and rho_c1: no
+    # v0_const call, where a v0_const per constant cost 3 per sweep row and
+    # per eval, and at most 4 Gamma values per row (Gamma(1 - alpha) only
+    # where the eps_1 solve runs), where m_c1 on its own cost 3 more
     assert main(["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]) == 0
-    assert calls["v0_const"] <= 3
-    calls["v0_const"] = 0
+    assert calls["v0_const"] == 0
+    calls["gamma"] = 0
     steps = 21
     code = main(["sweep", "--steps", str(steps), "--out", str(tmp_path / "sweep.csv")])
     assert code == 0
-    assert calls["v0_const"] <= 3 * steps
+    assert calls["v0_const"] == 0
+    assert calls["gamma"] <= 4 * steps
 
 
 def test_ledger_gamma_calls_per_point(calls):
-    # per point: 4 ledger rows, 3 in m_c1, 3 in each of the 3 v0_const
-    # calls (the record's v0, r_cn(1) and rho_c1) and 2 in the C3 lead;
-    # the constants record computes nothing twice
+    # per point, one record computes Gamma(2 - alpha), Gamma(2 - alpha/2),
+    # Gamma(3 - alpha/2) and Gamma(1 - alpha) once each: the 4 Gamma rows
+    # read them, and so do V0, m_c1 and the C3 lead, which cost 14 more
+    # calls each point when each built its own (3 v0_const calls, 3 in m_c1
+    # and 2 in the C3 lead); the record's r_cn(1) is the point's one
+    # crossover scale
     grid = 5
     run_ledger(grid=grid)
-    assert calls["gamma"] == 18 * grid
+    assert calls["gamma"] == 4 * grid
+    assert calls["v0_const"] == 0
+    assert calls["_r_cn"] == grid
 
 
 def test_envelope_walks_each_segment_once(calls, tmp_path):

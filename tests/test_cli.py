@@ -282,10 +282,14 @@ def test_alpha0_rejects_tol_below_double_spacing(tol, capsys):
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-14, 2.0**-52])
 def test_alpha0_as_accurate_as_its_tol(tol, capsys):
     # below 1e-12 the inner solves tighten with --tol, so the crossing is
-    # found to the tolerance asked for, down to a few ulps of alpha_0
+    # found to the tolerance asked for, down to a few ulps of alpha_0; the
+    # mass at it is solved at the same inner stop (at the fixed 1e-12 stop
+    # it was 4.4e-14 off at 2**-52)
     code, out, _ = run_cli(["alpha0", "--tol", repr(tol)], capsys)
     assert code == 0
-    assert abs(json.loads(out)["alpha0"] - ALPHA0_REF) / ALPHA0_REF <= max(tol, 2e-15)
+    data = json.loads(out)
+    assert abs(data["alpha0"] - ALPHA0_REF) / ALPHA0_REF <= max(tol, 2e-15)
+    assert abs(data["m_at_crossing"] - M_AT_CROSSING_REF) / M_AT_CROSSING_REF <= max(tol, 2e-15)
 
 
 def test_solver_failure_names_the_solve_and_alpha(capsys):

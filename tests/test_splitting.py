@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,7 +186,7 @@ DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_n", math.nan, 0.1, False),
     ("rho_n", 1e100, 0.1, False),
     ("rho_n", 1e300, 0.0, False),
-    ("rho_n", 1e-200, 0.1, False),
+    ("rho_n", 1e-200, 0.1, True),  # r * r underflows, the density is about 2e200
     ("rho_n", 5e-324, 0.1, False),
     ("rho_n", 1e-160, 0.1, True),
     ("rho_n", 1.2e154, 1.9999999999, False),  # inf / inf
@@ -207,6 +208,23 @@ def test_density_finite_or_domain_error(name, r, alpha, finite):
     else:
         with pytest.raises(DomainError, match=rf"^{name}: .*{re.escape(repr(r))}$"):
             density(r, alpha)
+
+
+def test_rho_n_tiny_r_matches_mpmath():
+    # below r ~ 1.5e-154 the r * r of n E(r / sqrt(n)) / (pi r^2) is
+    # subnormal or 0: 1e-160 was 5e-5 off and 1e-200 raised
+    for alpha in (0.1, 1.5):
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            v0 = 2 * mpmath.pi**2 * mpmath.gamma(2 - a) / (
+                mpmath.gamma(2 - a / 2) * mpmath.gamma(3 - a / 2)
+            )
+            for n in (1, 7):
+                for r in (1e-150, 1e-160, 1e-200, 1e-300):
+                    x = mpmath.mpf(r)
+                    s = x / mpmath.sqrt(n)
+                    want = n * (2 * mpmath.pi * s + v0 * s ** (4 - a)) / (mpmath.pi * x * x)
+                    assert rel(rho_n(n, r, alpha), float(want)) <= 1e-14, (alpha, n, r)
 
 
 def test_envelope_rows_match_pointwise():

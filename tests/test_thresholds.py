@@ -20,6 +20,7 @@ from rieszdrop.thresholds import (
     delta_bound,
     f1,
     f2,
+    m_at_crossing,
     m_c1,
     m_of_eps,
     rho0,
@@ -429,7 +430,9 @@ def test_alpha0_bad_bracket(monkeypatch):
     # crossing gap is negative on both ends of [0.05, 0.09], and the outer
     # solve does not grow its bracket
     monkeypatch.setattr(thresholds, "_ALPHA0_BRACKET", (0.05, 0.09))
-    with pytest.raises(BracketError):
+    with pytest.raises(
+        BracketError, match=r"^solve_alpha0\(rel_tol=1e-12\): no sign change on \[0\.05, 0\.09\]: "
+    ):
         solve_alpha0()
 
 
@@ -440,4 +443,6 @@ def test_root_solve_config_validation():
     for bad in (0.0, -1e-12, math.nan, 1e-16, 1e-300, 5e-324):
         with pytest.raises(DomainError, match=r"solve_alpha0: rel_tol must be at least 2\*\*-52"):
             solve_alpha0(rel_tol=bad)
+        with pytest.raises(DomainError, match=r"m_at_crossing: rel_tol must be at least 2\*\*-52"):
+            m_at_crossing(ALPHA0_REF, rel_tol=bad)
     assert abs(solve_alpha0(rel_tol=2.0**-52) - ALPHA0_REF) < 1e-9
