@@ -140,8 +140,8 @@ def _sweep_row(alpha: float) -> tuple[float | None, ...]:
     m1 = k.m_c1
     try:
         # the domain of the eps solves; alpha = 0 has a closed-form m_c1 but
-        # no solver thresholds, and the record itself rejects an alpha above
-        # 0.5 for m_2 (the last grid point can overshoot alpha-max by an ulp)
+        # no solver thresholds, and solve_m2 rejects an alpha above 0.5 (the
+        # last grid point can overshoot alpha-max by an ulp)
         check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
     except DomainError:
         return (alpha, m1, None, None, None)
@@ -177,8 +177,11 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
 
     radii = (r_max * i / steps for i in range(1, steps + 1))
     # every row is computed before any is written, so a failing row
-    # raises its own error first
-    rows = list(envelope_rows(alpha, radii))
+    # raises its own error first, naming the r-max it came from
+    try:
+        rows = list(envelope_rows(alpha, radii))
+    except (DomainError, ConvergenceError) as exc:
+        raise type(exc)(f"{exc} (r-max {r_max})") from None
     _emit(_table_text(_ENVELOPE_FIELDS, rows, args.format), args.out)
     return 0
 
@@ -253,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except (DomainError, BracketError, ConvergenceError) as exc:
-        print(f"rieszdrop: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, BracketError, ConvergenceError, OSError) as exc:
         print(f"rieszdrop: error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,9 +21,9 @@ n on the segment (r_cn(n-1), r_cn(n)], with ties going to the smaller n.
 alpha = 0 is an admitted limiting parameter; every closed form here is
 finite there.
 
-The three Gamma values in V0 and V0 itself are computed in one place, a
-DiskConstants record per exponent, which also keeps r_cn(1) and rho_c1
-once computed; every function here reads V0 from one.
+The three Gamma values in V0, V0 itself, r_cn(1) and rho_c1 are computed
+in one place, a DiskConstants record per exponent; every function here
+reads V0 from one.
 """
 
 from __future__ import annotations
@@ -61,35 +61,23 @@ class DiskConstants:
     """The disk constants of one exponent alpha in [0, 2), each computed once.
 
     Gamma(2 - alpha), Gamma(2 - alpha/2), Gamma(3 - alpha/2) (g2a, g2ah,
-    g3ah) and V0 are set on construction; r_c1 = r_cn(1, alpha) and
-    rho_c1 = rho_1(r_c1) are computed on first use and kept.  The record
-    is the only place these are computed: the functions of this module
-    read V0 from one, and thresholds.AlphaConstants extends it with the
-    threshold constants.  It is slotted, and a lazy constant sits in a
-    slot holding None until it is computed.  alpha is not checked here.
+    g3ah), V0, r_c1 = r_cn(1, alpha) and rho_c1 = rho_1(r_c1) are set on
+    construction.  The record is the only place these are computed: the
+    functions of this module read V0 from one, and
+    thresholds.AlphaConstants extends it with the threshold constants.  It
+    is slotted plain data; alpha is not checked here.
     """
 
-    __slots__ = ("alpha", "g2a", "g2ah", "g3ah", "v0", "_r_c1", "_rho_c1")
+    __slots__ = ("alpha", "g2a", "g2ah", "g3ah", "v0", "r_c1", "rho_c1")
 
     def __init__(self, alpha: float) -> None:
         self.alpha = alpha
         self.g2a = g2a = gamma(2.0 - alpha)
         self.g2ah = g2ah = gamma(2.0 - alpha / 2.0)
         self.g3ah = g3ah = gamma(3.0 - alpha / 2.0)
-        self.v0 = 2.0 * math.pi**2 * g2a / (g2ah * g3ah)
-        self._r_c1 = self._rho_c1 = None
-
-    @property
-    def r_c1(self) -> float:
-        if self._r_c1 is None:
-            self._r_c1 = _r_cn(1, self.alpha, self.v0)
-        return self._r_c1
-
-    @property
-    def rho_c1(self) -> float:
-        if self._rho_c1 is None:
-            self._rho_c1 = _rho_n(1, self.r_c1, self.alpha, self.v0)
-        return self._rho_c1
+        self.v0 = v0 = 2.0 * math.pi**2 * g2a / (g2ah * g3ah)
+        self.r_c1 = r_c1 = _r_cn(1, alpha, v0)
+        self.rho_c1 = _rho_n(1, r_c1, alpha, v0)
 
 
 def v0_const(alpha: float) -> float:
@@ -105,25 +93,16 @@ def _disk_energy(r: float, alpha: float, v0: float) -> float:
 def rho_n(n: int, r: float, alpha: float) -> float:
     """Energy per unit area of n equal disks at total radius-scale r.
 
-    Where r * r is below the normal range (r below about 1.5e-154) the
-    density is evaluated as 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi,
-    which never forms r^2.  An r where the density leaves double range
-    raises DomainError.
+    Accurate below r ~ 1.5e-154 too, where r * r leaves the normal range.
+    An r where the density leaves double range raises DomainError.
     """
     n = _check_n(n, "rho_n")
     check_alpha(alpha, "rho_n", 2, hi_open=True)
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_n: r must lie in (0, inf), got {r}")
-    v0 = DiskConstants(alpha).v0
     try:
-        if r * r < _NORMAL_MIN:
-            value = (
-                2.0 * math.sqrt(n) / r
-                + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
-            )
-        else:
-            value = _rho_n(n, r, alpha, v0)
-    except OverflowError:  # r^(4 - alpha)
+        value = _rho_n(n, r, alpha, DiskConstants(alpha).v0)
+    except OverflowError:  # r^(4 - alpha), or 1/r at a tiny r
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"rho_n: the density is out of double range at r = {r}")
@@ -131,7 +110,19 @@ def rho_n(n: int, r: float, alpha: float) -> float:
 
 
 def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
-    # rho_n for checked arguments and a given v0 = v0_const(alpha)
+    # rho_n for checked arguments and a given v0 = v0_const(alpha).  Where
+    # r * r is below the normal range (r below about 1.5e-154) it is
+    # 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi, which never forms
+    # r^2; a value past double range there raises OverflowError, as
+    # r^(4 - alpha) does at a huge r
+    if r * r < _NORMAL_MIN:
+        value = (
+            2.0 * math.sqrt(n) / r
+            + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
+        )
+        if value == math.inf:
+            raise OverflowError
+        return value
     return n * _disk_energy(r / math.sqrt(n), alpha, v0) / (math.pi * r * r)
 
 
@@ -170,14 +161,18 @@ def rho_min(r: float, alpha: float) -> tuple[float, int]:
     Walks n upward while r exceeds the crossover r_cn(n); beyond n = 64 the
     segment is located by geometric doubling plus integer bisection on the
     increasing sequence r_cn.  Raises ConvergenceError when the minimizing
-    n would exceed 1,000,000.
+    n would exceed 1,000,000, and DomainError where the density leaves
+    double range, as rho_n does.
     """
     check_alpha(alpha, "rho_min", 1.0)
-    if not r > 0.0:
-        raise DomainError(f"rho_min: r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"rho_min: r must lie in (0, inf), got {r}")
     v0 = DiskConstants(alpha).v0
     n = _envelope_n(r, alpha, v0, 1, "rho_min")
-    return _rho_n(n, r, alpha, v0), n
+    try:
+        return _rho_n(n, r, alpha, v0), n
+    except OverflowError:
+        raise DomainError(f"rho_min: the density is out of double range at r = {r}") from None
 
 
 def _envelope_n(r: float, alpha: float, v0: float, n_start: int, stage: str) -> int:
@@ -217,7 +212,8 @@ def envelope_rows(
     The rows equal rho_n and rho_min at every radius.  One v0 serves the
     whole table, and each radius's search for the minimizing n starts at
     the previous radius's n, so the table costs about one r_cn evaluation
-    per segment passed and per row.
+    per segment passed and per row.  A radius where a density leaves
+    double range raises DomainError naming it.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
     v0 = DiskConstants(alpha).v0
@@ -230,6 +226,12 @@ def envelope_rows(
             )
         prev = r
         n = _envelope_n(r, alpha, v0, n, "envelope_rows")
-        yield (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0), _rho_n(3, r, alpha, v0),
-               _rho_n(n, r, alpha, v0), n)
+        try:
+            row = (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0),
+                   _rho_n(3, r, alpha, v0), _rho_n(n, r, alpha, v0), n)
+        except OverflowError:
+            raise DomainError(
+                f"envelope_rows: the density is out of double range at r = {r}"
+            ) from None
+        yield row
 

@@ -27,14 +27,13 @@ so the monotonicity the formulas rely on is checked on every call, and
 results are bit-deterministic for identical inputs.
 
 Everything above depends on alpha only through a handful of constants,
-kept in one record per exponent in two layers.  splitting.DiskConstants
-holds the disk constants: Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, and
-r_cn(1) and rho_c1 once used.  AlphaConstants extends it with the
-threshold constants: pi^(2-a), pi^(1-a) and C2, and once used Gamma(1-a),
-the slope lead of C3 and the rho_0 coefficient.  m_c1 and the C3 lead are
-built from the record's Gamma values, so each Gamma value is computed once
-per exponent, and an objective reads its constants from the record on
-every solver step.
+kept in one record per exponent in two layers, each constant computed once
+on construction.  splitting.DiskConstants holds the disk constants:
+Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, r_cn(1) and rho_c1.
+AlphaConstants extends it with the threshold constants: pi^(2-a),
+pi^(1-a), C2, the rho_0 coefficient and m_c1, and for a < 1 Gamma(1-a) and
+the slope lead of C3.  Each Gamma value is computed once per exponent, and
+an objective reads its constants from the record on every solver step.
 
 Tolerances are fixed: every root solve stops at a bracket width of 1e-12
 relative, or raises ConvergenceError after 200 iterations.  The one
@@ -206,78 +205,44 @@ _EPS_BRACKET = (1e-6, 4.0)
 class AlphaConstants(DiskConstants):
     """The per-exponent constants of one alpha, with the objectives that read them.
 
-    The record extends splitting.DiskConstants, which sets Gamma(2-a),
-    Gamma(2-a/2), Gamma(3-a/2) (g2a, g2ah, g3ah) and V0 on construction and
-    computes r_cn(1) and rho_c1 on first use.  On top of these, pi^(2-a),
-    pi^(1-a) and C2 cost one power or quotient each and are set on
-    construction; Gamma(1-a) (g1a), the C3 slope lead and the rho_0
-    coefficient are computed on first use and then kept.  m_c1 and the C3
-    lead are built from the record's Gamma values, so a record computes
-    each Gamma value once, and a solve pays for its constants once rather
-    than once per solver step.  The record is slotted: each lazy constant
-    sits in a slot holding None until it is computed, and the objectives
-    read the slots directly.  (functools.cached_property did the same job,
-    but its __get__ takes a class-wide lock on every first read, and its
-    cached values live in an instance __dict__; that cost more than the
-    ledger's arithmetic.)
+    The record extends splitting.DiskConstants (Gamma(2-a), Gamma(2-a/2),
+    Gamma(3-a/2) as g2a, g2ah, g3ah, V0, r_c1 and rho_c1) with pi^(2-a),
+    pi^(1-a), C2, the rho_0 coefficient 2^a pi^(1-a) / rho_c1^a and m_c1,
+    and for alpha < 1 with Gamma(1-a) (g1a) and the C3 slope lead
+    pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2).  Every constant is set
+    once on construction, so a solve pays for its constants once rather
+    than once per solver step; from alpha = 1 on, g1a and c3_lead are left
+    unset, and reading them raises AttributeError.  The record is slotted
+    plain data.
 
     m_c1 and the methods are the only written form of m_c1, C0, C1, C3, F1,
     F2 and rho_0; the public functions of the same names wrap them, so both
-    give the same bits.  They take checked arguments: alpha in [0, 2) to
-    construct the record, in the domain of the solve or objective called,
-    eps and r positive.  Nothing here checks them, except that the
-    constants with a narrower alpha domain check theirs on first use:
-    Gamma(1-a), alpha in [0, 1), the C3 slope lead, alpha in (0, 1), and
-    the rho_0 coefficient, alpha in [0, 1/2].
+    give the same bits.  The record builds for any alpha in [0, 2), and the
+    objectives take checked arguments: eps and r positive, alpha in the
+    domain of the objective.  The solves check alpha once per call:
+    solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
+    solve_eps1 for (0, 1), the domain of C3.
 
     The solve_* methods prefix a BracketError or ConvergenceError with the
     solve and alpha, e.g. "solve_eps0(alpha=1e-20): no sign change ...";
     solve_m2 reports the solve_r0 that failed under it.
     """
 
-    __slots__ = ("pi_2ma", "pi_1ma", "c2", "_g1a", "_c3_lead", "_rho0_coeff")
+    __slots__ = ("pi_2ma", "pi_1ma", "c2", "rho0_coeff", "m_c1", "g1a", "c3_lead")
 
     def __init__(self, alpha: float) -> None:
         DiskConstants.__init__(self, alpha)
         self.pi_2ma = math.pi ** (2.0 - alpha)
         self.pi_1ma = math.pi ** (1.0 - alpha)
         self.c2 = 2.0 * math.pi / (2.0 - alpha)
-        self._g1a = self._c3_lead = self._rho0_coeff = None
-
-    @property
-    def g1a(self) -> float:
-        # Gamma(1 - a), finite for a < 1 only
-        if self._g1a is None:
-            check_alpha(self.alpha, "gamma(1 - alpha)", 1.0, hi_open=True)
-            self._g1a = gamma(1.0 - self.alpha)
-        return self._g1a
-
-    @property
-    def m_c1(self) -> float:
-        """Mass where one disk ties with two half-mass disks (closed form)."""
-        alpha = self.alpha
+        self.rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
         num = (_SQRT2 - 1.0) * self.g2ah * self.g3ah
         den = math.pi * (1.0 - 2.0 ** ((alpha - 2.0) / 2.0)) * self.g2a
-        return math.pi * (num / den) ** (2.0 / (3.0 - alpha))
-
-    @property
-    def c3_lead(self) -> float:
-        # pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2)
-        if self._c3_lead is None:
-            alpha = self.alpha
-            check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
+        self.m_c1 = math.pi * (num / den) ** (2.0 / (3.0 - alpha))
+        if alpha < 1.0:
+            self.g1a = gamma(1.0 - alpha)
             g = self.g2ah
-            self._c3_lead = math.pi**2 * alpha * (2.0 - alpha) * self.g1a / (2.0 * g * g)
-        return self._c3_lead
-
-    @property
-    def rho0_coeff(self) -> float:
-        # 2^a pi^(1-a) / rho_c1^a
-        if self._rho0_coeff is None:
-            alpha = self.alpha
-            check_alpha(alpha, "rho0", 0.5)
-            self._rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
-        return self._rho0_coeff
+            self.c3_lead = math.pi**2 * alpha * (2.0 - alpha) * self.g1a / (2.0 * g * g)
 
     def c0(self, eps: float) -> float:
         v0 = self.v0
@@ -293,10 +258,7 @@ class AlphaConstants(DiskConstants):
 
     def c3(self, d0: float) -> float:
         """C3 given C0 = d0."""
-        lead = self._c3_lead
-        if lead is None:
-            lead = self.c3_lead
-        return lead * (1.0 + (2.0 / 3.0) * delta_bound(d0))
+        return self.c3_lead * (1.0 + (2.0 / 3.0) * delta_bound(d0))
 
     def f1(self, eps: float) -> float:
         d0 = self.c0(eps)
@@ -308,10 +270,7 @@ class AlphaConstants(DiskConstants):
         return 1.0 / (1.0 + d0) + 2.0 * eps * (self.c1(d0) - self.c2)
 
     def rho0(self, r: float) -> float:
-        coeff = self._rho0_coeff
-        if coeff is None:
-            coeff = self.rho0_coeff
-        return 2.0 / r + coeff * r ** (2.0 - 2.0 * self.alpha)
+        return 2.0 / r + self.rho0_coeff * r ** (2.0 - 2.0 * self.alpha)
 
     def _solve(
         self,
@@ -331,6 +290,7 @@ class AlphaConstants(DiskConstants):
     # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else
 
     def solve_r0(self, *, _rel_tol: float = 1e-12) -> float:
+        check_alpha(self.alpha, "rho0", 0.5)
         rc = self.r_c1
         # the R_0 objective is rho0(r) - rho_c1; _root takes the level
         return self._solve("solve_r0", self.rho0, rc, 4.0 * rc, _rel_tol, self.rho_c1)
@@ -343,6 +303,7 @@ class AlphaConstants(DiskConstants):
         return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol)
 
     def solve_eps1(self, *, _rel_tol: float = 1e-12) -> float:
+        check_alpha(self.alpha, "c3", 1.0, lo_open=True, hi_open=True)
         return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol)
 
     def _m_eps_min(self, rel_tol: float) -> float:
@@ -419,12 +380,15 @@ def c3(alpha: float, eps: float) -> float:
     """Slope constant C3 = pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2)
     times (1 + (2/3) sqrt(pi C0 (C0 + 2)))."""
     k = _with_eps(alpha, eps)
+    check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
     return k.c3(k.c0(eps))
 
 
 def f1(alpha: float, eps: float) -> float:
     """Rigidity objective eps C3 (eps C3 C0 (C0+2) + 2) - 1; increasing in eps."""
-    return _with_eps(alpha, eps).f1(eps)
+    k = _with_eps(alpha, eps)
+    check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
+    return k.f1(eps)
 
 
 def f2(alpha: float, eps: float) -> float:

@@ -64,6 +64,21 @@ def evals(monkeypatch):
     return count
 
 
+def test_alpha_constants_are_set_once(calls):
+    # construction computes every constant: 4 Gamma values and r_cn(1);
+    # reading them again computes nothing, since the record is plain data
+    # with no property
+    k = AlphaConstants(0.034)
+    assert calls == {"gamma": 4, "v0_const": 0, "r_cn": 0, "_r_cn": 1}
+    names = AlphaConstants.__slots__ + splitting.DiskConstants.__slots__
+    values = [getattr(k, name) for name in names]
+    assert values == [getattr(k, name) for name in names]
+    assert None not in values
+    assert calls == {"gamma": 4, "v0_const": 0, "r_cn": 0, "_r_cn": 1}
+    for cls in (AlphaConstants, splitting.DiskConstants):
+        assert not [name for name, v in vars(cls).items() if isinstance(v, property)], cls
+
+
 def test_threshold_sample_computes_constants_once(calls, tmp_path):
     # eval's three root solves (m_2, eps_0, eps_1) and its m_c1 share one
     # constants record, which computes each of its 4 Gamma values once;

@@ -239,8 +239,27 @@ def test_envelope_past_the_cap_names_its_stage(capsys):
     assert err.startswith(
         "rieszdrop: error: envelope_rows: minimizing n exceeds cap 1000000 at r = "
     )
+    assert "r-max" in err
     assert "rho_min" not in err
     assert "Traceback" not in err
+
+
+def test_envelope_at_tiny_r(capsys):
+    # below r ~ 1.5e-154 the table keeps rho_n's accuracy; where the
+    # density leaves double range the error names r and r-max
+    code, out, _ = run_cli(
+        ["envelope", "--alpha", "0.1", "--r-max", "1e-200", "--steps", "1"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("1e-200,2e+200,")
+    code, out, err = run_cli(
+        ["envelope", "--alpha", "0.1", "--r-max", "5e-324", "--steps", "1"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "rieszdrop: error: envelope_rows: the density is out of double range"
+        " at r = 5e-324 (r-max 5e-324)\n"
+    )
 
 
 def test_alpha0_payload(capsys):

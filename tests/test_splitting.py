@@ -177,10 +177,16 @@ def test_huge_n_rejected_naming_the_function():
             rho_n(n, 1.0, 0.1)
 
 
-# one disk's density and the comparison density: each is finite or raises
-# DomainError naming itself and r, never nan, inf, OverflowError or
-# ZeroDivisionError
-DENSITIES = {"rho_n": lambda r, alpha: rho_n(1, r, alpha), "rho0": rho0}
+# one disk's density, the envelope, the largest density of an envelope
+# row and the comparison density: each is finite or raises DomainError
+# naming itself and r, never nan, inf, OverflowError, ZeroDivisionError or
+# a cap ConvergenceError
+DENSITIES = {
+    "rho_n": lambda r, alpha: rho_n(1, r, alpha),
+    "rho_min": lambda r, alpha: rho_min(r, alpha)[0],
+    "envelope_rows": lambda r, alpha: max(next(envelope_rows(alpha, [r]))[1:5]),
+    "rho0": rho0,
+}
 DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_n", math.inf, 0.1, False),
     ("rho_n", math.nan, 0.1, False),
@@ -191,6 +197,15 @@ DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_n", 1e-160, 0.1, True),
     ("rho_n", 1.2e154, 1.9999999999, False),  # inf / inf
     ("rho_n", 1e77, 1.99, True),
+    ("rho_min", math.inf, 0.1, False),
+    ("rho_min", math.nan, 0.1, False),
+    ("rho_min", 5e-324, 0.1, False),
+    ("rho_min", 1e-160, 0.1, True),
+    ("rho_min", 1e-200, 0.1, True),
+    ("rho_min", 1.5e-308, 0.1, True),
+    ("envelope_rows", 5e-324, 0.1, False),
+    ("envelope_rows", 1.5e-308, 0.1, False),  # rho_1 is finite, rho_3 is not
+    ("envelope_rows", 1e-200, 0.1, True),
     ("rho0", math.inf, 0.1, False),
     ("rho0", 1e200, 0.1, False),
     ("rho0", 1.7e308, 0.5, False),
@@ -212,19 +227,32 @@ def test_density_finite_or_domain_error(name, r, alpha, finite):
 
 def test_rho_n_tiny_r_matches_mpmath():
     # below r ~ 1.5e-154 the r * r of n E(r / sqrt(n)) / (pi r^2) is
-    # subnormal or 0: 1e-160 was 5e-5 off and 1e-200 raised
+    # subnormal or 0: 1e-160 was 5e-5 off and 1e-200 raised, in rho_n and
+    # in rho_min and envelope_rows, which share its formula
+    radii = (1e-300, 1e-200, 1e-160, 1e-150)
     for alpha in (0.1, 1.5):
         with mpmath.workdps(40):
             a = mpmath.mpf(alpha)
             v0 = 2 * mpmath.pi**2 * mpmath.gamma(2 - a) / (
                 mpmath.gamma(2 - a / 2) * mpmath.gamma(3 - a / 2)
             )
+
+            def want(n, r):
+                x = mpmath.mpf(r)
+                s = x / mpmath.sqrt(n)
+                return float(n * (2 * mpmath.pi * s + v0 * s ** (4 - a)) / (mpmath.pi * x * x))
+
             for n in (1, 7):
-                for r in (1e-150, 1e-160, 1e-200, 1e-300):
-                    x = mpmath.mpf(r)
-                    s = x / mpmath.sqrt(n)
-                    want = n * (2 * mpmath.pi * s + v0 * s ** (4 - a)) / (mpmath.pi * x * x)
-                    assert rel(rho_n(n, r, alpha), float(want)) <= 1e-14, (alpha, n, r)
+                for r in radii:
+                    assert rel(rho_n(n, r, alpha), want(n, r)) <= 1e-14, (alpha, n, r)
+            if alpha > 1.0:  # past the envelope's domain
+                continue
+            for r, *row in envelope_rows(alpha, radii):
+                rmin, n_opt = rho_min(r, alpha)
+                assert n_opt == row[4] == 1, (alpha, r)
+                assert rmin == row[3], (alpha, r)
+                for value, n in zip(row[:4], (1, 2, 3, 1)):
+                    assert rel(value, want(n, r)) <= 1e-14, (alpha, n, r)
 
 
 def test_envelope_rows_match_pointwise():

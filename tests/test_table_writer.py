@@ -52,7 +52,10 @@ def test_sweep_table_shape():
     null_row = cli._sweep_row(0.0)
     assert null_row[0] == 0.0 and null_row[1] is not None
     assert null_row[2:] == (None, None, None)
-    assert_same_bytes(cli._SWEEP_FIELDS, [null_row] + rows[:3])
+    # an alpha one ulp past 0.5 leaves m_2 empty, outside rho_0's domain
+    over_row = cli._sweep_row(math.nextafter(0.5, 1.0))
+    assert over_row[2] is None and None not in over_row[3:]
+    assert_same_bytes(cli._SWEEP_FIELDS, [null_row, over_row] + rows[:3])
 
 
 def test_envelope_table_shape():

@@ -161,8 +161,8 @@ def test_solver_errors_name_the_solve_and_alpha(monkeypatch):
 
 
 def test_alpha_constants_domain_split():
-    # the record builds for any alpha in [0, 2); only the two narrower
-    # constants check their domain, when first read
+    # the record builds for any alpha in [0, 2); the solves and the public
+    # functions with a narrower domain check it, once per call
     for alpha in (0.0, 5e-324, 1e-17, 0.034, 0.5, 0.7, 1.0, 1.5, math.nextafter(2.0, 0.0)):
         AlphaConstants(alpha)
     k = AlphaConstants(0.7)
@@ -171,6 +171,15 @@ def test_alpha_constants_domain_split():
         k.solve_m2()
     with pytest.raises(DomainError, match=r"^c3: alpha must lie in \(0, 1\.0\), got 1\.5"):
         AlphaConstants(1.5).solve_eps1()
+    for alpha in (1.0, 1.5):
+        where = rf"^c3: alpha must lie in \(0, 1\.0\), got {alpha}"
+        for fn in (c3, f1):
+            with pytest.raises(DomainError, match=where):
+                fn(alpha, 0.5)
+    # from alpha = 1 on, Gamma(1 - alpha) and the C3 lead are not set
+    for name in ("g1a", "c3_lead"):
+        with pytest.raises(AttributeError):
+            getattr(AlphaConstants(1.0), name)
 
 
 def _bisection_evals(f, lo, hi, rel_tol=1e-12):
