@@ -5,9 +5,13 @@
 
 Each case in tests/golden/cases.json is an argv of the rieszdrop command
 and the exit code it gave.  The tool reruns every argv through cli.main,
-from the src/ tree next to this directory, and compares the output with the
-committed file field by field: a CSV column, or a JSON key path with list
-indices written [] (checks[].margin).  It prints, per file, whether the
+from the src/ tree next to this directory.  One more file, specfun.json,
+is the special-function table: gamma, hyp2f1 and disk_potential on a fixed
+grid through the public functions (specfun_table), with the degenerate
+band of hyp2f1 (c - a - b within 1e-3 of an integer) and r within 1e-8 of
+1 in it.  Every output is compared with the committed file field by field:
+a CSV column, or a JSON key path with list indices written []
+(checks[].margin).  It prints, per file, whether the
 bytes and the exit code still match, and per file and field the largest
 relative and absolute change of a number, with a count of other values
 (strings, flags, nulls, nan) that changed.  --diff exits 1 when any file's
@@ -36,6 +40,26 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 CASES_PATH = GOLDEN / "cases.json"
+SPECFUN_NAME = "specfun.json"
+
+# the special-function grid.  gamma: tiny, the ledger's arguments
+# (1 - a, 2 - a, 2 - a/2, 3 - a/2 at a = 0.034), integers, half-integers,
+# and up to the overflow edge.  The potential's exponents: generic ones, and
+# the degenerate band, where c - a - b = 2 - alpha lies within 1e-3 of an
+# integer (alpha near 0, 1 and 2) and hyp2f1 takes its interpolation bridge
+GAMMA_XS = (
+    1e-300, 1e-8, 0.001, 0.1, 0.5, 0.966, 1.0, 1.5, 1.966, 1.983, 2.0, 2.5,
+    2.983, 3.0, 5.5, 10.0, 50.5, 170.5,
+)
+ALPHAS = (
+    1e-6, 5e-4, 0.034, 0.25, 0.5, 0.9, 0.9995, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.0005,
+    1.5, 1.9995,
+)
+HYP2F1_ZS = (0.0, 0.3, 0.75, 0.76, 0.9, 0.99, 1.0 - 1e-8, 1.0)
+RADII = (
+    0.0, 0.5, 0.87, 0.99, 1.0 - 1e-6, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 1.0 + 1e-6,
+    1.01, 1.15, 2.0, 10.0, 1e6,
+)
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
@@ -46,6 +70,30 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def specfun_table() -> str:
+    """The special-function table as JSON text: every value on the fixed grid.
+
+    hyp2f1 is taken at the two parameter sets of the potential,
+    ((alpha - 2)/2, alpha/2; 1) and (alpha/2, alpha/2; 2), for every exponent.
+    """
+    from rieszdrop import disk_potential, gamma, hyp2f1
+
+    hyp = []
+    for alpha in ALPHAS:
+        for a, b, c in (((alpha - 2.0) / 2.0, alpha / 2.0, 1.0), (alpha / 2.0, alpha / 2.0, 2.0)):
+            hyp += [{"a": a, "b": b, "c": c, "z": z, "value": hyp2f1(a, b, c, z)} for z in HYP2F1_ZS]
+    table = {
+        "gamma": [{"x": x, "value": gamma(x)} for x in GAMMA_XS],
+        "hyp2f1": hyp,
+        "disk_potential": [
+            {"r": r, "alpha": alpha, "value": disk_potential(r, alpha)}
+            for alpha in ALPHAS
+            for r in RADII
+        ],
+    }
+    return json.dumps(table, indent=2, allow_nan=False) + "\n"
 
 
 def fields(name: str, text: str) -> dict[str, list]:
@@ -104,10 +152,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cases = json.loads(CASES_PATH.read_text(encoding="utf-8"))
+    runs = {name: run_case(case["argv"]) for name, case in cases.items()}
+    runs[SPECFUN_NAME] = (0, specfun_table())
     moved = []
     worst_rel = worst_abs = 0.0
-    for name, case in cases.items():
-        code, text = run_case(case["argv"])
+    for name, (code, text) in runs.items():
+        case = cases.get(name, {"exit": 0})
         old_text = (GOLDEN / name).read_text(encoding="utf-8")
         same = text == old_text and code == case["exit"]
         print(
@@ -126,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                 (GOLDEN / name).write_text(text, encoding="utf-8", newline="")
                 case["exit"] = code
     print(
-        f"{len(cases)} files, {len(moved)} moved{': ' + ', '.join(moved) if moved else ''}; "
+        f"{len(runs)} files, {len(moved)} moved{': ' + ', '.join(moved) if moved else ''}; "
         f"largest drift rel {worst_rel:.3g}, abs {worst_abs:.3g}"
     )
     if args.write and moved:

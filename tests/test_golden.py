@@ -3,6 +3,8 @@
 tests/golden/cases.json maps each output file to the argv that wrote it
 and the exit code it gave.  Each case reruns that argv through cli.main
 and compares stdout byte for byte, and the exit code, with the file.
+tests/golden/specfun.json, the special-function table, is compared with
+golden.specfun_table() the same way.
 
 The bytes depend on libm: math.gamma, pow, exp and log1p may differ in the
 last ulp across C libraries.  So this test is exact only on the platform
@@ -18,6 +20,7 @@ import json
 import pathlib
 
 import pytest
+from golden import SPECFUN_NAME, specfun_table
 
 from rieszdrop import cli
 from rieszdrop.thresholds import solve_eps0, solve_eps1, solve_m2
@@ -35,6 +38,10 @@ def test_cli_output_matches_golden(name):
     assert code == case["exit"]
     assert err.getvalue() == ""
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_specfun_table_matches_golden():
+    assert specfun_table().encode("utf-8") == (GOLDEN / SPECFUN_NAME).read_bytes()
 
 
 # sha256 of the float.hex of m_2, eps_0 and eps_1 at alpha = 0.032 i / 1000,
