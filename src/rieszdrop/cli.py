@@ -9,12 +9,14 @@ Five subcommands cover the library surface:
   verify    run the inequality ledger, JSON report
 
 Exit codes: 0 success, 1 usage or domain error, 2 ledger verification
-failure, 3 sweep completed with some rows unsolved.  Floating point fields
-are written with 15 significant digits in CSV and full round-trip precision
-in JSON; unsolved CSV fields read "nan" and JSON ones are null.  The sweep
-and envelope tables are written from one row template each, and their
-bytes equal what json.dumps(rows, indent=2, allow_nan=False) and
-csv.writer, with every number written "%.15g", give for the same rows.
+failure, 3 sweep completed with some rows unsolved; each unsolved row
+writes one stderr line naming its alpha and the stages that failed.
+Floating point fields are written with 15 significant digits in CSV and
+full round-trip precision in JSON; unsolved CSV fields read "nan" and JSON
+ones are null.  The sweep and envelope tables are written from one row
+template each, and their bytes equal what json.dumps(rows, indent=2,
+allow_nan=False) and csv.writer, with every number written "%.15g", give
+for the same rows.
 
 alpha0 --tol must be at least 2**-52 (about 2.2e-16): below the relative
 spacing of doubles no bracket can get narrow enough.
@@ -28,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -128,30 +130,52 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(alpha: float) -> tuple[float | None, ...]:
-    def attempt(fn):
-        try:
-            return fn()
-        except (DomainError, BracketError, ConvergenceError):
-            return None
+def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
+    """The sweep rows at alphas, in order; None marks an unsolved field.
 
-    # alpha lies in [0, 0.5] up to an ulp (_cmd_sweep checks the range)
-    k = AlphaConstants(alpha)
-    m1 = k.m_c1
-    try:
-        # the domain of the eps solves; alpha = 0 has a closed-form m_c1 but
-        # no solver thresholds, and solve_m2 rejects an alpha above 0.5 (the
-        # last grid point can overshoot alpha-max by an ulp)
-        check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
-    except DomainError:
-        return (alpha, m1, None, None, None)
-    return (
-        alpha,
-        m1,
-        attempt(k.solve_m2),
-        attempt(lambda: m_of_eps(k.solve_eps0(), alpha)),
-        attempt(lambda: m_of_eps(k.solve_eps1(), alpha)),
-    )
+    From the third row on, each root solve is warm-started from the same
+    root in the previous two rows; an unsolved row starts that history
+    over.  Each unsolved row writes one stderr line naming its alpha and
+    every stage that failed.
+    """
+    last = before = None  # the roots (R_0, eps_0, eps_1) of the previous two rows
+    for alpha in alphas:
+        # alpha lies in [0, 0.5] up to an ulp (_cmd_sweep checks the range)
+        k = AlphaConstants(alpha)
+        roots: list[float | None] = [None, None, None]
+        reasons = []
+        try:
+            # the domain of the eps solves; alpha = 0 has a closed-form m_c1
+            # but no solver thresholds, and solve_r0 rejects an alpha above
+            # 0.5 (the last grid point can overshoot alpha-max by an ulp)
+            check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
+        except DomainError as exc:
+            reasons.append(exc)
+        else:
+            warm = zip(last, before) if before is not None else (None, None, None)
+            solves = (k.solve_r0, k.solve_eps0, k.solve_eps1)
+            for j, (solve, prev) in enumerate(zip(solves, warm)):
+                try:
+                    roots[j] = solve(_prev=prev)
+                except (DomainError, BracketError, ConvergenceError) as exc:
+                    reasons.append(exc)
+        r0, eps0, eps1 = roots
+        yield (
+            alpha,
+            k.m_c1,
+            None if r0 is None else math.pi * r0 * r0,
+            None if eps0 is None else m_of_eps(eps0, alpha),
+            None if eps1 is None else m_of_eps(eps1, alpha),
+        )
+        if reasons:
+            print(
+                f"rieszdrop: sweep: row alpha = {alpha!r} unsolved: "
+                + "; ".join(map(str, reasons)),
+                file=sys.stderr,
+            )
+            last = before = None
+        else:
+            last, before = (r0, eps0, eps1), last
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -162,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(
             f"sweep: need 0 <= alpha-min < alpha-max <= 0.5, got {lo} and {hi}"
         )
-    rows = [_sweep_row(lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
+    rows = list(_sweep_rows(lo + (hi - lo) * i / (steps - 1) for i in range(steps)))
     _emit(_table_text(_SWEEP_FIELDS, rows, args.format), args.out)
     return 3 if any(None in row for row in rows) else 0
 

@@ -212,18 +212,19 @@ def envelope_rows(
     The rows equal rho_n and rho_min at every radius.  One v0 serves the
     whole table, and each radius's search for the minimizing n starts at
     the previous radius's n, so the table costs about one r_cn evaluation
-    per segment passed and per row.  A radius where a density leaves
-    double range raises DomainError naming it.
+    per segment passed and per row.  A radius that is not positive and
+    finite, or where a density leaves double range, raises DomainError
+    naming it.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
     v0 = DiskConstants(alpha).v0
     n = 1
     prev = 0.0
     for r in radii:
-        if not r > 0.0 or r < prev:
-            raise DomainError(
-                f"envelope_rows: radii must be positive and nondecreasing, got {r} after {prev}"
-            )
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"envelope_rows: r must lie in (0, inf), got {r}")
+        if r < prev:
+            raise DomainError(f"envelope_rows: radii must be nondecreasing, got {r} after {prev}")
         prev = r
         n = _envelope_n(r, alpha, v0, n, "envelope_rows")
         try:

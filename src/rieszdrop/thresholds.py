@@ -19,12 +19,21 @@ The crossing exponent alpha_0 is where min(m(eps_0), m(eps_1)) meets m_2;
 below it every mass admits either a disk ground state or no minimizer at
 all, with a rigidity window in between.
 
-All roots are found by ITP (interpolate, truncate, project), a bracketing
+A cold root solve is ITP (interpolate, truncate, project), a bracketing
 method that keeps bisection's worst-case iteration bound (to within one)
-and needs about 13 objective evaluations per root here, where bisection
-needs about 44.  Every solver asserts the bracket sign change at runtime,
-so the monotonicity the formulas rely on is checked on every call, and
-results are bit-deterministic for identical inputs.
+and needs about 10.8 objective evaluations per root here (32,535 for the
+3,000 roots of the default ledger grid at alpha_max 0.032), where bisection
+needs about 44.  It asserts the bracket sign change at runtime, so the
+monotonicity the formulas rely on is checked on every call.  A grid walk
+(the ledger, the sweep rows) warm-starts each solve from the same root at
+the previous two grid points: secant steps from the linear prediction,
+about 5.8 evaluations per root (17,367 for those 3,000, none falling back).
+A warm root is returned only if the objective changes sign between
+x (1 - rel_tol/2) and x (1 + rel_tol/2), so the true root lies within
+rel_tol/2 x of it, as for ITP; anything else falls back to the cold solve,
+with its bits and errors.  Every solve without two previous roots (eval,
+alpha_0, the public solve_* functions, a grid's first two points) is cold.
+Results are bit-deterministic for identical inputs.
 
 Everything above depends on alpha only through a handful of constants,
 kept in one record per exponent in two layers, each constant computed once
@@ -35,11 +44,12 @@ pi^(1-a), C2, the rho_0 coefficient and m_c1, and for a < 1 Gamma(1-a) and
 the slope lead of C3.  Each Gamma value is computed once per exponent, and
 an objective reads its constants from the record on every solver step.
 
-Tolerances are fixed: every root solve stops at a bracket width of 1e-12
-relative, or raises ConvergenceError after 200 iterations.  The one
-setting left to callers is the tolerance of the outer alpha_0 solve, which
-must be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles;
-below 1e-12 it tightens the inner solves with it.
+Tolerances are fixed: every cold root solve stops at a bracket width of
+1e-12 relative, or raises ConvergenceError after 200 iterations; a warm
+one stops at a secant step of 1e-12 relative, or falls back after 8
+steps.  The one setting left to callers is the tolerance of the outer
+alpha_0 solve, which must be at least 2**-52 (MIN_REL_TOL), the relative
+spacing of doubles; below 1e-12 it tightens the inner solves with it.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
+_SECANT_STEPS = 8  # secant step budget of a warm start before the ITP fallback
 
 
 def _not_finite(y: object, x: float) -> BracketError:
@@ -193,6 +204,78 @@ def _root(
     )
 
 
+def _secant(
+    f: Callable[[float], float],
+    lo: float,
+    prev: tuple[float, float],
+    rel_tol: float,
+    level: float,
+) -> float | None:
+    """Root of f - level by secant steps from the two previous roots, or None.
+
+    prev = (r1, r2) holds the roots of the same objective at the previous
+    two points of a grid, the newest first.  The steps start from r1 and
+    the prediction 2 r1 - r2, and stop at the first step of at most
+    rel_tol x.  x is returned only if f - level changes sign between
+    x (1 - rel_tol/2) and x (1 + rel_tol/2), so the root lies within
+    rel_tol/2 x of it, as for _root; a point where f - level is exactly 0 is
+    returned as it is met.  None, for _root to solve cold, on a failed sign
+    test, an iterate at or below lo, a value that is not a finite float, a
+    flat secant, or _SECANT_STEPS steps with none small enough.
+    """
+    isfinite = math.isfinite
+    x0 = prev[0]
+    x1 = 2.0 * x0 - prev[1]
+    if not (x0 > lo and x1 > lo):
+        return None
+    y = f(x0)
+    if not (isinstance(y, float) and isfinite(y)):
+        return None
+    f0 = y - level
+    if f0 == 0.0:
+        return x0
+    y = f(x1)
+    if not (isinstance(y, float) and isfinite(y)):
+        return None
+    f1 = y - level
+    if f1 == 0.0:
+        return x1
+    for _ in range(_SECANT_STEPS):
+        if f1 == f0:
+            return None
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not x > lo:
+            return None
+        step = x - x1
+        if (step if step >= 0.0 else -step) <= rel_tol * x:
+            break
+        y = f(x)
+        if not (isinstance(y, float) and isfinite(y)):
+            return None
+        x0, f0, x1, f1 = x1, f1, x, y - level
+        if f1 == 0.0:
+            return x
+    else:
+        return None
+    # the sign test, on the same footing as _root's bracket check
+    half = 0.5 * rel_tol
+    a = x * (1.0 - half)
+    y = f(a)
+    if not (isinstance(y, float) and isfinite(y)):
+        return None
+    fa = y - level
+    if fa == 0.0:
+        return a
+    b = x * (1.0 + half)
+    y = f(b)
+    if not (isinstance(y, float) and isfinite(y)):
+        return None
+    fb = y - level
+    if fb == 0.0:
+        return b
+    return x if (fa > 0.0) != (fb > 0.0) else None
+
+
 def m_c1(alpha: float) -> float:
     """Mass where one disk ties with two half-mass disks (closed form)."""
     check_alpha(alpha, "m_c1", 2.0, hi_open=True)
@@ -280,31 +363,52 @@ class AlphaConstants(DiskConstants):
         hi: float,
         rel_tol: float,
         level: float = 0.0,
+        prev: tuple[float, float] | None = None,
     ) -> float:
+        # a warm start from the two previous roots, if given; else, or if it
+        # fails its checks, cold ITP on the full bracket, with the same bits
+        # and errors as without prev.  An objective that raises at a warm
+        # point (r^(2-2a) overflows far past R_0) fails the start like a
+        # value that is not finite
+        if prev is not None:
+            try:
+                x = _secant(f, lo, prev, rel_tol, level)
+            except (ArithmeticError, ValueError):
+                x = None
+            if x is not None:
+                return x
         # one try per solve, not per objective evaluation
         try:
             return _root(f, lo, hi, rel_tol, level=level)
         except (BracketError, ConvergenceError) as exc:
             raise type(exc)(f"{name}(alpha={self.alpha}): {exc}") from None
 
-    # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else
+    # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else;
+    # _prev, the same root at the previous two grid points (newest first),
+    # warm-starts a grid walk's solve
 
-    def solve_r0(self, *, _rel_tol: float = 1e-12) -> float:
+    def solve_r0(
+        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+    ) -> float:
         check_alpha(self.alpha, "rho0", 0.5)
         rc = self.r_c1
         # the R_0 objective is rho0(r) - rho_c1; _root takes the level
-        return self._solve("solve_r0", self.rho0, rc, 4.0 * rc, _rel_tol, self.rho_c1)
+        return self._solve("solve_r0", self.rho0, rc, 4.0 * rc, _rel_tol, self.rho_c1, _prev)
 
     def solve_m2(self, *, _rel_tol: float = 1e-12) -> float:
         r0 = self.solve_r0(_rel_tol=_rel_tol)
         return math.pi * r0 * r0
 
-    def solve_eps0(self, *, _rel_tol: float = 1e-12) -> float:
-        return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol)
+    def solve_eps0(
+        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+    ) -> float:
+        return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol, prev=_prev)
 
-    def solve_eps1(self, *, _rel_tol: float = 1e-12) -> float:
+    def solve_eps1(
+        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+    ) -> float:
         check_alpha(self.alpha, "c3", 1.0, lo_open=True, hi_open=True)
-        return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol)
+        return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol, prev=_prev)
 
     def _m_eps_min(self, rel_tol: float) -> float:
         # min(m(eps_0), m(eps_1)), the mass solve_alpha0 meets with m_2

@@ -5,7 +5,9 @@ must hold for every exponent alpha in (0, alpha_max] (default 0.034), at
 the fixed probes eps = 0.846 and R = 0.945.  run_ledger sweeps a uniform
 alpha grid, records the attained extreme of each quantity together with
 where it occurred, and compares against the claimed bound.  A failed check
-is a reported result, not an exception.
+is a reported result, not an exception.  From the third grid point on,
+each root solve is warm-started from its roots at the previous two points
+(see thresholds).
 
 This is a floating-point grid check, not certified interval arithmetic;
 the attained margins (smallest around 8e-5) sit far above double-precision
@@ -52,13 +54,21 @@ _CHECK_TABLE: tuple[tuple[str, str, str, float | None, float | None, bool], ...]
 )
 
 
-def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, float]:
+def _ledger_values(
+    alpha: float, eps_probe: float, r_probe: float, last: tuple | None, before: tuple | None
+) -> tuple[dict[str, float], tuple[float, float, float]]:
     # one constants record per grid point serves every row, the Gamma rows
-    # included, and all three root solves
+    # included, and all three root solves.  last and before are the roots
+    # (R_0, eps_0, eps_1) of the previous two points; with both, each solve
+    # is warm-started from them.  Returns the values and this point's roots
     k = AlphaConstants(alpha)
+    p_r0, p_eps0, p_eps1 = zip(last, before) if before is not None else (None, None, None)
+    r0 = k.solve_r0(_prev=p_r0)
+    eps0 = k.solve_eps0(_prev=p_eps0)
+    eps1 = k.solve_eps1(_prev=p_eps1)
     rho0_probe = k.rho0(r_probe)
     d0 = k.c0(eps_probe)
-    return {
+    values = {
         "g2a": k.g2a,
         "g2ah": k.g2ah,
         "g3ah": k.g3ah,
@@ -74,10 +84,11 @@ def _ledger_values(alpha: float, eps_probe: float, r_probe: float) -> dict[str, 
         "rho_c1": k.rho_c1,
         "rho0_probe": rho0_probe,
         "f3": rho0_probe - k.rho_c1,
-        "m_2": k.solve_m2(),
-        "m_eps0": m_of_eps(k.solve_eps0(), alpha),
-        "m_eps1": m_of_eps(k.solve_eps1(), alpha),
+        "m_2": math.pi * r0 * r0,
+        "m_eps0": m_of_eps(eps0, alpha),
+        "m_eps1": m_of_eps(eps1, alpha),
     }
+    return values, (r0, eps0, eps1)
 
 
 def run_ledger(
@@ -111,9 +122,11 @@ def run_ledger(
     min_at = dict.fromkeys(keys, 0.0)
     max_at = dict.fromkeys(keys, 0.0)
 
+    last = before = None  # the roots of the previous two points
     for i in range(1, grid + 1):
         alpha = alpha_max * i / grid
-        values = _ledger_values(alpha, eps_probe, r_probe)
+        values, roots = _ledger_values(alpha, eps_probe, r_probe, last, before)
+        last, before = roots, last
         for key, value in values.items():
             if value < min_val[key]:
                 min_val[key], min_at[key] = value, alpha

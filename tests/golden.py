@@ -83,7 +83,9 @@ def specfun_table() -> str:
     hyp = []
     for alpha in ALPHAS:
         for a, b, c in (((alpha - 2.0) / 2.0, alpha / 2.0, 1.0), (alpha / 2.0, alpha / 2.0, 2.0)):
-            hyp += [{"a": a, "b": b, "c": c, "z": z, "value": hyp2f1(a, b, c, z)} for z in HYP2F1_ZS]
+            hyp += [
+                {"a": a, "b": b, "c": c, "z": z, "value": hyp2f1(a, b, c, z)} for z in HYP2F1_ZS
+            ]
     table = {
         "gamma": [{"x": x, "value": gamma(x)} for x in GAMMA_XS],
         "hyp2f1": hyp,

@@ -16,7 +16,7 @@ import pytest
 
 from rieszdrop import specfun, splitting, thresholds
 from rieszdrop.cli import main
-from rieszdrop.thresholds import AlphaConstants, solve_alpha0
+from rieszdrop.thresholds import AlphaConstants, solve_alpha0, solve_eps0, solve_eps1, solve_m2
 from rieszdrop.verify import run_ledger
 
 COUNTED = {
@@ -140,8 +140,9 @@ def test_envelope_walks_each_segment_once(calls, tmp_path):
 
 
 # Bisection needs about 44 objective evaluations per root on these
-# brackets; ITP needs about 13.  The bounds sit well below bisection's
-# counts and leave room above ITP's.
+# brackets; cold ITP needs about 11.  Along a grid, a solve warm-started
+# from the previous two roots needs about 6, the sign test included.  The
+# bounds sit well below bisection's counts.
 
 
 def test_threshold_sample_objective_evals(evals, tmp_path):
@@ -151,10 +152,12 @@ def test_threshold_sample_objective_evals(evals, tmp_path):
 
 
 def test_ledger_objective_evals_per_point(evals):
-    # 3 root solves and 3 probes per point: 134.6 with bisection, 39.0 now
+    # 3 root solves and 3 probes per point: 134.6 with bisection, 39.0 with
+    # cold ITP, 24.36 warm-started from the third point on (the measured
+    # count)
     grid = 50
     run_ledger(grid=grid)
-    assert evals[0] <= 60 * grid
+    assert evals[0] <= 1_218
 
 
 def test_alpha0_objective_evals(evals):
@@ -164,12 +167,9 @@ def test_alpha0_objective_evals(evals):
     assert evals[0] <= 1000
 
 
-def test_ledger_no_root_stalls(monkeypatch):
-    # once regula falsi has converged onto one end of the bracket, a step
-    # below one ulp re-evaluated that end until the projection radius
-    # caught up: 126 of these 3,000 roots took 36 to 48 evaluations and
-    # 37,846 in all; kept tol / 2 inside the bracket, none takes over 20
-    # and all take 32,535 (pinned exactly: the loop's points are fixed)
+@pytest.fixture
+def root_evals(monkeypatch):
+    """Objective evaluations of each cold ITP solve, one entry per _root call."""
     per_root = []
     root = thresholds._root
 
@@ -186,7 +186,31 @@ def test_ledger_no_root_stalls(monkeypatch):
             per_root.append(n[0])
 
     monkeypatch.setattr(thresholds, "_root", counting_root)
+    return per_root
+
+
+def test_ledger_no_root_stalls(root_evals):
+    # the cold ledger grid, through the public solves: once regula falsi
+    # has converged onto one end of the bracket, a step below one ulp
+    # re-evaluated that end until the projection radius caught up: 126 of
+    # these 3,000 roots took 36 to 48 evaluations and 37,846 in all; kept
+    # tol / 2 inside the bracket, none takes over 20 and all take 32,535
+    # (pinned exactly: the loop's points are fixed)
+    for i in range(1, 1001):
+        alpha = 0.032 * i / 1000
+        solve_m2(alpha)
+        solve_eps0(alpha)
+        solve_eps1(alpha)
+    assert len(root_evals) == 3000
+    assert max(root_evals) == 20
+    assert sum(root_evals) == 32_535
+
+
+def test_ledger_warm_start_evals(evals, root_evals):
+    # run_ledger warm-starts every solve from the third point on: 17,367
+    # root evaluations where the cold grid takes 32,535, plus 3 probes per
+    # point.  Only the first two points run _root (6 cold solves), so no
+    # warm start falls back (pinned exactly, as above)
     run_ledger(0.032, grid=1000)
-    assert len(per_root) == 3000
-    assert max(per_root) == 20
-    assert sum(per_root) == 32_535
+    assert len(root_evals) == 6
+    assert evals[0] == 3 * 1000 + 17_367

@@ -126,11 +126,15 @@ def test_sweep_json_rows(capsys):
 
 
 def test_sweep_partial_failure_exit(capsys):
-    # alpha = 0 has a closed-form m_c1 but no solver thresholds
-    code, out, _ = run_cli(
+    # alpha = 0 has a closed-form m_c1 but no solver thresholds; stderr
+    # names the row's alpha and the stage that failed
+    code, out, err = run_cli(
         ["sweep", "--alpha-min", "0", "--alpha-max", "0.01", "--steps", "2"], capsys
     )
     assert code == 3
+    assert err == (
+        "rieszdrop: sweep: row alpha = 0.0 unsolved: sweep: alpha must lie in (0, 1.0), got 0.0\n"
+    )
     first = out.splitlines()[1].split(",")
     assert first[0] == "0"
     assert first[2] == first[3] == first[4] == "nan"
@@ -242,6 +246,14 @@ def test_envelope_past_the_cap_names_its_stage(capsys):
     assert "r-max" in err
     assert "rho_min" not in err
     assert "Traceback" not in err
+
+
+def test_envelope_rejects_an_infinite_radius(capsys):
+    # the row check names r and the command names r-max; walking to the n
+    # cap gave ConvergenceError "minimizing n exceeds cap" instead
+    code, out, err = run_cli(["envelope", "--alpha", "0.1", "--r-max", "inf"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "rieszdrop: error: envelope_rows: r must lie in (0, inf), got inf (r-max inf)\n"
 
 
 def test_envelope_at_tiny_r(capsys):

@@ -203,6 +203,8 @@ DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_min", 1e-160, 0.1, True),
     ("rho_min", 1e-200, 0.1, True),
     ("rho_min", 1.5e-308, 0.1, True),
+    ("envelope_rows", math.inf, 0.1, False),  # walked to the n cap before
+    ("envelope_rows", math.nan, 0.1, False),
     ("envelope_rows", 5e-324, 0.1, False),
     ("envelope_rows", 1.5e-308, 0.1, False),  # rho_1 is finite, rho_3 is not
     ("envelope_rows", 1e-200, 0.1, True),

@@ -45,15 +45,15 @@ def assert_same_bytes(fields, rows):
 def test_sweep_table_shape():
     # the benchmark's sweep: 201 rows over an exponent range of width 0.4
     lo, hi, steps = 0.01, 0.41, 201
-    rows = [cli._sweep_row(lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
+    rows = list(cli._sweep_rows(lo + (hi - lo) * i / (steps - 1) for i in range(steps)))
     assert all(None not in row for row in rows)
     assert_same_bytes(cli._SWEEP_FIELDS, rows)
     # alpha = 0 leaves every solver field empty
-    null_row = cli._sweep_row(0.0)
+    (null_row,) = cli._sweep_rows([0.0])
     assert null_row[0] == 0.0 and null_row[1] is not None
     assert null_row[2:] == (None, None, None)
     # an alpha one ulp past 0.5 leaves m_2 empty, outside rho_0's domain
-    over_row = cli._sweep_row(math.nextafter(0.5, 1.0))
+    (over_row,) = cli._sweep_rows([math.nextafter(0.5, 1.0)])
     assert over_row[2] is None and None not in over_row[3:]
     assert_same_bytes(cli._SWEEP_FIELDS, [null_row, over_row] + rows[:3])
 

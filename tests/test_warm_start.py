@@ -1,0 +1,186 @@
+"""Warm-started root solves along the ledger and sweep grids.
+
+From the third grid point on, run_ledger and the sweep rows pass each
+solve the same root at the previous two points.  The solve takes secant
+steps from the linear prediction and keeps the result only if the
+objective changes sign across x (1 -+ rel_tol/2); anything else falls
+back to the cold ITP solve, which runs thresholds._root, so wrapping
+_root shows every fallback.  A warm root is not the cold root's bits, but
+it carries the same guarantee: the true root lies within rel_tol/2 x.
+"""
+
+import math
+
+import pytest
+
+from rieszdrop import cli, thresholds
+from rieszdrop.errors import BracketError
+from rieszdrop.thresholds import AlphaConstants, solve_eps0, solve_eps1, solve_r0
+from rieszdrop.verify import run_ledger
+
+REL_TOL = 1e-12
+COLD = {"solve_r0": solve_r0, "solve_eps0": solve_eps0, "solve_eps1": solve_eps1}
+
+
+def objective(name, alpha):
+    # the function whose sign change brackets each root
+    k = AlphaConstants(alpha)
+    if name == "solve_r0":
+        return lambda r: k.rho0(r) - k.rho_c1
+    return k.f2 if name == "solve_eps0" else k.f1
+
+
+@pytest.fixture
+def warm_roots(monkeypatch):
+    """(solve, alpha, root) of every solve given two previous roots."""
+    found = []
+    for name in COLD:
+        solve = getattr(AlphaConstants, name)
+
+        def recording(self, *, _prev=None, _solve=solve, _name=name, **kwargs):
+            x = _solve(self, _prev=_prev, **kwargs)
+            if _prev is not None:
+                found.append((_name, self.alpha, x))
+            return x
+
+        monkeypatch.setattr(AlphaConstants, name, recording)
+    return found
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The number of _root calls: cold solves, fallbacks included."""
+    count = [0]
+    root = thresholds._root
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(thresholds, "_root", counting)
+    return count
+
+
+def assert_warm_roots_hold(found):
+    h = 0.5 * REL_TOL
+    for name, alpha, x in list(found):
+        cold = COLD[name](alpha)
+        assert abs(x - cold) <= REL_TOL * cold, (name, alpha, x, cold)
+        f = objective(name, alpha)
+        fa, fb = f(x * (1.0 - h)), f(x * (1.0 + h))
+        assert fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0), (name, alpha, x)
+
+
+def test_ledger_warm_roots_match_cold(warm_roots, cold_solves):
+    grid = 1000
+    run_ledger(0.032, grid=grid)
+    # every solve from the third point on is warm, and none falls back
+    assert len(warm_roots) == 3 * (grid - 2)
+    assert cold_solves[0] == 3 * 2
+    assert_warm_roots_hold(warm_roots)
+
+
+@pytest.mark.parametrize("lo", [0.005, 0.1])
+def test_sweep_warm_roots_match_cold(lo, warm_roots, cold_solves):
+    # the benchmark's sweep shape: 201 rows over an exponent range 0.4 wide
+    steps = 201
+    rows = list(cli._sweep_rows(lo + 0.4 * i / (steps - 1) for i in range(steps)))
+    assert all(None not in row for row in rows)
+    assert len(warm_roots) == 3 * (steps - 2)
+    assert cold_solves[0] == 3 * 2
+    assert_warm_roots_hold(warm_roots)
+
+
+def test_unsolved_sweep_row_restarts_the_history(warm_roots, capsys):
+    # alpha = 0 is unsolved, so rows 1 and 2 solve cold and row 3 is warm
+    rows = list(cli._sweep_rows([0.0, 0.01, 0.02, 0.03]))
+    assert rows[0][2:] == (None, None, None)
+    assert [alpha for _, alpha, _ in warm_roots] == [0.03] * 3
+    assert capsys.readouterr().err == (
+        "rieszdrop: sweep: row alpha = 0.0 unsolved: "
+        "sweep: alpha must lie in (0, 1.0), got 0.0\n"
+    )
+
+
+ALPHA = 0.034
+BAD_PREDICTIONS = {
+    # the prediction 2 r1 - r2 lies 199 roots out: the steps miss the budget
+    # or the sign test
+    "far past the root": lambda x: (100.0 * x, x),
+    # a falling history predicts a negative root, below the bracket
+    "wrong side of the bracket": lambda x: (0.5 * x, 1.5 * x),
+    "below lo": lambda x: (1e-7, 1.0),
+    # rho0 raises OverflowError there, and f1, f2 are not finite
+    "overflowing": lambda x: (1e300, 1.0),
+    "nan": lambda x: (math.nan, 1.0),
+    "inf": lambda x: (math.inf, 1.0),
+    # a flat secant: the prediction is r1 itself
+    "flat": lambda x: (x, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD))
+@pytest.mark.parametrize("case", sorted(BAD_PREDICTIONS))
+def test_bad_prediction_falls_back_to_cold_bits(name, case, cold_solves):
+    cold = COLD[name](ALPHA)
+    cold_solves[0] = 0
+    x = getattr(AlphaConstants(ALPHA), name)(_prev=BAD_PREDICTIONS[case](cold))
+    assert x.hex() == cold.hex()
+    assert cold_solves[0] == 1
+
+
+def test_failed_sign_test_falls_back_with_the_same_error():
+    # f - level is positive everywhere, and the secant stops at 1 where it
+    # is 1e-300: the sign test rejects 1, and the cold solve raises the
+    # BracketError it raises without a prediction
+    def f(x):
+        return max(x - 1.0, 0.0) + 1e-300
+
+    assert thresholds._secant(f, 0.5, (2.0, 1.5), REL_TOL, 0.0) is None
+    k = AlphaConstants(ALPHA)
+    with pytest.raises(BracketError) as cold:
+        k._solve("probe", f, 0.5, 4.0, REL_TOL)
+    with pytest.raises(BracketError) as warm:
+        k._solve("probe", f, 0.5, 4.0, REL_TOL, prev=(2.0, 1.5))
+    assert str(warm.value) == str(cold.value)
+
+
+def test_iterate_below_lo_falls_back():
+    # f has roots at 0.2, below the bracket [1, 4], and near 1.709.  The
+    # secant from (1.1, 1.05) jumps to about -0.48, then lands on 0.2,
+    # which passes the sign test; stopping at the first iterate below lo
+    # keeps the root in the bracket
+    def f(x):
+        if x < 1.0:
+            return x - 0.2
+        t = x - 1.0
+        return 0.8 + t - 3.0 * t * t
+
+    k = AlphaConstants(ALPHA)
+    cold = k._solve("probe", f, 1.0, 4.0, REL_TOL)
+    assert abs(cold - 1.709) < 1e-3
+    assert k._solve("probe", f, 1.0, 4.0, REL_TOL, prev=(1.1, 1.15)).hex() == cold.hex()
+
+
+def test_exact_zero_is_a_root():
+    # f - level is exactly 0 at the prediction 3.0; it is returned as met
+    def f(x):
+        return x - 1.0
+
+    assert thresholds._secant(f, 0.5, (2.5, 2.0), REL_TOL, 2.0) == 3.0
+
+
+@pytest.mark.parametrize("alpha_max", [0.030, 0.032, 0.034])
+def test_ledger_verdicts_match_cold(alpha_max, monkeypatch):
+    warm = run_ledger(alpha_max)
+    for name in COLD:
+        solve = getattr(AlphaConstants, name)
+        # drop the previous roots: every solve runs cold ITP
+        monkeypatch.setattr(
+            AlphaConstants, name, lambda self, *, _prev=None, _solve=solve: _solve(self)
+        )
+    cold = run_ledger(alpha_max)
+    assert warm["passed"] == cold["passed"]
+    for w, c in zip(warm["checks"], cold["checks"]):
+        assert (w["name"], w["pass"], w["worst_alpha"]) == (c["name"], c["pass"], c["worst_alpha"])
+        assert abs(w["attained"] - c["attained"]) <= 1e-12 * abs(c["attained"])
