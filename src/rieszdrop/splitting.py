@@ -86,10 +86,6 @@ def v0_const(alpha: float) -> float:
     return DiskConstants(alpha).v0
 
 
-def _disk_energy(r: float, alpha: float, v0: float) -> float:
-    return 2.0 * math.pi * r + v0 * r ** (4.0 - alpha)
-
-
 def rho_n(n: int, r: float, alpha: float) -> float:
     """Energy per unit area of n equal disks at total radius-scale r.
 
@@ -123,7 +119,12 @@ def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
         if value == math.inf:
             raise OverflowError
         return value
-    return n * _disk_energy(r / math.sqrt(n), alpha, v0) / (math.pi * r * r)
+    # n E(x) / (pi r^2) with x = r / sqrt(n) and E(x) = 2 pi x + V0 x^(4 - alpha);
+    # envelope_rows writes the same expression in the same order, and
+    # tests/test_splitting.py::test_envelope_rows_match_pointwise keeps the
+    # bits of the two equal
+    x = r / math.sqrt(n)
+    return n * (2.0 * math.pi * x + v0 * x ** (4.0 - alpha)) / (math.pi * r * r)
 
 
 def r_cn(n: int, alpha: float) -> float:
@@ -168,40 +169,46 @@ def rho_min(r: float, alpha: float) -> tuple[float, int]:
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_min: r must lie in (0, inf), got {r}")
     v0 = DiskConstants(alpha).v0
-    n = _envelope_n(r, alpha, v0, 1, "rho_min")
+    n, _ = _envelope_n(r, alpha, v0, 1, "rho_min")
     try:
         return _rho_n(n, r, alpha, v0), n
     except OverflowError:
         raise DomainError(f"rho_min: the density is out of double range at r = {r}") from None
 
 
-def _envelope_n(r: float, alpha: float, v0: float, n_start: int, stage: str) -> int:
-    # Smallest n >= n_start with r <= r_cn(n), for an r above r_cn(n_start - 1):
-    # a linear scan of up to _SCAN_CUTOVER steps, then doubling n plus
-    # integer bisection.  A caller walking sorted radii passes the previous
-    # radius's n, which makes a whole table cost about one r_cn call per
-    # segment and row.  An n above _N_CAP raises ConvergenceError naming stage.
+def _envelope_n(
+    r: float, alpha: float, v0: float, n_start: int, stage: str
+) -> tuple[int, float]:
+    # The smallest n >= n_start with r <= r_cn(n), for an r above
+    # r_cn(n_start - 1), together with r_cn(n): a linear scan of up to
+    # _SCAN_CUTOVER steps, then doubling n plus integer bisection.  A caller
+    # walking sorted radii keeps the returned r_cn(n) and searches again,
+    # from n + 1, only for a radius above it, which makes a whole table cost
+    # one r_cn call per segment passed.  An n above _N_CAP raises
+    # ConvergenceError naming stage.
     n = n_start
     while n <= min(n_start + _SCAN_CUTOVER - 1, _N_CAP):
-        if r <= _r_cn(n, alpha, v0):
-            return n
+        bound = _r_cn(n, alpha, v0)
+        if r <= bound:
+            return n, bound
         n += 1
     if n > _N_CAP:
         raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
     lo = n - 1  # r_cn(lo) < r
     hi = min(2 * lo, _N_CAP)
-    while _r_cn(hi, alpha, v0) < r:
+    while (bound := _r_cn(hi, alpha, v0)) < r:
         if hi >= _N_CAP:
             raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
         lo = hi
         hi = min(2 * hi, _N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _r_cn(mid, alpha, v0) < r:
+        r_mid = _r_cn(mid, alpha, v0)
+        if r_mid < r:
             lo = mid
         else:
-            hi = mid
-    return hi
+            hi, bound = mid, r_mid
+    return hi, bound
 
 
 def envelope_rows(
@@ -210,15 +217,19 @@ def envelope_rows(
     """Yield (r, rho_1, rho_2, rho_3, rho_min, n_opt) for nondecreasing radii r.
 
     The rows equal rho_n and rho_min at every radius.  One v0 serves the
-    whole table, and each radius's search for the minimizing n starts at
-    the previous radius's n, so the table costs about one r_cn evaluation
-    per segment passed and per row.  A radius that is not positive and
-    finite, or where a density leaves double range, raises DomainError
-    naming it.
+    whole table.  The walk keeps the current n's crossover r_cn(n) and
+    searches for the next n, from n + 1, only at a radius past it, so the
+    table costs one r_cn evaluation per segment passed and none per row.
+    Each row's four densities are computed in one pass that shares
+    pi r^2.  A radius that is not positive and finite, or where a density
+    leaves double range, raises DomainError naming it.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
-    v0 = DiskConstants(alpha).v0
-    n = 1
+    k = DiskConstants(alpha)
+    v0 = k.v0
+    n, bound = 1, k.r_c1
+    pi, two_pi, power = math.pi, 2.0 * math.pi, 4.0 - alpha
+    sqrt2, sqrt3 = math.sqrt(2), math.sqrt(3)
     prev = 0.0
     for r in radii:
         if not 0.0 < r < math.inf:
@@ -226,13 +237,31 @@ def envelope_rows(
         if r < prev:
             raise DomainError(f"envelope_rows: radii must be nondecreasing, got {r} after {prev}")
         prev = r
-        n = _envelope_n(r, alpha, v0, n, "envelope_rows")
+        if r > bound:
+            n, bound = _envelope_n(r, alpha, v0, n + 1, "envelope_rows")
         try:
-            row = (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0),
-                   _rho_n(3, r, alpha, v0), _rho_n(n, r, alpha, v0), n)
+            if r * r < _NORMAL_MIN:
+                row = (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0),
+                       _rho_n(3, r, alpha, v0), _rho_n(n, r, alpha, v0), n)
+            else:
+                # _rho_n's n E(x) / (pi r^2), x = r / sqrt(n), in the same
+                # order (at n = 1, x = r and 1 * E = E exactly);
+                # tests/test_splitting.py::test_envelope_rows_match_pointwise
+                # keeps the bits of the two equal
+                area = pi * r * r
+                rho1 = (two_pi * r + v0 * r**power) / area
+                x = r / sqrt2
+                rho2 = 2 * (two_pi * x + v0 * x**power) / area
+                x = r / sqrt3
+                rho3 = 3 * (two_pi * x + v0 * x**power) / area
+                if n > 3:
+                    x = r / math.sqrt(n)
+                    rho = n * (two_pi * x + v0 * x**power) / area
+                else:
+                    rho = (rho1, rho2, rho3)[n - 1]
+                row = (r, rho1, rho2, rho3, rho, n)
         except OverflowError:
             raise DomainError(
                 f"envelope_rows: the density is out of double range at r = {r}"
             ) from None
         yield row
-

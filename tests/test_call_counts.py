@@ -120,23 +120,28 @@ def test_ledger_gamma_calls_per_point(calls):
 
 
 def test_envelope_walks_each_segment_once(calls, tmp_path):
-    alpha, r_max, steps = 0.04, 40.0, 400
+    alpha, r_max = 0.04, 40.0
     # segments (r_cn(n-1), r_cn(n)] meeting (0, r_max]
     segments = 1
     while splitting.r_cn(segments, alpha) < r_max:
         segments += 1
-    calls["_r_cn"] = calls["v0_const"] = 0
-    code = main(
-        ["envelope", "--alpha", str(alpha), "--r-max", str(r_max), "--steps", str(steps),
-         "--out", str(tmp_path / "envelope.csv")]
-    )
-    assert code == 0
-    # one r_cn per segment passed and one per row; a search from n = 1 on
-    # every row costs about 7 times as many
-    assert calls["_r_cn"] <= segments + steps + 64
-    # one v0 serves the whole table; one per rho_n and r_cn call costs
-    # about 2,000
-    assert calls["v0_const"] <= 5
+    assert segments == 3_445
+    # 4,000 rows is the benchmark's tables shape
+    for steps in (400, 4000):
+        calls["_r_cn"] = calls["v0_const"] = 0
+        code = main(
+            ["envelope", "--alpha", str(alpha), "--r-max", str(r_max), "--steps", str(steps),
+             "--out", str(tmp_path / "envelope.csv")]
+        )
+        assert code == 0
+        # one r_cn per segment passed (r_cn(1) in the constants record) and
+        # none per row: the walk keeps the current n's crossover; one more
+        # per row cost 3,845 and 7,445, a search from n = 1 on every row
+        # about 7 times as many
+        assert calls["_r_cn"] == segments, steps
+        # one v0 serves the whole table; one per rho_n and r_cn call costs
+        # about 2,000
+        assert calls["v0_const"] <= 5
 
 
 # Bisection needs about 44 objective evaluations per root on these

@@ -157,6 +157,11 @@ def test_envelope_cap_semantics():
         rho_min(above, 0.1)
     with pytest.raises(ConvergenceError, match=r"^envelope_rows: minimizing n exceeds cap"):
         list(envelope_rows(0.1, [1.0, above]))
+    # a walk at the cap searches again from cap + 1 only past r_cn(cap)
+    at_cap = r_cn(cap, 0.1)
+    assert [row[5] for row in envelope_rows(0.1, [1.0, at_cap, at_cap])] == [2, cap, cap]
+    with pytest.raises(ConvergenceError, match=r"^envelope_rows: minimizing n exceeds cap"):
+        list(envelope_rows(0.1, [1.0, at_cap, above]))
 
 
 def test_envelope_domain():
@@ -258,15 +263,34 @@ def test_rho_n_tiny_r_matches_mpmath():
 
 
 def test_envelope_rows_match_pointwise():
-    # one v0 and a walk from the previous n give the same bits as the
-    # public functions at every radius, past the linear-scan window too
-    radii = [0.05 * k for k in range(1, 201)] + [10.0, 10.0, 40.0]
-    for alpha in (0.04, 1.0):
+    # the walk keeps the current n's crossover and computes a row's four
+    # densities in one pass; every row must carry the same bits as the
+    # public functions.  One table per exponent mixes tiny radii (r * r
+    # below the normal range) with normal ones, radii exactly at r_cn(n)
+    # and one double above it (a tie goes to the smaller n), repeated
+    # radii, the 4,000-row r_max 40 grid of the envelope command, and
+    # jumps of thousands of segments past the linear-scan window
+    for alpha in (1e-9, 0.02, 0.04, 0.06, 0.5, 1.0):
+        ties = []
+        for n in (1, 2, 3, 4, 63, 64, 65, 1000):
+            at = r_cn(n, alpha)
+            ties.append((at, n))
+            ties.append((math.nextafter(at, math.inf), n + 1))
+        radii = sorted(
+            [1e-200, 1e-200, 1e-160, 0.5, 0.5, 10.0, 10.0]
+            + [40.0 * i / 4000 for i in range(1, 4001)]
+            + [r for r, _ in ties]
+        )
+        radii += [80.0, 80.0, 300.0]
         rows = list(envelope_rows(alpha, radii))
         assert [row[0] for row in rows] == radii
-        for r, *values in rows:
-            rmin, n = rho_min(r, alpha)
-            assert values == [rho_n(1, r, alpha), rho_n(2, r, alpha), rho_n(3, r, alpha), rmin, n]
+        for row in rows:
+            r = row[0]
+            assert row == (r, rho_n(1, r, alpha), rho_n(2, r, alpha), rho_n(3, r, alpha),
+                           *rho_min(r, alpha)), (alpha, r)
+        n_at = {row[0]: row[5] for row in rows}
+        assert [n_at[r] for r, _ in ties] == [n for _, n in ties], alpha
+        assert n_at[300.0] - n_at[80.0] > 64 and n_at[80.0] - n_at[40.0] > 64, alpha
     assert list(envelope_rows(0.1, [])) == []
     for bad in ([1.0, 0.5], [0.0], [-1.0]):
         with pytest.raises(DomainError):
