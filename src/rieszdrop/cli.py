@@ -18,8 +18,8 @@ template each, and their bytes equal what json.dumps(rows, indent=2,
 allow_nan=False) and csv.writer, with every number written "%.15g", give
 for the same rows.
 
-alpha0 --tol must be at least 2**-52 (about 2.2e-16): below the relative
-spacing of doubles no bracket can get narrow enough.
+alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
+relative spacing of doubles no bracket can get narrow enough.
 
 `python -m rieszdrop` runs the same command as `rieszdrop`.
 """
@@ -204,16 +204,18 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     # raises its own error first, naming the r-max it came from
     try:
         rows = list(envelope_rows(alpha, radii))
-    except (DomainError, ConvergenceError) as exc:
-        raise type(exc)(f"{exc} (r-max {r_max})") from None
+    except DomainError as exc:
+        raise DomainError(f"{exc} (r-max {r_max})") from None
     _emit(_table_text(_ENVELOPE_FIELDS, rows, args.format), args.out)
     return 0
 
 
 def _cmd_alpha0(args: argparse.Namespace) -> int:
     tol = args.tol
-    if not tol >= MIN_REL_TOL:
-        raise DomainError(f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {tol}")
+    if not MIN_REL_TOL <= tol < math.inf:
+        raise DomainError(
+            f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite, got {tol}"
+        )
     a0 = solve_alpha0(tol)
     payload = {"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol}
     _emit(_json_text(payload), args.out)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from .errors import ConvergenceError, DomainError, check_alpha
+from .errors import DomainError, check_alpha
 from .specfun import gamma
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
     "envelope_rows",
 ]
 
-# linear scan below this n, geometric bracket + bisection above
-_SCAN_CUTOVER = 64
-_N_CAP = 1_000_000  # cap on the minimizing n of the envelope
 _N_MAX = 2**53  # from here on n + 1 is not exact in a double
 _NORMAL_MIN = 2.0**-1022  # smallest normal double
 
@@ -159,56 +156,52 @@ def rho_c1(alpha: float) -> float:
 def rho_min(r: float, alpha: float) -> tuple[float, int]:
     """Lower envelope min_n rho_n(r) together with the minimizing n.
 
-    Walks n upward while r exceeds the crossover r_cn(n); beyond n = 64 the
-    segment is located by geometric doubling plus integer bisection on the
-    increasing sequence r_cn.  Raises ConvergenceError when the minimizing
-    n would exceed 1,000,000, and DomainError where the density leaves
-    double range, as rho_n does.
+    The n is the one with r_cn(n - 1) < r <= r_cn(n), found from the large-n
+    form r_cn(n) ~ C sqrt(n) plus a few steps.  Every n below 2**53 can be
+    reached, which is every r up to r_cn(2**53 - 1), about 6.4e7 at alpha
+    0.1; past it, and where the density leaves double range, as rho_n does,
+    it raises DomainError.
     """
     check_alpha(alpha, "rho_min", 1.0)
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_min: r must lie in (0, inf), got {r}")
     v0 = DiskConstants(alpha).v0
-    n, _ = _envelope_n(r, alpha, v0, 1, "rho_min")
+    n, _ = _envelope_n(r, alpha, v0, _sqrt_n_slope(alpha, v0), 1, "rho_min")
     try:
         return _rho_n(n, r, alpha, v0), n
     except OverflowError:
         raise DomainError(f"rho_min: the density is out of double range at r = {r}") from None
 
 
+def _sqrt_n_slope(alpha: float, v0: float) -> float:
+    # C with r_cn(n) ~ C sqrt(n) for large n: to first order in 1/n the
+    # ratio in r_cn is pi n^(-1/2) / (V0 (1 - alpha/2) n^(alpha/2 - 2))
+    return (2.0 * math.pi / (v0 * (2.0 - alpha))) ** (1.0 / (3.0 - alpha))
+
+
 def _envelope_n(
-    r: float, alpha: float, v0: float, n_start: int, stage: str
+    r: float, alpha: float, v0: float, c: float, n_start: int, stage: str
 ) -> tuple[int, float]:
-    # The smallest n >= n_start with r <= r_cn(n), for an r above
-    # r_cn(n_start - 1), together with r_cn(n): a linear scan of up to
-    # _SCAN_CUTOVER steps, then doubling n plus integer bisection.  A caller
-    # walking sorted radii keeps the returned r_cn(n) and searches again,
-    # from n + 1, only for a radius above it, which makes a whole table cost
-    # one r_cn call per segment passed.  An n above _N_CAP raises
-    # ConvergenceError naming stage.
-    n = n_start
-    while n <= min(n_start + _SCAN_CUTOVER - 1, _N_CAP):
-        bound = _r_cn(n, alpha, v0)
-        if r <= bound:
-            return n, bound
-        n += 1
-    if n > _N_CAP:
-        raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
-    lo = n - 1  # r_cn(lo) < r
-    hi = min(2 * lo, _N_CAP)
-    while (bound := _r_cn(hi, alpha, v0)) < r:
-        if hi >= _N_CAP:
-            raise ConvergenceError(f"{stage}: minimizing n exceeds cap {_N_CAP} at r = {r}")
-        lo = hi
-        hi = min(2 * hi, _N_CAP)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r_mid = _r_cn(mid, alpha, v0)
-        if r_mid < r:
-            lo = mid
-        else:
-            hi, bound = mid, r_mid
-    return hi, bound
+    # The n >= n_start with r_cn(n - 1) < r <= r_cn(n), for an r above
+    # r_cn(n_start - 1), together with r_cn(n).  It starts from
+    # floor((r / c)^2), c = _sqrt_n_slope, steps down while r <= r_cn(n - 1)
+    # and otherwise up while r > r_cn(n).  A caller walking sorted radii
+    # keeps the returned r_cn(n) and searches again, from n + 1, only for a
+    # radius above it, which makes a whole table cost at most one r_cn call
+    # per segment passed.  r_cn is not monotone in doubles near n = 2**53,
+    # so there the n is a local bracket, not the smallest; an n that would
+    # reach 2**53 (see _check_n) raises DomainError naming stage.
+    guess = (r / c) * (r / c)  # inf above r of about 1e154
+    n = max(n_start, int(guess)) if guess < _N_MAX else _N_MAX
+    bound = None
+    while n > n_start and r <= (below := _r_cn(n - 1, alpha, v0)):
+        n, bound = n - 1, below
+    if bound is None:
+        while n < _N_MAX and r > (bound := _r_cn(n, alpha, v0)):
+            n += 1
+        if n == _N_MAX:
+            raise DomainError(f"{stage}: the minimizing n is not below 2**53 at r = {r!r}")
+    return n, bound
 
 
 def envelope_rows(
@@ -219,14 +212,17 @@ def envelope_rows(
     The rows equal rho_n and rho_min at every radius.  One v0 serves the
     whole table.  The walk keeps the current n's crossover r_cn(n) and
     searches for the next n, from n + 1, only at a radius past it, so the
-    table costs one r_cn evaluation per segment passed and none per row.
+    table costs at most one r_cn evaluation per segment passed and none per
+    row.
     Each row's four densities are computed in one pass that shares
-    pi r^2.  A radius that is not positive and finite, or where a density
-    leaves double range, raises DomainError naming it.
+    pi r^2.  A radius that is not positive and finite, past r_cn(2**53 - 1)
+    (as for rho_min), or where a density leaves double range, raises
+    DomainError naming it.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
     k = DiskConstants(alpha)
     v0 = k.v0
+    c = _sqrt_n_slope(alpha, v0)
     n, bound = 1, k.r_c1
     pi, two_pi, power = math.pi, 2.0 * math.pi, 4.0 - alpha
     sqrt2, sqrt3 = math.sqrt(2), math.sqrt(3)
@@ -238,7 +234,7 @@ def envelope_rows(
             raise DomainError(f"envelope_rows: radii must be nondecreasing, got {r} after {prev}")
         prev = r
         if r > bound:
-            n, bound = _envelope_n(r, alpha, v0, n + 1, "envelope_rows")
+            n, bound = _envelope_n(r, alpha, v0, c, n + 1, "envelope_rows")
         try:
             if r * r < _NORMAL_MIN:
                 row = (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0),

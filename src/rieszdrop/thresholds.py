@@ -474,9 +474,9 @@ def c2(alpha: float) -> float:
 
 
 def delta_bound(d: float) -> float:
-    """Boundary-displacement cap sqrt(pi d (d + 2)) for amplitude d >= 0."""
-    if d < 0.0:
-        raise DomainError(f"delta_bound: d must be nonnegative, got {d}")
+    """Boundary-displacement cap sqrt(pi d (d + 2)) for a finite amplitude d >= 0."""
+    if not 0.0 <= d < math.inf:
+        raise DomainError(f"delta_bound: d must be nonnegative and finite, got {d}")
     return math.sqrt(math.pi * d * (d + 2.0))
 
 
@@ -528,9 +528,10 @@ MIN_REL_TOL = 2.0**-52
 
 def _inner_rel_tol(rel_tol: float, stage: str) -> float:
     # the stop of the inner solves under an outer alpha_0 solve to rel_tol
-    if not rel_tol >= MIN_REL_TOL:
+    if not MIN_REL_TOL <= rel_tol < math.inf:
         raise DomainError(
-            f"{stage}: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r}, got {rel_tol}"
+            f"{stage}: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite,"
+            f" got {rel_tol}"
         )
     return 1e-12 if rel_tol >= 1e-12 else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
 
@@ -538,14 +539,14 @@ def _inner_rel_tol(rel_tol: float, stage: str) -> float:
 def solve_alpha0(rel_tol: float = 1e-12) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
-    Outer ITP solve on [0.01, 0.10] down to a relative width
-    rel_tol >= MIN_REL_TOL = 2**-52.  The three inner solves stop at 1e-12
-    while rel_tol >= 1e-12, and at max(rel_tol / 100, 4 * 2**-52) below
-    that: the outer objective carries their error, so an outer bracket
-    narrower than it would only close in on noise.  The result lands
-    within about max(rel_tol, 2e-15) relative of the true crossing.  A
-    failed outer solve raises its BracketError or ConvergenceError
-    prefixed with "solve_alpha0(rel_tol=...)".
+    Outer ITP solve on [0.01, 0.10] down to a relative width rel_tol, which
+    must be finite and at least MIN_REL_TOL = 2**-52.  The three inner
+    solves stop at 1e-12 while rel_tol >= 1e-12, and at
+    max(rel_tol / 100, 4 * 2**-52) below that: the outer objective carries
+    their error, so an outer bracket narrower than it would only close in
+    on noise.  The result lands within about max(rel_tol, 2e-15) relative
+    of the true crossing.  A failed outer solve raises its BracketError or
+    ConvergenceError prefixed with "solve_alpha0(rel_tol=...)".
     """
     inner = _inner_rel_tol(rel_tol, "solve_alpha0")
 

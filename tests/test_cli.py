@@ -210,9 +210,9 @@ def test_envelope_json_types(capsys):
 @pytest.mark.parametrize("alpha", [0.02, 0.04, 0.5, 1.0])
 def test_envelope_rows_match_rho_min(alpha, tmp_path, capsys):
     # r-max 100 in 200 rows takes n into the tens of thousands, and late rows
-    # jump by more than 64 segments, so the table's walk runs its doubling and
-    # bisection branch from a start above n = 1; every row must still equal
-    # a fresh search from n = 1, bit for bit
+    # jump by more than 64 segments, so the table's walk searches from a
+    # start above n = 1 that its guess floor((r / C)^2) overtakes; every row
+    # must still equal a fresh search from n = 1, bit for bit
     target = tmp_path / "envelope.json"
     code, _, _ = run_cli(
         ["envelope", "--alpha", str(alpha), "--r-max", "100", "--steps", "200",
@@ -233,24 +233,24 @@ def test_envelope_validation(capsys):
 
 
 def test_envelope_past_the_cap_names_its_stage(capsys):
-    # a minimizing n above 1,000,000 fails in envelope_rows, which the
-    # message names, and not in rho_min, which envelope never calls
+    # the n search has no cap; past the largest n, 2**53 - 1, it fails in
+    # envelope_rows, which the message names with r and r-max, and not in
+    # rho_min, which envelope never calls
     code, out, err = run_cli(
         ["envelope", "--alpha", "0.1", "--r-max", "1e300", "--steps", "3"], capsys
     )
     assert code == 1
     assert out == ""
-    assert err.startswith(
-        "rieszdrop: error: envelope_rows: minimizing n exceeds cap 1000000 at r = "
+    assert err == (
+        "rieszdrop: error: envelope_rows: the minimizing n is not below 2**53"
+        " at r = 3.3333333333333335e+299 (r-max 1e+300)\n"
     )
-    assert "r-max" in err
     assert "rho_min" not in err
     assert "Traceback" not in err
 
 
 def test_envelope_rejects_an_infinite_radius(capsys):
-    # the row check names r and the command names r-max; walking to the n
-    # cap gave ConvergenceError "minimizing n exceeds cap" instead
+    # the row check names r and the command names r-max
     code, out, err = run_cli(["envelope", "--alpha", "0.1", "--r-max", "inf"], capsys)
     assert (code, out) == (1, "")
     assert err == "rieszdrop: error: envelope_rows: r must lie in (0, inf), got inf (r-max inf)\n"
@@ -297,10 +297,11 @@ def test_alpha0_loose_and_invalid_tol(capsys):
     assert abs(json.loads(out)["alpha0"] - ALPHA0_REF) < 1e-9
 
 
-@pytest.mark.parametrize("tol", ["1e-16", "1e-300", "0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300", "0", "-1", "nan", "inf"])
 def test_alpha0_rejects_tol_below_double_spacing(tol, capsys):
     # no relative bracket width below 2**-52 can be met; the solve used to
-    # run all 200 outer steps before a ConvergenceError naming neither
+    # run all 200 outer steps before a ConvergenceError naming neither.  An
+    # infinite tol is no width either, and JSON cannot write it
     start = time.perf_counter()
     code, out, err = run_cli(["alpha0", "--tol", tol], capsys)
     assert time.perf_counter() - start < 0.1

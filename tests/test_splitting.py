@@ -1,5 +1,6 @@
 """Disk configuration densities, crossover radii, and the lower envelope."""
 
+import bisect
 import math
 import random
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszdrop.errors import ConvergenceError, DomainError
+from rieszdrop.errors import DomainError
 from rieszdrop.splitting import (
     envelope_rows,
     r_cn,
@@ -136,7 +137,7 @@ def test_envelope_matches_brute_force():
         for _, r_lo, r_hi in segments(alpha, top):
             mid = 0.5 * (r_lo + r_hi)
             assert rho_min(mid, alpha) == brute_min(mid, alpha, 100)
-    # past the linear-scan window the bracketing search takes over
+    # far from n = 1 the search starts from the large-n form C sqrt(n)
     assert rho_min(10.0, 0.1) == brute_min(10.0, 0.1, 400)
 
 
@@ -148,20 +149,55 @@ def test_envelope_tie_prefers_smaller_n():
 
 
 def test_envelope_cap_semantics():
-    # the minimizing n may reach the cap of 1,000,000 but not pass it; each
-    # search names the stage that ran it
+    # the search has no cap on n: n = 10**6 + 1, and a walk past it, are
+    # like any other n
     cap = 10**6
-    assert rho_min(r_cn(cap - 1, 0.1) * (1.0 + 1e-12), 0.1)[1] == cap
-    above = r_cn(cap, 0.1) * (1.0 + 1e-12)
-    with pytest.raises(ConvergenceError, match=r"^rho_min: minimizing n exceeds cap 1000000 at r"):
-        rho_min(above, 0.1)
-    with pytest.raises(ConvergenceError, match=r"^envelope_rows: minimizing n exceeds cap"):
-        list(envelope_rows(0.1, [1.0, above]))
-    # a walk at the cap searches again from cap + 1 only past r_cn(cap)
     at_cap = r_cn(cap, 0.1)
-    assert [row[5] for row in envelope_rows(0.1, [1.0, at_cap, at_cap])] == [2, cap, cap]
-    with pytest.raises(ConvergenceError, match=r"^envelope_rows: minimizing n exceeds cap"):
-        list(envelope_rows(0.1, [1.0, at_cap, above]))
+    above = at_cap * (1.0 + 1e-12)
+    assert rho_min(above, 0.1)[1] == cap + 1
+    radii = [1.0, at_cap, at_cap, above, 2.0 * at_cap]
+    rows = list(envelope_rows(0.1, radii))
+    assert [row[5] for row in rows[:4]] == [2, cap, cap, cap + 1]
+    for row in rows:
+        assert row[4:] == rho_min(row[0], 0.1)
+    assert rows[-1][5] > 3 * cap
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.04, 0.5, 1.0])
+def test_envelope_jump_equals_a_plain_scan(alpha):
+    # the search jumps to floor((r / C)^2), C sqrt(n) the large-n form of
+    # r_cn(n), and steps to the segment from there.  At every crossover
+    # r_cn(n) with n <= 10**4, one double either side of it and midway
+    # between crossovers, rho_min and an envelope_rows walk must give the n
+    # of a plain scan from n = 1, the smallest n with r <= r_cn(n)
+    top = 10**4
+    crossovers = [r_cn(n, alpha) for n in range(1, top + 2)]
+    # increasing, so the scan's n is one past the crossovers below r
+    assert all(a < b for a, b in zip(crossovers, crossovers[1:]))
+    probes, lo = [], 0.0
+    for hi in crossovers[:top]:
+        probes += [0.5 * (lo + hi), math.nextafter(hi, 0.0), hi, math.nextafter(hi, math.inf)]
+        lo = hi
+    want = [bisect.bisect_left(crossovers, r) + 1 for r in probes]
+    assert [rho_min(r, alpha)[1] for r in probes] == want
+    assert [row[5] for row in envelope_rows(alpha, probes)] == want
+
+
+def test_envelope_reaches_every_n_below_2_53():
+    # with no cap, every r up to r_cn(2**53 - 1) has an n; where r_cn is not
+    # monotone in doubles (near 2**53) the n is a local bracket,
+    # r_cn(n - 1) < r <= r_cn(n), and that holds at every radius
+    rng = random.Random(SEED)
+    for alpha in (0.0, 0.04, 0.1, 1.0):
+        top = r_cn(2**53 - 1, alpha)
+        radii = [top * 10.0 ** -rng.uniform(0.0, 10.0) for _ in range(300)]
+        radii += [top * (1.0 - 1e-6 * rng.random()) for _ in range(100)] + [top]
+        for r in radii:
+            _, n = rho_min(r, alpha)
+            assert r <= r_cn(n, alpha), (alpha, r)
+            assert n == 1 or r_cn(n - 1, alpha) < r, (alpha, r)
+        with pytest.raises(DomainError, match=r"^rho_min: .*not below 2\*\*53 at r = "):
+            rho_min(math.nextafter(top, math.inf), alpha)
 
 
 def test_envelope_domain():
@@ -184,8 +220,8 @@ def test_huge_n_rejected_naming_the_function():
 
 # one disk's density, the envelope, the largest density of an envelope
 # row and the comparison density: each is finite or raises DomainError
-# naming itself and r, never nan, inf, OverflowError, ZeroDivisionError or
-# a cap ConvergenceError
+# naming itself and r, never nan, inf, OverflowError or ZeroDivisionError;
+# past r_cn(2**53 - 1) the minimizing n is out of reach
 DENSITIES = {
     "rho_n": lambda r, alpha: rho_n(1, r, alpha),
     "rho_min": lambda r, alpha: rho_min(r, alpha)[0],
@@ -208,7 +244,10 @@ DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_min", 1e-160, 0.1, True),
     ("rho_min", 1e-200, 0.1, True),
     ("rho_min", 1.5e-308, 0.1, True),
-    ("envelope_rows", math.inf, 0.1, False),  # walked to the n cap before
+    ("rho_min", 1e3, 0.1, True),  # n about 2.2e6, past the old cap of 10**6
+    ("rho_min", 1e300, 0.1, False),  # (r / C)^2 overflows
+    ("envelope_rows", math.inf, 0.1, False),
+    ("envelope_rows", 1e300, 0.1, False),
     ("envelope_rows", math.nan, 0.1, False),
     ("envelope_rows", 5e-324, 0.1, False),
     ("envelope_rows", 1.5e-308, 0.1, False),  # rho_1 is finite, rho_3 is not
@@ -269,7 +308,7 @@ def test_envelope_rows_match_pointwise():
     # below the normal range) with normal ones, radii exactly at r_cn(n)
     # and one double above it (a tie goes to the smaller n), repeated
     # radii, the 4,000-row r_max 40 grid of the envelope command, and
-    # jumps of thousands of segments past the linear-scan window
+    # jumps of thousands of segments
     for alpha in (1e-9, 0.02, 0.04, 0.06, 0.5, 1.0):
         ties = []
         for n in (1, 2, 3, 4, 63, 64, 65, 1000):

@@ -319,8 +319,9 @@ def test_delta_bound():
     assert rel(delta_bound(0.121), DELTA_REF) < 1e-14
     vals = [delta_bound(0.01 * k) for k in range(50)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        delta_bound(-1e-9)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^delta_bound: d must be nonnegative and finite"):
+            delta_bound(bad)
 
 
 def test_c3_dominates_potential_slope():
@@ -448,8 +449,8 @@ def test_alpha0_bad_bracket(monkeypatch):
 def test_root_solve_config_validation():
     # the outer alpha_0 tolerance is the one root-solve setting a caller
     # has; below 2**-52 no bracket can get narrow enough, so such a value
-    # is rejected up front rather than after 200 outer steps
-    for bad in (0.0, -1e-12, math.nan, 1e-16, 1e-300, 5e-324):
+    # is rejected up front rather than after 200 outer steps, and so is inf
+    for bad in (0.0, -1e-12, math.nan, 1e-16, 1e-300, 5e-324, math.inf):
         with pytest.raises(DomainError, match=r"solve_alpha0: rel_tol must be at least 2\*\*-52"):
             solve_alpha0(rel_tol=bad)
         with pytest.raises(DomainError, match=r"m_at_crossing: rel_tol must be at least 2\*\*-52"):
