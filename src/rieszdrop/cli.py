@@ -21,7 +21,9 @@ for the same rows.
 alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
 relative spacing of doubles no bracket can get narrow enough.
 
-`python -m rieszdrop` runs the same command as `rieszdrop`.
+`python -m rieszdrop` runs the same command as `rieszdrop`.  main(argv)
+may be called repeatedly in one process: it builds the argument parser on
+its first call and reuses it, and `import rieszdrop.cli` builds none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -73,7 +76,7 @@ def _json_finite(values: Iterable[float | int]) -> None:
 
 
 def _table_text(
-    fields: tuple[str, ...], rows: Iterable[tuple[float | int | None, ...]], fmt: str
+    fields: tuple[str, ...], rows: Sequence[tuple[float | int | None, ...]], fmt: str
 ) -> str:
     """The rows as a CSV or JSON table, one value per field in each row.
 
@@ -81,27 +84,32 @@ def _table_text(
     allow_nan=False) plus a newline, or csv.writer output with every number
     written "%.15g", but come from one row template filled once per row:
     JSON numbers are their repr (str and repr agree on float and int, and
-    repr is what json writes), CSV ones "%.15g".  None reads null or nan.  A
-    non-finite number raises json's own ValueError in JSON and reads nan or
-    inf in CSV.
+    repr is what json writes), CSV ones "%.15g".  None reads null or nan.
+
+    JSON first checks the whole table in one pass: a finite sum of every
+    value means every value is finite.  A None (the sum raises TypeError)
+    or a sum that is not finite falls back to a value-by-value check, which
+    raises json's own ValueError for the first non-finite number in row
+    order; a finite table whose sum overflows passes it and is written.  CSV
+    writes a non-finite number as nan or inf.
     """
     json_out = fmt == "json"
     if json_out:
         line = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
         head, sep, tail, missing = "[\n", ",\n", "\n]\n", "null"
+        try:
+            finite = math.isfinite(sum(map(sum, rows)))
+        except TypeError:
+            finite = False
+        if not finite:
+            _json_finite(v for row in rows for v in row if v is not None)
     else:
         line = ",".join(["%.15g"] * len(fields))
         head, sep, tail, missing = ",".join(fields) + "\n", "\n", "\n", math.nan
-    isfinite = math.isfinite
-    lines = []
-    for row in rows:
-        if None in row:
-            if json_out:
-                _json_finite(v for v in row if v is not None)
-            row = tuple(missing if v is None else v for v in row)
-        elif json_out and not all(map(isfinite, row)):
-            _json_finite(row)
-        lines.append(line % row)
+    lines = [
+        line % (row if None not in row else tuple(missing if v is None else v for v in row))
+        for row in rows
+    ]
     if not lines:
         return "[]\n" if json_out else head
     return head + sep.join(lines) + tail
@@ -228,7 +236,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 2
 
 
+@cache
 def _build_parser() -> _Parser:
+    # built on the first main() call and kept: parse_args leaves the parser
+    # as it was, and error and --help look up sys.stderr and sys.stdout
+    # when they write
     parser = _Parser(
         prog="rieszdrop",
         description="Threshold masses and inequality checks for the planar "

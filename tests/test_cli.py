@@ -382,12 +382,8 @@ def test_console_script_module_invocation():
     assert "eval" in proc.stdout and "verify" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "argv", [["eval", "--alpha", "0.034"], ["eval", "--alpha", "0.6"], ["bogus"]]
-)
-def test_python_dash_m_matches_main(argv, capsys):
-    # `python -m rieszdrop` and `python -m rieszdrop.cli` run the same command
-    code, out, err = run_cli(argv, capsys)
+def fresh_run(argv):
+    """(module, (exit code, stdout, stderr)) of argv under `python -m module`."""
     env = dict(os.environ)
     src = str(Path(rieszdrop.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -395,4 +391,31 @@ def test_python_dash_m_matches_main(argv, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), module
+        yield module, (proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--alpha", "0.034"], ["eval", "--alpha", "0.6"], ["bogus"]]
+)
+def test_python_dash_m_matches_main(argv, capsys):
+    # `python -m rieszdrop` and `python -m rieszdrop.cli` run the same command
+    got = run_cli(argv, capsys)
+    for module, fresh in fresh_run(argv):
+        assert fresh == got, module
+
+
+def test_reused_parser_matches_a_fresh_process(monkeypatch, capsys):
+    # main() keeps its parser between calls: a success, a usage error and
+    # --help leave nothing behind that a later call in the same process
+    # could see, so each call prints what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")  # the --help width, here and in the children
+    sequence = [
+        ["eval", "--alpha", "0.034"],
+        ["sweep", "--steps", "x"],
+        ["--help"],
+        ["eval", "--alpha", "0.034"],
+    ]
+    for argv in sequence:
+        got = run_cli(argv, capsys)
+        for module, fresh in fresh_run(argv):
+            assert fresh == got, (module, argv)

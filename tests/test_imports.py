@@ -68,3 +68,23 @@ def test_import_loads_no_introspection_modules():
     assert "rieszdrop" in added
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert not heavy & added, sorted(heavy & added)
+
+
+def test_import_builds_no_parser():
+    # the cli parser is built on the first main() call, not on import; a
+    # fresh isolated interpreter counts every ArgumentParser constructed
+    code = (
+        "import argparse, sys; sys.path.insert(0, sys.argv[1]); built = [0]; "
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built[0] += 1; init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import rieszdrop.cli; on_import = built[0]; rieszdrop.cli.main(['--help'])\n"
+        "print(on_import, built[0], file=sys.stderr)"
+    )
+    err = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stderr
+    # the parser and its five subcommand parsers, once main() runs
+    assert err.split() == ["0", "6"]

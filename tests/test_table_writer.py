@@ -9,9 +9,10 @@ import csv
 import io
 import json
 import math
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rieszdrop import cli
@@ -58,15 +59,23 @@ def test_sweep_table_shape():
     assert_same_bytes(cli._SWEEP_FIELDS, [null_row, over_row] + rows[:3])
 
 
-def test_envelope_table_shape():
+@cache
+def envelope_table():
     # the benchmark's envelope: 4,000 radii up to 40, n_opt past 64
-    rows = list(envelope_rows(0.04, (40.0 * i / 4000 for i in range(1, 4001))))
+    return tuple(envelope_rows(0.04, (40.0 * i / 4000 for i in range(1, 4001))))
+
+
+def test_envelope_table_shape():
+    rows = envelope_table()
     assert rows[-1][-1] > 64
     assert_same_bytes(cli._ENVELOPE_FIELDS, rows)
 
 
 VALUES = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, 0.1, 1e300, 2.0**-1022]),
+    # two 1.7e308 in one table sum to inf, which every value alone is not
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, 0.1, 1e300, 1.7e308, 2.0**-1022]
+    ),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=-(10**15) + 1, max_value=10**15 - 1),
     st.none(),
@@ -76,23 +85,31 @@ FIELDS = ("a", "b_c", "rho_2")
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(VALUES, VALUES, VALUES), max_size=8))
+@example([(1.7e308, 1.0, 2), (0.5, 1.7e308, -1.7e308)])  # finite rows, sum overflows
 def test_mixed_rows_match_json_and_csv(rows):
     assert_same_bytes(FIELDS, rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("missing", [False, True])
-def test_non_finite_raises_json_error(bad, missing):
-    row = (1.5, None if missing else 2, bad)
-    rows = [(0.1, 1, 2.0), row]
+@pytest.mark.parametrize("shape", ["last row", "first row", "envelope last row"])
+def test_non_finite_raises_json_error(bad, missing, shape):
+    fields, clean = FIELDS, [(0.1, 1, 2.0)]
+    if shape == "envelope last row":
+        # the bad value (and the None) after 3,999 clean rows of six fields
+        fields, clean = cli._ENVELOPE_FIELDS, list(envelope_table()[:-1])
+    row = (1.5, None if missing else 2, bad) + (3.0,) * (len(fields) - 3)
+    at = 0 if shape == "first row" else len(clean)
+    rows = clean[:at] + [row] + clean[at:]
     with pytest.raises(ValueError) as expected:
-        json_reference(FIELDS, rows)
+        json_reference(fields, rows)
     with pytest.raises(ValueError) as got:
-        cli._table_text(FIELDS, rows, "json")
+        cli._table_text(fields, rows, "json")
     assert str(got.value) == str(expected.value)
     assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
     # CSV writes them, as "%.15g" does
-    assert cli._table_text(FIELDS, rows, "csv").splitlines()[2].split(",")[2] == "%.15g" % bad
+    csv_lines = cli._table_text(fields, rows, "csv").splitlines()
+    assert csv_lines[1 + at].split(",")[2] == "%.15g" % bad
 
 
 def test_empty_table():
