@@ -148,14 +148,13 @@ def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
     """
     last = before = None  # the roots (R_0, eps_0, eps_1) of the previous two rows
     for alpha in alphas:
-        # alpha lies in [0, 0.5] up to an ulp (_cmd_sweep checks the range)
+        # alpha lies in [0, 0.5] (_cmd_sweep checks the range and clamps)
         k = AlphaConstants(alpha)
         roots: list[float | None] = [None, None, None]
         reasons = []
         try:
             # the domain of the eps solves; alpha = 0 has a closed-form m_c1
-            # but no solver thresholds, and solve_r0 rejects an alpha above
-            # 0.5 (the last grid point can overshoot alpha-max by an ulp)
+            # but no solver thresholds
             check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
         except DomainError as exc:
             reasons.append(exc)
@@ -194,7 +193,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(
             f"sweep: need 0 <= alpha-min < alpha-max <= 0.5, got {lo} and {hi}"
         )
-    rows = list(_sweep_rows(lo + (hi - lo) * i / (steps - 1) for i in range(steps)))
+    # a grid point can overshoot alpha-max by an ulp; it keeps those bits,
+    # except past 0.5, which solve_r0 rejects
+    rows = list(_sweep_rows(min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps)))
     _emit(_table_text(_SWEEP_FIELDS, rows, args.format), args.out)
     return 3 if any(None in row for row in rows) else 0
 

@@ -21,6 +21,13 @@ n on the segment (r_cn(n-1), r_cn(n)], with ties going to the smaller n.
 alpha = 0 is an admitted limiting parameter; every closed form here is
 finite there.
 
+Every density here is evaluated in the one form
+
+    rho_n(R) = 2 sqrt(n) / R + V0 n^((alpha - 2)/2) R^(2 - alpha) / pi,
+
+which forms neither R^2 nor R^(4 - alpha), so it is accurate at every R from
+the subnormal ones up to where the density itself leaves double range.
+
 The three Gamma values in V0, V0 itself, r_cn(1) and rho_c1 are computed
 in one place, a DiskConstants record per exponent; every function here
 reads V0 from one.
@@ -45,7 +52,6 @@ __all__ = [
 ]
 
 _N_MAX = 2**53  # from here on n + 1 is not exact in a double
-_NORMAL_MIN = 2.0**-1022  # smallest normal double
 
 
 def _check_n(n: int, what: str) -> int:
@@ -86,42 +92,33 @@ def v0_const(alpha: float) -> float:
 def rho_n(n: int, r: float, alpha: float) -> float:
     """Energy per unit area of n equal disks at total radius-scale r.
 
-    Accurate below r ~ 1.5e-154 too, where r * r leaves the normal range.
-    An r where the density leaves double range raises DomainError.
+    Accurate at every r, subnormal ones included.  An r where the density
+    leaves double range raises DomainError.
     """
     n = _check_n(n, "rho_n")
     check_alpha(alpha, "rho_n", 2, hi_open=True)
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_n: r must lie in (0, inf), got {r}")
     try:
-        value = _rho_n(n, r, alpha, DiskConstants(alpha).v0)
-    except OverflowError:  # r^(4 - alpha), or 1/r at a tiny r
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"rho_n: the density is out of double range at r = {r}")
-    return value
+        return _rho_n(n, r, alpha, DiskConstants(alpha).v0)
+    except OverflowError:  # r^(2 - alpha), or the density itself
+        raise DomainError(f"rho_n: the density is out of double range at r = {r}") from None
 
 
 def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
-    # rho_n for checked arguments and a given v0 = v0_const(alpha).  Where
-    # r * r is below the normal range (r below about 1.5e-154) it is
-    # 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi, which never forms
-    # r^2; a value past double range there raises OverflowError, as
-    # r^(4 - alpha) does at a huge r
-    if r * r < _NORMAL_MIN:
-        value = (
-            2.0 * math.sqrt(n) / r
-            + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
-        )
-        if value == math.inf:
-            raise OverflowError
-        return value
-    # n E(x) / (pi r^2) with x = r / sqrt(n) and E(x) = 2 pi x + V0 x^(4 - alpha);
-    # envelope_rows writes the same expression in the same order, and
+    # rho_n for checked arguments and a given v0 = v0_const(alpha), as
+    # 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi; a value past double
+    # range raises OverflowError, as r^(2 - alpha) does.  envelope_rows
+    # writes the same expression in the same order, and
     # tests/test_splitting.py::test_envelope_rows_match_pointwise keeps the
     # bits of the two equal
-    x = r / math.sqrt(n)
-    return n * (2.0 * math.pi * x + v0 * x ** (4.0 - alpha)) / (math.pi * r * r)
+    value = (
+        2.0 * math.sqrt(n) / r
+        + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
+    )
+    if value == math.inf:
+        raise OverflowError
+    return value
 
 
 def r_cn(n: int, alpha: float) -> float:
@@ -215,17 +212,25 @@ def envelope_rows(
     table costs at most one r_cn evaluation per segment passed and none per
     row.
     Each row's four densities are computed in one pass that shares
-    pi r^2.  A radius that is not positive and finite, past r_cn(2**53 - 1)
-    (as for rho_min), or where a density leaves double range, raises
-    DomainError naming it.
+    r^(2 - alpha).  A radius that is not positive and finite, past
+    r_cn(2**53 - 1) (as for rho_min), or where a density leaves double
+    range, raises DomainError naming it.
     """
     check_alpha(alpha, "envelope_rows", 1.0)
     k = DiskConstants(alpha)
     v0 = k.v0
     c = _sqrt_n_slope(alpha, v0)
-    n, bound = 1, k.r_c1
-    pi, two_pi, power = math.pi, 2.0 * math.pi, 4.0 - alpha
-    sqrt2, sqrt3 = math.sqrt(2), math.sqrt(3)
+    pi, power = math.pi, 2.0 - alpha
+
+    def coeffs(m: int) -> tuple[float, float]:
+        # _rho_n's 2 sqrt(m) and V0 m^((alpha-2)/2), so that rho_m is
+        # a / r + b r^(2 - alpha) / pi in _rho_n's order;
+        # tests/test_splitting.py::test_envelope_rows_match_pointwise keeps
+        # the bits of the two equal
+        return 2.0 * math.sqrt(m), v0 * float(m) ** ((alpha - 2.0) / 2.0)
+
+    (a1, b1), (a2, b2), (a3, b3) = coeffs(1), coeffs(2), coeffs(3)
+    n, bound, an, bn = 1, k.r_c1, a1, b1
     prev = 0.0
     for r in radii:
         if not 0.0 < r < math.inf:
@@ -235,29 +240,14 @@ def envelope_rows(
         prev = r
         if r > bound:
             n, bound = _envelope_n(r, alpha, v0, c, n + 1, "envelope_rows")
-        try:
-            if r * r < _NORMAL_MIN:
-                row = (r, _rho_n(1, r, alpha, v0), _rho_n(2, r, alpha, v0),
-                       _rho_n(3, r, alpha, v0), _rho_n(n, r, alpha, v0), n)
-            else:
-                # _rho_n's n E(x) / (pi r^2), x = r / sqrt(n), in the same
-                # order (at n = 1, x = r and 1 * E = E exactly);
-                # tests/test_splitting.py::test_envelope_rows_match_pointwise
-                # keeps the bits of the two equal
-                area = pi * r * r
-                rho1 = (two_pi * r + v0 * r**power) / area
-                x = r / sqrt2
-                rho2 = 2 * (two_pi * x + v0 * x**power) / area
-                x = r / sqrt3
-                rho3 = 3 * (two_pi * x + v0 * x**power) / area
-                if n > 3:
-                    x = r / math.sqrt(n)
-                    rho = n * (two_pi * x + v0 * x**power) / area
-                else:
-                    rho = (rho1, rho2, rho3)[n - 1]
-                row = (r, rho1, rho2, rho3, rho, n)
-        except OverflowError:
-            raise DomainError(
-                f"envelope_rows: the density is out of double range at r = {r}"
-            ) from None
-        yield row
+            an, bn = coeffs(n)
+        # r lies below r_cn(2**53 - 1) here, so r^(2 - alpha) is finite and
+        # only the 1/r terms can overflow
+        rp = r**power
+        rho1 = a1 / r + b1 * rp / pi
+        rho2 = a2 / r + b2 * rp / pi
+        rho3 = a3 / r + b3 * rp / pi
+        rho = an / r + bn * rp / pi
+        if math.inf in (rho1, rho2, rho3, rho):
+            raise DomainError(f"envelope_rows: the density is out of double range at r = {r}")
+        yield r, rho1, rho2, rho3, rho, n

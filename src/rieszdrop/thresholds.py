@@ -21,13 +21,13 @@ all, with a rigidity window in between.
 
 A cold root solve is ITP (interpolate, truncate, project), a bracketing
 method that keeps bisection's worst-case iteration bound (to within one)
-and needs about 10.8 objective evaluations per root here (32,535 for the
+and needs about 10.8 objective evaluations per root here (32,443 for the
 3,000 roots of the default ledger grid at alpha_max 0.032), where bisection
 needs about 44.  It asserts the bracket sign change at runtime, so the
 monotonicity the formulas rely on is checked on every call.  A grid walk
 (the ledger, the sweep rows) warm-starts each solve from the same root at
 the previous two grid points: secant steps from the linear prediction,
-about 5.8 evaluations per root (17,367 for those 3,000, none falling back).
+about 5.8 evaluations per root (17,370 for those 3,000, none falling back).
 A warm root is returned only if the objective changes sign between
 x (1 - rel_tol/2) and x (1 + rel_tol/2), so the true root lies within
 rel_tol/2 x of it, as for ITP; anything else falls back to the cold solve,

@@ -148,6 +148,24 @@ def test_envelope_walks_each_segment_once(calls, tmp_path):
         assert calls["v0_const"] <= 5
 
 
+def test_envelope_rows_compute_densities_in_the_kernel(monkeypatch):
+    # a row's four densities share one r^(2 - alpha) in envelope_rows at
+    # tiny radii too: no _rho_n call at a table radius, where each row below
+    # r ~ 1.5e-154 made 4.  The one call is the constants record's
+    # rho_c1 = rho_1(r_c1)
+    seen = []
+    rho_n, r_c1 = splitting._rho_n, splitting.r_cn(1, 0.1)
+
+    def counting(n, r, alpha, v0):
+        seen.append(r)
+        return rho_n(n, r, alpha, v0)
+
+    monkeypatch.setattr(splitting, "_rho_n", counting)
+    radii = [1e-200, 1e-200, 1e-160] + [40.0 * i / 400 for i in range(1, 401)]
+    assert len(list(splitting.envelope_rows(0.1, radii))) == len(radii)
+    assert seen == [r_c1]
+
+
 def test_envelope_search_jumps_to_its_n(calls):
     # a lone rho_min starts from floor((r / C)^2), C sqrt(n) the large-n
     # form of r_cn(n), and steps to the segment: a few r_cn calls at any n
@@ -239,7 +257,7 @@ def test_ledger_no_root_stalls(root_evals):
     # has converged onto one end of the bracket, a step below one ulp
     # re-evaluated that end until the projection radius caught up: 126 of
     # these 3,000 roots took 36 to 48 evaluations and 37,846 in all; kept
-    # tol / 2 inside the bracket, none takes over 20 and all take 32,535
+    # tol / 2 inside the bracket, none takes over 20 and all take 32,443
     # (pinned exactly: the loop's points are fixed)
     for i in range(1, 1001):
         alpha = 0.032 * i / 1000
@@ -248,14 +266,14 @@ def test_ledger_no_root_stalls(root_evals):
         solve_eps1(alpha)
     assert len(root_evals) == 3000
     assert max(root_evals) == 20
-    assert sum(root_evals) == 32_535
+    assert sum(root_evals) == 32_443
 
 
 def test_ledger_warm_start_evals(evals, root_evals):
-    # run_ledger warm-starts every solve from the third point on: 17,367
-    # root evaluations where the cold grid takes 32,535, plus 3 probes per
+    # run_ledger warm-starts every solve from the third point on: 17,370
+    # root evaluations where the cold grid takes 32,443, plus 3 probes per
     # point.  Only the first two points run _root (6 cold solves), so no
     # warm start falls back (pinned exactly, as above)
     run_ledger(0.032, grid=1000)
     assert len(root_evals) == 6
-    assert evals[0] == 3 * 1000 + 17_367
+    assert evals[0] == 3 * 1000 + 17_370

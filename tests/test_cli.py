@@ -149,6 +149,21 @@ def test_sweep_partial_failure_exit(capsys):
     assert rows[1]["m_2"] is not None
 
 
+def test_sweep_grid_stops_at_half(capsys):
+    # 0.0001 + (0.5 - 0.0001) * 10 / 10 is 0.5000000000000001, which the
+    # m_2 solve rejects: a grid point past 0.5 is clamped to 0.5
+    argv = ["sweep", "--alpha-min", "0.0001", "--alpha-max", "0.5", "--steps", "11"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    validate(rows)
+    assert rows[-1]["alpha"] == 0.5
+    assert all(isinstance(v, float) and v == v for row in rows for v in row.values())
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+
+
 def test_sweep_validation(capsys):
     assert run_cli(["sweep", "--steps", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--alpha-min", "0.03", "--alpha-max", "0.01"], capsys)[0] == 1

@@ -49,7 +49,7 @@ def test_specfun_table_matches_golden():
 # constants record that moves any evaluated point moves some root's last
 # bit, and with it this digest.  Like the corpus, it is exact only on the
 # libm that wrote it.
-ROOTS_SHA256 = "663e046fd3f6462b5b62c3e4ca3900095e1d4203eb11fbf8b31984713878a290"
+ROOTS_SHA256 = "3c653ac4ec1723e636c5531e44f1ec5bfe269848753d283bc1edf7718f1c2949"
 
 
 def test_threshold_roots_bit_identical():

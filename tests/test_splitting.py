@@ -231,12 +231,12 @@ DENSITIES = {
 DENSITY_EDGES = [  # (name, r, alpha, finite)
     ("rho_n", math.inf, 0.1, False),
     ("rho_n", math.nan, 0.1, False),
-    ("rho_n", 1e100, 0.1, False),
+    ("rho_n", 1e100, 0.1, True),  # about 3.2e190; r^(4 - alpha) overflowed
     ("rho_n", 1e300, 0.0, False),
-    ("rho_n", 1e-200, 0.1, True),  # r * r underflows, the density is about 2e200
+    ("rho_n", 1e-200, 0.1, True),  # the density is about 2e200
     ("rho_n", 5e-324, 0.1, False),
     ("rho_n", 1e-160, 0.1, True),
-    ("rho_n", 1.2e154, 1.9999999999, False),  # inf / inf
+    ("rho_n", 1.2e154, 1.9999999999, True),  # about 6.3e10; was inf / inf
     ("rho_n", 1e77, 1.99, True),
     ("rho_min", math.inf, 0.1, False),
     ("rho_min", math.nan, 0.1, False),
@@ -271,34 +271,44 @@ def test_density_finite_or_domain_error(name, r, alpha, finite):
             density(r, alpha)
 
 
+def rho_n_40(n, r, alpha):
+    # the other form of rho_n, n E(r / sqrt(n)) / (pi r^2), at 40 digits
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(r)
+        v0 = 2 * mpmath.pi**2 * mpmath.gamma(2 - a) / (
+            mpmath.gamma(2 - a / 2) * mpmath.gamma(3 - a / 2)
+        )
+        s = x / mpmath.sqrt(n)
+        return float(n * (2 * mpmath.pi * s + v0 * s ** (4 - a)) / (mpmath.pi * x * x))
+
+
 def test_rho_n_tiny_r_matches_mpmath():
-    # below r ~ 1.5e-154 the r * r of n E(r / sqrt(n)) / (pi r^2) is
-    # subnormal or 0: 1e-160 was 5e-5 off and 1e-200 raised, in rho_n and
-    # in rho_min and envelope_rows, which share its formula
-    radii = (1e-300, 1e-200, 1e-160, 1e-150)
+    # rho_n is 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi at every r.
+    # In doubles the other form computes r * r, subnormal or 0 below
+    # r ~ 1.5e-154 (1e-160 was 5e-5 off and 1e-200 raised), and it was up
+    # to 7.7e-14 off at 1e150.  The error of r^(2 - alpha) grows like
+    # |ln r| ulp(2 - alpha), so the top band gets a wider bound
+    radii = (
+        1e-300, 1e-250, 1e-200, 1e-160, 1e-150, 1e-100, 1e-50, 1e-10, 1e-3, 0.37, 1.0,
+        2.5, 40.0, 1e3, 1e10, 1e20, 1e30,
+    )
     for alpha in (0.1, 1.5):
-        with mpmath.workdps(40):
-            a = mpmath.mpf(alpha)
-            v0 = 2 * mpmath.pi**2 * mpmath.gamma(2 - a) / (
-                mpmath.gamma(2 - a / 2) * mpmath.gamma(3 - a / 2)
-            )
-
-            def want(n, r):
-                x = mpmath.mpf(r)
-                s = x / mpmath.sqrt(n)
-                return float(n * (2 * mpmath.pi * s + v0 * s ** (4 - a)) / (mpmath.pi * x * x))
-
-            for n in (1, 7):
-                for r in radii:
-                    assert rel(rho_n(n, r, alpha), want(n, r)) <= 1e-14, (alpha, n, r)
-            if alpha > 1.0:  # past the envelope's domain
-                continue
-            for r, *row in envelope_rows(alpha, radii):
-                rmin, n_opt = rho_min(r, alpha)
-                assert n_opt == row[4] == 1, (alpha, r)
-                assert rmin == row[3], (alpha, r)
-                for value, n in zip(row[:4], (1, 2, 3, 1)):
-                    assert rel(value, want(n, r)) <= 1e-14, (alpha, n, r)
+        for n in (1, 2, 3, 7, 10**6, 2**40):
+            for r in radii:
+                assert rel(rho_n(n, r, alpha), rho_n_40(n, r, alpha)) <= 1e-14, (alpha, n, r)
+            for r in (1e50, 1e100, 1e150):
+                assert rel(rho_n(n, r, alpha), rho_n_40(n, r, alpha)) <= 5e-14, (alpha, n, r)
+        if alpha > 1.0:  # past the envelope's domain
+            continue
+        for r, *row in envelope_rows(alpha, [r for r in radii if r <= 1e3]):
+            rmin, n_opt = rho_min(r, alpha)
+            assert n_opt == row[4], (alpha, r)
+            assert rmin == row[3], (alpha, r)
+            for value, n in zip(row[:4], (1, 2, 3, n_opt)):
+                assert rel(value, rho_n_40(n, r, alpha)) <= 1e-14, (alpha, n, r)
+    # the two DENSITY_EDGES rows that overflowed in the other form
+    for r, alpha in ((1e100, 0.1), (1.2e154, 1.9999999999)):
+        assert rel(rho_n(1, r, alpha), rho_n_40(1, r, alpha)) <= 5e-14, (alpha, r)
 
 
 def test_envelope_rows_match_pointwise():
