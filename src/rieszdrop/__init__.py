@@ -53,6 +53,7 @@ from .thresholds import (
     solve_eps1,
     solve_m2,
     solve_r0,
+    walk,
 )
 from .verify import f3, run_ledger
 
@@ -91,4 +92,5 @@ __all__ = [
     "solve_m2",
     "solve_r0",
     "v0_const",
+    "walk",
 ]

@@ -38,7 +38,7 @@ from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .splitting import envelope_rows
-from .thresholds import MIN_REL_TOL, AlphaConstants, m_at_crossing, m_of_eps, solve_alpha0
+from .thresholds import MIN_REL_TOL, m_at_crossing, solve_alpha0, walk
 from .verify import run_ledger
 
 __all__ = ["main", "entrypoint"]
@@ -118,21 +118,20 @@ def _table_text(
 def _cmd_eval(args: argparse.Namespace) -> int:
     alpha = args.alpha
     check_alpha(alpha, "eval", 0.5, lo_open=True)
-    k = AlphaConstants(alpha)
-    r0 = k.solve_r0()
-    eps0 = k.solve_eps0()
-    eps1 = k.solve_eps1()
+    k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures = next(walk([alpha], "eval"))
+    if failures:
+        raise failures[0]
     payload = {
         "alpha": alpha,
         "m_c1": k.m_c1,
         "R_c1": k.r_c1,
         "rho_c1": k.rho_c1,
-        "m_2": math.pi * r0 * r0,
+        "m_2": m_2,
         "R_0": r0,
         "eps_0": eps0,
         "eps_1": eps1,
-        "m_eps0": m_of_eps(eps0, alpha),
-        "m_eps1": m_of_eps(eps1, alpha),
+        "m_eps0": m_eps0,
+        "m_eps1": m_eps1,
     }
     _emit(_json_text(payload), args.out)
     return 0
@@ -141,48 +140,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
     """The sweep rows at alphas, in order; None marks an unsolved field.
 
-    From the third row on, each root solve is warm-started from the same
-    root in the previous two rows; an unsolved row starts that history
-    over.  Each unsolved row writes one stderr line naming its alpha and
-    every stage that failed.
+    The rows are one thresholds.walk: from the third row on, each root
+    solve is warm-started from the same root in the previous two rows, and
+    an unsolved row starts that history over.  alpha = 0 has a closed-form
+    m_c1 but no solver thresholds.  Each unsolved row writes one stderr
+    line naming its alpha and every stage that failed.
     """
-    last = before = None  # the roots (R_0, eps_0, eps_1) of the previous two rows
-    for alpha in alphas:
-        # alpha lies in [0, 0.5] (_cmd_sweep checks the range and clamps)
-        k = AlphaConstants(alpha)
-        roots: list[float | None] = [None, None, None]
-        reasons = []
-        try:
-            # the domain of the eps solves; alpha = 0 has a closed-form m_c1
-            # but no solver thresholds
-            check_alpha(alpha, "sweep", 1.0, lo_open=True, hi_open=True)
-        except DomainError as exc:
-            reasons.append(exc)
-        else:
-            warm = zip(last, before) if before is not None else (None, None, None)
-            solves = (k.solve_r0, k.solve_eps0, k.solve_eps1)
-            for j, (solve, prev) in enumerate(zip(solves, warm)):
-                try:
-                    roots[j] = solve(_prev=prev)
-                except (DomainError, BracketError, ConvergenceError) as exc:
-                    reasons.append(exc)
-        r0, eps0, eps1 = roots
-        yield (
-            alpha,
-            k.m_c1,
-            None if r0 is None else math.pi * r0 * r0,
-            None if eps0 is None else m_of_eps(eps0, alpha),
-            None if eps1 is None else m_of_eps(eps1, alpha),
-        )
-        if reasons:
+    # alpha lies in [0, 0.5] (_cmd_sweep checks the range and clamps)
+    for k, _, masses, failures in walk(alphas, "sweep"):
+        yield (k.alpha, k.m_c1, *masses)
+        if failures:
             print(
-                f"rieszdrop: sweep: row alpha = {alpha!r} unsolved: "
-                + "; ".join(map(str, reasons)),
+                f"rieszdrop: sweep: row alpha = {k.alpha!r} unsolved: "
+                + "; ".join(map(str, failures)),
                 file=sys.stderr,
             )
-            last = before = None
-        else:
-            last, before = (r0, eps0, eps1), last
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

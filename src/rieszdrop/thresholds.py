@@ -24,16 +24,21 @@ method that keeps bisection's worst-case iteration bound (to within one)
 and needs about 10.8 objective evaluations per root here (32,443 for the
 3,000 roots of the default ledger grid at alpha_max 0.032), where bisection
 needs about 44.  It asserts the bracket sign change at runtime, so the
-monotonicity the formulas rely on is checked on every call.  A grid walk
-(the ledger, the sweep rows) warm-starts each solve from the same root at
-the previous two grid points: secant steps from the linear prediction,
+monotonicity the formulas rely on is checked on every call.
+
+walk(alphas, stage) is the one grid walk: the ledger, the sweep rows and
+eval (a walk of one point) all take their roots (R_0, eps_0, eps_1) and
+masses from it.  It keeps the roots of the previous two points and
+warm-starts each solve from them: secant steps from the linear prediction,
 about 5.8 evaluations per root (17,370 for those 3,000, none falling back).
 A warm root is returned only if the objective changes sign between
 x (1 - rel_tol/2) and x (1 + rel_tol/2), so the true root lies within
 rel_tol/2 x of it, as for ITP; anything else falls back to the cold solve,
-with its bits and errors.  Every solve without two previous roots (eval,
-alpha_0, the public solve_* functions, a grid's first two points) is cold.
-Results are bit-deterministic for identical inputs.
+with its bits and errors.  A point with an unsolved root starts the
+history over.  Every solve without two previous roots (eval, alpha_0, the
+public solve_* functions, a walk's first two points and the two after an
+unsolved one) is cold.  Results are bit-deterministic for identical
+inputs.
 
 Everything above depends on alpha only through a handful of constants,
 kept in one record per exponent in two layers, each constant computed once
@@ -55,7 +60,7 @@ spacing of doubles; below 1e-12 it tightens the inner solves with it.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .specfun import gamma
@@ -78,6 +83,7 @@ __all__ = [
     "m_of_eps",
     "solve_eps0",
     "solve_eps1",
+    "walk",
     "solve_alpha0",
     "m_at_crossing",
 ]
@@ -385,7 +391,7 @@ class AlphaConstants(DiskConstants):
 
     # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else;
     # _prev, the same root at the previous two grid points (newest first),
-    # warm-starts a grid walk's solve
+    # warm-starts a solve of walk
 
     def solve_r0(
         self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
@@ -413,8 +419,8 @@ class AlphaConstants(DiskConstants):
     def _m_eps_min(self, rel_tol: float) -> float:
         # min(m(eps_0), m(eps_1)), the mass solve_alpha0 meets with m_2
         alpha = self.alpha
-        m_eps0 = m_of_eps(self.solve_eps0(_rel_tol=rel_tol), alpha)
-        m_eps1 = m_of_eps(self.solve_eps1(_rel_tol=rel_tol), alpha)
+        m_eps0 = _m_of_eps(self.solve_eps0(_rel_tol=rel_tol), alpha)
+        m_eps1 = _m_of_eps(self.solve_eps1(_rel_tol=rel_tol), alpha)
         return min(m_eps0, m_eps1)
 
 
@@ -456,15 +462,30 @@ def _with_eps(alpha: float, eps: float) -> AlphaConstants:
     return AlphaConstants(alpha)
 
 
+def _in_range(stage: str, k: AlphaConstants, eps: float, value: Callable[[float], float]) -> float:
+    # value(C0) at a checked eps.  C0 grows like eps, and C3 and F1 square
+    # it on the way, so they overflow long before eps does: a power raises
+    # OverflowError, a product reads inf.  C0 itself is checked first, since
+    # C1 would read 0 at an infinite C0
+    try:
+        d0 = k.c0(eps)
+        y = value(d0) if math.isfinite(d0) else d0
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise DomainError(f"{stage}: the computation overflows at eps = {eps}")
+    return y
+
+
 def c0(alpha: float, eps: float) -> float:
     """Perturbation amplitude constant C0(alpha, eps)."""
-    return _with_eps(alpha, eps).c0(eps)
+    return _in_range("c0", _with_eps(alpha, eps), eps, lambda d0: d0)
 
 
 def c1(alpha: float, eps: float) -> float:
     """Inner-interaction lower constant pi^(1-a) / (1 + C0)^a."""
     k = _with_eps(alpha, eps)
-    return k.c1(k.c0(eps))
+    return _in_range("c1", k, eps, k.c1)
 
 
 def c2(alpha: float) -> float:
@@ -485,19 +506,25 @@ def c3(alpha: float, eps: float) -> float:
     times (1 + (2/3) sqrt(pi C0 (C0 + 2)))."""
     k = _with_eps(alpha, eps)
     check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
-    return k.c3(k.c0(eps))
+    return _in_range("c3", k, eps, k.c3)
 
 
 def f1(alpha: float, eps: float) -> float:
     """Rigidity objective eps C3 (eps C3 C0 (C0+2) + 2) - 1; increasing in eps."""
     k = _with_eps(alpha, eps)
     check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
-    return k.f1(eps)
+    return _in_range("f1", k, eps, lambda d0: k.f1(eps))
 
 
 def f2(alpha: float, eps: float) -> float:
     """Convexity objective 1/(1 + C0) + 2 eps (C1 - C2); decreasing from 1."""
-    return _with_eps(alpha, eps).f2(eps)
+    k = _with_eps(alpha, eps)
+    return _in_range("f2", k, eps, lambda d0: k.f2(eps))
+
+
+def _m_of_eps(eps: float, alpha: float) -> float:
+    # the one written form of the mass at eps, for a root of the eps solves
+    return math.pi * eps ** (2.0 / (3.0 - alpha))
 
 
 def m_of_eps(eps: float, alpha: float) -> float:
@@ -505,7 +532,13 @@ def m_of_eps(eps: float, alpha: float) -> float:
     check_alpha(alpha, "m_of_eps", 2.0, hi_open=True)
     if not 0.0 < eps < math.inf:
         raise DomainError(f"m_of_eps: eps must be positive and finite, got {eps}")
-    return math.pi * eps ** (2.0 / (3.0 - alpha))
+    try:
+        m = _m_of_eps(eps, alpha)
+    except OverflowError:
+        m = math.inf
+    if m == math.inf:
+        raise DomainError(f"m_of_eps: the mass is out of double range at eps = {eps}")
+    return m
 
 
 def solve_eps0(alpha: float) -> float:
@@ -518,6 +551,53 @@ def solve_eps1(alpha: float) -> float:
     """Root of the rigidity objective f1."""
     check_alpha(alpha, "solve_eps1", 1.0, lo_open=True, hi_open=True)
     return AlphaConstants(alpha).solve_eps1()
+
+
+def walk(
+    alphas: Iterable[float], stage: str
+) -> Iterator[tuple[AlphaConstants, tuple, tuple, list[Exception]]]:
+    """The record, roots, masses and failures at each alpha, in order.
+
+    Yields (k, (R_0, eps_0, eps_1), (m_2, m(eps_0), m(eps_1)), failures)
+    per alpha, with k = AlphaConstants(alpha): each alpha must lie in
+    [0, 2), where the record builds.  An alpha outside (0, 1), the domain
+    of the eps solves, solves nothing and fails with a DomainError naming
+    stage; every other alpha tries all three solves.  failures lists the
+    DomainError, BracketError or ConvergenceError of each unsolved root, in
+    solve order, and an unsolved root and its mass are None.  From the
+    third point on, each solve is warm-started from the same root at the
+    previous two points; a point with a failure starts that history over.
+    """
+    last = before = None  # the roots of the previous two points
+    for alpha in alphas:
+        k = AlphaConstants(alpha)
+        r0 = eps0 = eps1 = m_2 = m_eps0 = m_eps1 = None
+        failures: list[Exception] = []
+        try:
+            check_alpha(alpha, stage, 1.0, lo_open=True, hi_open=True)
+        except DomainError as exc:
+            failures.append(exc)
+        else:
+            # the three solves written out, each with its mass: a loop over
+            # them costs the ledger a few percent of its time
+            p0, p1, p2 = zip(last, before) if before is not None else (None, None, None)
+            try:
+                r0 = k.solve_r0(_prev=p0)
+                m_2 = math.pi * r0 * r0
+            except (DomainError, BracketError, ConvergenceError) as exc:
+                failures.append(exc)
+            try:
+                eps0 = k.solve_eps0(_prev=p1)
+                m_eps0 = _m_of_eps(eps0, alpha)
+            except (DomainError, BracketError, ConvergenceError) as exc:
+                failures.append(exc)
+            try:
+                eps1 = k.solve_eps1(_prev=p2)
+                m_eps1 = _m_of_eps(eps1, alpha)
+            except (DomainError, BracketError, ConvergenceError) as exc:
+                failures.append(exc)
+        yield k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures
+        last, before = (None, None) if failures else ((r0, eps0, eps1), last)
 
 
 _ALPHA0_BRACKET = (0.01, 0.10)

@@ -5,9 +5,9 @@ must hold for every exponent alpha in (0, alpha_max] (default 0.034), at
 the fixed probes eps = 0.846 and R = 0.945.  run_ledger sweeps a uniform
 alpha grid, records the attained extreme of each quantity together with
 where it occurred, and compares against the claimed bound.  A failed check
-is a reported result, not an exception.  From the third grid point on,
-each root solve is warm-started from its roots at the previous two points
-(see thresholds).
+is a reported result, not an exception.  The grid is one thresholds.walk,
+which warm-starts each root solve from its roots at the previous two
+points; the first failed solve is raised.
 
 This is a floating-point grid check, not certified interval arithmetic;
 the attained margins (smallest around 8e-5) sit far above double-precision
@@ -20,7 +20,7 @@ import math
 
 from .errors import DomainError
 from .splitting import rho_c1
-from .thresholds import AlphaConstants, m_of_eps, rho0
+from .thresholds import rho0, walk
 
 __all__ = ["f3", "run_ledger"]
 
@@ -54,43 +54,6 @@ _CHECK_TABLE: tuple[tuple[str, str, str, float | None, float | None, bool], ...]
 )
 
 
-def _ledger_values(
-    alpha: float, eps_probe: float, r_probe: float, last: tuple | None, before: tuple | None
-) -> tuple[dict[str, float], tuple[float, float, float]]:
-    # one constants record per grid point serves every row, the Gamma rows
-    # included, and all three root solves.  last and before are the roots
-    # (R_0, eps_0, eps_1) of the previous two points; with both, each solve
-    # is warm-started from them.  Returns the values and this point's roots
-    k = AlphaConstants(alpha)
-    p_r0, p_eps0, p_eps1 = zip(last, before) if before is not None else (None, None, None)
-    r0 = k.solve_r0(_prev=p_r0)
-    eps0 = k.solve_eps0(_prev=p_eps0)
-    eps1 = k.solve_eps1(_prev=p_eps1)
-    rho0_probe = k.rho0(r_probe)
-    d0 = k.c0(eps_probe)
-    values = {
-        "g2a": k.g2a,
-        "g2ah": k.g2ah,
-        "g3ah": k.g3ah,
-        "g1a": k.g1a,
-        "m_c1": k.m_c1,
-        "c0": d0,
-        "c3": k.c3(d0),
-        "f1": k.f1(eps_probe),
-        "c1": k.c1(d0),
-        "c2": k.c2,
-        "f2": k.f2(eps_probe),
-        "r_c1": k.r_c1,
-        "rho_c1": k.rho_c1,
-        "rho0_probe": rho0_probe,
-        "f3": rho0_probe - k.rho_c1,
-        "m_2": math.pi * r0 * r0,
-        "m_eps0": m_of_eps(eps0, alpha),
-        "m_eps1": m_of_eps(eps1, alpha),
-    }
-    return values, (r0, eps0, eps1)
-
-
 def run_ledger(
     alpha_max: float = 0.034,
     eps_probe: float = 0.846,
@@ -101,16 +64,17 @@ def run_ledger(
 
     alpha_max must lie in (0, 0.5], the domain of the comparison density
     rho0 that every grid point evaluates; anything else raises DomainError
-    naming alpha_max before any point is computed, as do a grid below 2
-    and a probe outside (0, inf).  Solver exceptions propagate; an
-    inequality that merely fails is reported with "pass" false and the
-    violating extreme.  Returns the dict described by ledger_report in
-    schemas/output.schema.json, which the command line writes as is.
+    naming alpha_max before any point is computed, as do a grid that is
+    not an integer of at least 2 and a probe outside (0, inf).  The first
+    solver error of the walk propagates; an inequality that merely fails is
+    reported with "pass" false and the violating extreme.  Returns the dict
+    described by ledger_report in schemas/output.schema.json, which the
+    command line writes as is.
     """
     if not 0.0 < alpha_max <= 0.5:
         raise DomainError(f"run_ledger: alpha_max must lie in (0, 0.5], got {alpha_max}")
-    if grid < 2:
-        raise DomainError(f"run_ledger: grid must be at least 2, got {grid}")
+    if not (isinstance(grid, int) and grid >= 2):
+        raise DomainError(f"run_ledger: grid must be an integer of at least 2, got {grid!r}")
     if not 0.0 < eps_probe < math.inf:
         raise DomainError(f"run_ledger: eps_probe must lie in (0, inf), got {eps_probe}")
     if not 0.0 < r_probe < math.inf:
@@ -122,11 +86,35 @@ def run_ledger(
     min_at = dict.fromkeys(keys, 0.0)
     max_at = dict.fromkeys(keys, 0.0)
 
-    last = before = None  # the roots of the previous two points
-    for i in range(1, grid + 1):
-        alpha = alpha_max * i / grid
-        values, roots = _ledger_values(alpha, eps_probe, r_probe, last, before)
-        last, before = roots, last
+    alphas = (alpha_max * i / grid for i in range(1, grid + 1))
+    for k, _, (m_2, m_eps0, m_eps1), failures in walk(alphas, "run_ledger"):
+        if failures:
+            raise failures[0]
+        # one constants record per grid point serves every row, the Gamma
+        # rows included, and the walk's three root solves
+        rho0_probe = k.rho0(r_probe)
+        d0 = k.c0(eps_probe)
+        values = {
+            "g2a": k.g2a,
+            "g2ah": k.g2ah,
+            "g3ah": k.g3ah,
+            "g1a": k.g1a,
+            "m_c1": k.m_c1,
+            "c0": d0,
+            "c3": k.c3(d0),
+            "f1": k.f1(eps_probe),
+            "c1": k.c1(d0),
+            "c2": k.c2,
+            "f2": k.f2(eps_probe),
+            "r_c1": k.r_c1,
+            "rho_c1": k.rho_c1,
+            "rho0_probe": rho0_probe,
+            "f3": rho0_probe - k.rho_c1,
+            "m_2": m_2,
+            "m_eps0": m_eps0,
+            "m_eps1": m_eps1,
+        }
+        alpha = k.alpha
         for key, value in values.items():
             if value < min_val[key]:
                 min_val[key], min_at[key] = value, alpha

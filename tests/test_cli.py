@@ -349,6 +349,18 @@ def test_solver_failure_names_the_solve_and_alpha(capsys):
     )
 
 
+def test_ledger_solver_failure_exits_1(capsys):
+    # the walk's first failed solve ends the ledger; the command writes its
+    # message and no traceback
+    code, out, err = run_cli(["verify", "--alpha-max", "1e-300", "--grid", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "rieszdrop: error: solve_eps0(alpha=5e-301): no sign change on "
+        "[1e-06, 4.611686018427388e+18]: f(lo) = 1.0, f(hi) = 1.0\n"
+    )
+
+
 def test_verify_pass_and_fail(capsys):
     code, out, _ = run_cli(["verify", "--grid", "40"], capsys)
     assert code == 0

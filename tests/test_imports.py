@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports another's private
-names, every public name has a caller or a README line, and importing the
-package loads none of the heavy standard modules."""
+names, only thresholds passes a solve its previous roots, every public
+name has a caller or a README line, and importing the package loads none
+of the heavy standard modules."""
 
 import ast
 import json
@@ -28,6 +29,19 @@ def test_no_private_cross_module_imports():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert not found, found
+
+
+def test_root_history_lives_in_thresholds():
+    # thresholds.walk is the one grid walk: it keeps the previous roots and
+    # warm-starts each solve from them, so no other module passes _prev
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "thresholds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                found += [f"{path.name}:{node.lineno}" for kw in node.keywords if kw.arg == "_prev"]
     assert not found, found
 
 

@@ -382,14 +382,14 @@ def test_m_of_eps_round_trip_property(alpha, eps):
     assert rel(back, eps) < 1e-12
 
 
-# every eps-taking function, as a function of eps alone at alpha = 0.1
+# every eps-taking function, as a function of eps at alpha = 0.1 by default
 EPS_FUNCTIONS = {
-    "c0": lambda eps: c0(0.1, eps),
-    "c1": lambda eps: c1(0.1, eps),
-    "c3": lambda eps: c3(0.1, eps),
-    "f1": lambda eps: f1(0.1, eps),
-    "f2": lambda eps: f2(0.1, eps),
-    "m_of_eps": lambda eps: m_of_eps(eps, 0.1),
+    "c0": lambda eps, alpha=0.1: c0(alpha, eps),
+    "c1": lambda eps, alpha=0.1: c1(alpha, eps),
+    "c3": lambda eps, alpha=0.1: c3(alpha, eps),
+    "f1": lambda eps, alpha=0.1: f1(alpha, eps),
+    "f2": lambda eps, alpha=0.1: f2(alpha, eps),
+    "m_of_eps": lambda eps, alpha=0.1: m_of_eps(eps, alpha),
 }
 
 
@@ -399,6 +399,28 @@ def test_non_finite_eps_rejected(name, eps):
     # an infinite eps used to come back as inf from c0 and m_of_eps
     with pytest.raises(DomainError, match="eps must be positive and finite"):
         EPS_FUNCTIONS[name](eps)
+
+
+# c3 and f1 take alpha in (0, 1) only
+HUGE_EPS_CASES = [
+    (name, alpha)
+    for name in sorted(EPS_FUNCTIONS)
+    for alpha in (0.01, 0.1, 0.5, 1.5)
+    if alpha < 1.0 or name not in ("c3", "f1")
+]
+
+
+@pytest.mark.parametrize("name, alpha", HUGE_EPS_CASES)
+@pytest.mark.parametrize("eps", [1e100, 1e200, 1e300, 1.7e308])
+def test_huge_eps_is_finite_or_a_domain_error(name, alpha, eps):
+    # c0(0.1, 1.7e308), c3(0.1, 1e200) and f1(0.01, 1e100) used to be inf,
+    # f2(0.5, 1.7e308) -inf, and c1(1.5, 1e300) raised a bare OverflowError
+    try:
+        value = EPS_FUNCTIONS[name](eps, alpha)
+    except DomainError as exc:
+        assert str(exc).startswith(f"{name}: ") and f"at eps = {eps}" in str(exc)
+    else:
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 def test_eps_roots_reference_values():

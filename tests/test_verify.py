@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from rieszdrop.errors import DomainError
+from rieszdrop.errors import BracketError, DomainError
 from rieszdrop.splitting import r_cn
 from rieszdrop.thresholds import solve_r0
 from rieszdrop.verify import f3, run_ledger
@@ -153,8 +153,10 @@ def test_run_ledger_domain():
         with pytest.raises(DomainError, match=r"^run_ledger: alpha_max must lie in \(0, 0.5\]"):
             run_ledger(alpha_max=bad)
     assert run_ledger(alpha_max=0.5, grid=2)["alpha_max"] == 0.5
-    with pytest.raises(DomainError):
-        run_ledger(grid=1)
+    # a non-integer grid used to raise TypeError from range()
+    for bad in (1, 2.5, "5", 2.0, None):
+        with pytest.raises(DomainError, match=r"^run_ledger: grid must be an integer of at least"):
+            run_ledger(grid=bad)
     with pytest.raises(DomainError):
         run_ledger(eps_probe=0.0)
     with pytest.raises(DomainError):
@@ -164,6 +166,16 @@ def test_run_ledger_domain():
     for probe in ("eps_probe", "r_probe"):
         with pytest.raises(DomainError, match=rf"^run_ledger: {probe} must lie in \(0, inf\)"):
             run_ledger(grid=2, **{probe: math.inf})
+
+
+def test_ledger_raises_the_first_solver_error():
+    # at alpha = 5e-301 R_0 solves, and the eps_0 solve is the first to fail
+    with pytest.raises(BracketError) as exc:
+        run_ledger(1e-300, grid=2)
+    assert str(exc.value) == (
+        "solve_eps0(alpha=5e-301): no sign change on [1e-06, 4.611686018427388e+18]: "
+        "f(lo) = 1.0, f(hi) = 1.0"
+    )
 
 
 def test_ledger_deterministic():
