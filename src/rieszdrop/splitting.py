@@ -25,8 +25,9 @@ Every density here is evaluated in the one form
 
     rho_n(R) = 2 sqrt(n) / R + V0 n^((alpha - 2)/2) R^(2 - alpha) / pi,
 
-which forms neither R^2 nor R^(4 - alpha), so it is accurate at every R from
-the subnormal ones up to where the density itself leaves double range.
+with its two coefficients written once, in _coeffs.  It forms neither R^2
+nor R^(4 - alpha), so it is accurate at every R from the subnormal ones up
+to where the density itself leaves double range.
 
 The three Gamma values in V0, V0 itself, r_cn(1) and rho_c1 are computed
 in one place, a DiskConstants record per exponent; every function here
@@ -105,17 +106,20 @@ def rho_n(n: int, r: float, alpha: float) -> float:
         raise DomainError(f"rho_n: the density is out of double range at r = {r}") from None
 
 
+def _coeffs(n: int, alpha: float, v0: float) -> tuple[float, float]:
+    # the one written form of the density: (2 sqrt(n), V0 n^((alpha-2)/2))
+    # for a given v0 = v0_const(alpha), so that rho_n(r) is
+    # a / r + b r^(2 - alpha) / pi; _rho_n and envelope_rows both build
+    # their densities from it, in that order
+    return 2.0 * math.sqrt(n), v0 * float(n) ** ((alpha - 2.0) / 2.0)
+
+
 def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
-    # rho_n for checked arguments and a given v0 = v0_const(alpha), as
-    # 2 sqrt(n)/r + V0 n^((alpha-2)/2) r^(2-alpha)/pi; a value past double
-    # range raises OverflowError, as r^(2 - alpha) does.  envelope_rows
-    # writes the same expression in the same order, and
-    # tests/test_splitting.py::test_envelope_rows_match_pointwise keeps the
-    # bits of the two equal
-    value = (
-        2.0 * math.sqrt(n) / r
-        + v0 * float(n) ** ((alpha - 2.0) / 2.0) * r ** (2.0 - alpha) / math.pi
-    )
+    # rho_n for checked arguments and a given v0 = v0_const(alpha), through
+    # _coeffs; a value past double range raises OverflowError, as
+    # r^(2 - alpha) does
+    a, b = _coeffs(n, alpha, v0)
+    value = a / r + b * r ** (2.0 - alpha) / math.pi
     if value == math.inf:
         raise OverflowError
     return value
@@ -222,14 +226,7 @@ def envelope_rows(
     c = _sqrt_n_slope(alpha, v0)
     pi, power = math.pi, 2.0 - alpha
 
-    def coeffs(m: int) -> tuple[float, float]:
-        # _rho_n's 2 sqrt(m) and V0 m^((alpha-2)/2), so that rho_m is
-        # a / r + b r^(2 - alpha) / pi in _rho_n's order;
-        # tests/test_splitting.py::test_envelope_rows_match_pointwise keeps
-        # the bits of the two equal
-        return 2.0 * math.sqrt(m), v0 * float(m) ** ((alpha - 2.0) / 2.0)
-
-    (a1, b1), (a2, b2), (a3, b3) = coeffs(1), coeffs(2), coeffs(3)
+    (a1, b1), (a2, b2), (a3, b3) = (_coeffs(m, alpha, v0) for m in (1, 2, 3))
     n, bound, an, bn = 1, k.r_c1, a1, b1
     prev = 0.0
     for r in radii:
@@ -240,7 +237,7 @@ def envelope_rows(
         prev = r
         if r > bound:
             n, bound = _envelope_n(r, alpha, v0, c, n + 1, "envelope_rows")
-            an, bn = coeffs(n)
+            an, bn = _coeffs(n, alpha, v0)
         # r lies below r_cn(2**53 - 1) here, so r^(2 - alpha) is finite and
         # only the 1/r terms can overflow
         rp = r**power

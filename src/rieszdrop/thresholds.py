@@ -465,12 +465,12 @@ def _with_eps(alpha: float, eps: float) -> AlphaConstants:
 def _in_range(stage: str, k: AlphaConstants, eps: float, value: Callable[[float], float]) -> float:
     # value(C0) at a checked eps.  C0 grows like eps, and C3 and F1 square
     # it on the way, so they overflow long before eps does: a power raises
-    # OverflowError, a product reads inf.  C0 itself is checked first, since
-    # C1 would read 0 at an infinite C0
+    # OverflowError, delta_bound a DomainError, a product reads inf.  C0
+    # itself is checked first, since C1 would read 0 at an infinite C0
     try:
         d0 = k.c0(eps)
         y = value(d0) if math.isfinite(d0) else d0
-    except OverflowError:
+    except (OverflowError, DomainError):
         y = math.inf
     if not math.isfinite(y):
         raise DomainError(f"{stage}: the computation overflows at eps = {eps}")
@@ -496,9 +496,15 @@ def c2(alpha: float) -> float:
 
 def delta_bound(d: float) -> float:
     """Boundary-displacement cap sqrt(pi d (d + 2)) for a finite amplitude d >= 0."""
+    if 0.0 <= d < 1e150:
+        return math.sqrt(math.pi * d * (d + 2.0))
     if not 0.0 <= d < math.inf:
         raise DomainError(f"delta_bound: d must be nonnegative and finite, got {d}")
-    return math.sqrt(math.pi * d * (d + 2.0))
+    # pi d (d + 2) overflows here; the cap itself does above about 1e308
+    value = math.sqrt(d) * math.sqrt(d + 2.0) * math.sqrt(math.pi)
+    if value == math.inf:
+        raise DomainError(f"delta_bound: the cap is out of double range at d = {d}")
+    return value
 
 
 def c3(alpha: float, eps: float) -> float:

@@ -7,7 +7,10 @@ alpha grid, records the attained extreme of each quantity together with
 where it occurred, and compares against the claimed bound.  A failed check
 is a reported result, not an exception.  The grid is one thresholds.walk,
 which warm-starts each root solve from its roots at the previous two
-points; the first failed solve is raised.
+points; the first failed solve is raised.  Each point gives one tuple of
+the eighteen values in _CHECK_TABLE order, which is the only place a row
+is named; the running extremes are kept by row position as the walk
+streams, so no point is stored.
 
 This is a floating-point grid check, not certified interval arithmetic;
 the attained margins (smallest around 8e-5) sit far above double-precision
@@ -30,28 +33,33 @@ def f3(alpha: float, r: float) -> float:
     return rho0(r, alpha) - rho_c1(alpha)
 
 
-# (name, claim template, value key, lo, hi, strict): lo <= value <= hi on
-# each given side, with < in place of <= where strict
-_CHECK_TABLE: tuple[tuple[str, str, str, float | None, float | None, bool], ...] = (
-    ("gamma_2_minus_alpha", "0.986 <= gamma(2 - alpha) <= 1", "g2a", 0.986, 1.0, False),
-    ("gamma_2_minus_half_alpha", "0.992 <= gamma(2 - alpha/2) <= 1", "g2ah", 0.992, 1.0, False),
-    ("gamma_3_minus_half_alpha", "1.968 <= gamma(3 - alpha/2) <= 2", "g3ah", 1.968, 2.0, False),
-    ("gamma_1_minus_alpha", "1 <= gamma(1 - alpha) <= 1.021", "g1a", 1.0, 1.021, False),
-    ("m_c1_window", "2.007 <= m_c1 <= 2.087", "m_c1", 2.007, 2.087, False),
-    ("c0_cap", "c0(alpha, {eps}) <= 0.121", "c0", None, 0.121, False),
-    ("c3_cap", "c3(alpha, {eps}) <= 0.557", "c3", None, 0.557, False),
-    ("f1_negative", "f1(alpha, {eps}) < 0", "f1", None, 0.0, True),
-    ("c1_floor", "c1(alpha, {eps}) >= 3.009", "c1", 3.009, None, False),
-    ("c2_cap", "c2(alpha) <= 3.196", "c2", None, 3.196, False),
-    ("f2_floor", "f2(alpha, {eps}) >= 0.575", "f2", 0.575, None, False),
-    ("r_c1_window", "0.799 <= r_cn(1, alpha) <= 0.815", "r_c1", 0.799, 0.815, False),
-    ("rho_c1_cap", "rho_c1(alpha) <= 4.656", "rho_c1", None, 4.656, False),
-    ("rho0_probe_floor", "rho0({r}, alpha) >= 4.677", "rho0_probe", 4.677, None, False),
-    ("f3_floor", "f3(alpha, {r}) >= 0.021", "f3", 0.021, None, False),
-    ("m_2_cap", "m_2(alpha) < 2.806", "m_2", None, 2.806, True),
-    ("m_eps0_floor", "m(eps_0(alpha)) > 2.806", "m_eps0", 2.806, None, True),
-    ("m_eps1_floor", "m(eps_1(alpha)) > 2.806", "m_eps1", 2.806, None, True),
+# (name, claim template, lo, hi, strict): lo <= value <= hi on each given
+# side, with < in place of <= where strict; run_ledger builds the values in
+# this order
+_CHECK_TABLE: tuple[tuple[str, str, float | None, float | None, bool], ...] = (
+    ("gamma_2_minus_alpha", "0.986 <= gamma(2 - alpha) <= 1", 0.986, 1.0, False),
+    ("gamma_2_minus_half_alpha", "0.992 <= gamma(2 - alpha/2) <= 1", 0.992, 1.0, False),
+    ("gamma_3_minus_half_alpha", "1.968 <= gamma(3 - alpha/2) <= 2", 1.968, 2.0, False),
+    ("gamma_1_minus_alpha", "1 <= gamma(1 - alpha) <= 1.021", 1.0, 1.021, False),
+    ("m_c1_window", "2.007 <= m_c1 <= 2.087", 2.007, 2.087, False),
+    ("c0_cap", "c0(alpha, {eps}) <= 0.121", None, 0.121, False),
+    ("c3_cap", "c3(alpha, {eps}) <= 0.557", None, 0.557, False),
+    ("f1_negative", "f1(alpha, {eps}) < 0", None, 0.0, True),
+    ("c1_floor", "c1(alpha, {eps}) >= 3.009", 3.009, None, False),
+    ("c2_cap", "c2(alpha) <= 3.196", None, 3.196, False),
+    ("f2_floor", "f2(alpha, {eps}) >= 0.575", 0.575, None, False),
+    ("r_c1_window", "0.799 <= r_cn(1, alpha) <= 0.815", 0.799, 0.815, False),
+    ("rho_c1_cap", "rho_c1(alpha) <= 4.656", None, 4.656, False),
+    ("rho0_probe_floor", "rho0({r}, alpha) >= 4.677", 4.677, None, False),
+    ("f3_floor", "f3(alpha, {r}) >= 0.021", 0.021, None, False),
+    ("m_2_cap", "m_2(alpha) < 2.806", None, 2.806, True),
+    ("m_eps0_floor", "m(eps_0(alpha)) > 2.806", 2.806, None, True),
+    ("m_eps1_floor", "m(eps_1(alpha)) > 2.806", 2.806, None, True),
 )
+
+
+def _out_of_range(name: str, probe: str, value: float) -> DomainError:
+    return DomainError(f"run_ledger: {name} is out of double range at {probe} = {value!r}")
 
 
 def run_ledger(
@@ -65,11 +73,12 @@ def run_ledger(
     alpha_max must lie in (0, 0.5], the domain of the comparison density
     rho0 that every grid point evaluates; anything else raises DomainError
     naming alpha_max before any point is computed, as do a grid that is
-    not an integer of at least 2 and a probe outside (0, inf).  The first
-    solver error of the walk propagates; an inequality that merely fails is
-    reported with "pass" false and the violating extreme.  Returns the dict
-    described by ledger_report in schemas/output.schema.json, which the
-    command line writes as is.
+    not an integer of at least 2 and a probe outside (0, inf); a probe that
+    takes a row out of double range raises DomainError naming the row and
+    the probe.  The first solver error of the walk propagates; an
+    inequality that merely fails is reported with "pass" false and the
+    violating extreme.  Returns the dict described by ledger_report in
+    schemas/output.schema.json, which the command line writes as is.
     """
     if not 0.0 < alpha_max <= 0.5:
         raise DomainError(f"run_ledger: alpha_max must lie in (0, 0.5], got {alpha_max}")
@@ -80,56 +89,51 @@ def run_ledger(
     if not 0.0 < r_probe < math.inf:
         raise DomainError(f"run_ledger: r_probe must lie in (0, inf), got {r_probe}")
 
-    keys = [row[2] for row in _CHECK_TABLE]
-    min_val = dict.fromkeys(keys, float("inf"))
-    max_val = dict.fromkeys(keys, float("-inf"))
-    min_at = dict.fromkeys(keys, 0.0)
-    max_at = dict.fromkeys(keys, 0.0)
+    # the running extremes of each row, by its position in _CHECK_TABLE,
+    # and the first alpha that reaches each
+    rows = len(_CHECK_TABLE)
+    min_val, max_val = [math.inf] * rows, [-math.inf] * rows
+    min_at, max_at = [0.0] * rows, [0.0] * rows
 
     alphas = (alpha_max * i / grid for i in range(1, grid + 1))
-    for k, _, (m_2, m_eps0, m_eps1), failures in walk(alphas, "run_ledger"):
+    for k, _, masses, failures in walk(alphas, "run_ledger"):
         if failures:
             raise failures[0]
         # one constants record per grid point serves every row, the Gamma
         # rows included, and the walk's three root solves
-        rho0_probe = k.rho0(r_probe)
-        d0 = k.c0(eps_probe)
-        values = {
-            "g2a": k.g2a,
-            "g2ah": k.g2ah,
-            "g3ah": k.g3ah,
-            "g1a": k.g1a,
-            "m_c1": k.m_c1,
-            "c0": d0,
-            "c3": k.c3(d0),
-            "f1": k.f1(eps_probe),
-            "c1": k.c1(d0),
-            "c2": k.c2,
-            "f2": k.f2(eps_probe),
-            "r_c1": k.r_c1,
-            "rho_c1": k.rho_c1,
-            "rho0_probe": rho0_probe,
-            "f3": rho0_probe - k.rho_c1,
-            "m_2": m_2,
-            "m_eps0": m_eps0,
-            "m_eps1": m_eps1,
-        }
+        try:
+            rho0_probe = k.rho0(r_probe)
+            d0 = k.c0(eps_probe)
+            values = (
+                k.g2a, k.g2ah, k.g3ah, k.g1a, k.m_c1,
+                d0, k.c3(d0), k.f1(eps_probe), k.c1(d0), k.c2, k.f2(eps_probe),
+                k.r_c1, k.rho_c1, rho0_probe, rho0_probe - k.rho_c1, *masses,
+            )
+        except OverflowError:  # r_probe^(2 - 2 alpha) in rho0
+            raise _out_of_range("rho0_probe_floor", "r_probe", r_probe) from None
+        except DomainError:  # delta_bound past double range, in C3
+            raise _out_of_range("c3_cap", "eps_probe", eps_probe) from None
         alpha = k.alpha
-        for key, value in values.items():
-            if value < min_val[key]:
-                min_val[key], min_at[key] = value, alpha
-            if value > max_val[key]:
-                max_val[key], max_at[key] = value, alpha
+        for i, value in enumerate(values):
+            if value < min_val[i]:
+                min_val[i], min_at[i] = value, alpha
+            if value > max_val[i]:
+                max_val[i], max_at[i] = value, alpha
 
     checks = []
-    for name, claim, key, lo, hi, strict in _CHECK_TABLE:
+    for i, (name, claim, lo, hi, strict) in enumerate(_CHECK_TABLE):
+        if not -math.inf < min_val[i] <= max_val[i] < math.inf:
+            # only a row that reads a probe can leave double range, and its
+            # claim names that probe
+            probe = ("eps_probe", eps_probe) if "{eps}" in claim else ("r_probe", r_probe)
+            raise _out_of_range(name, *probe)
         # (margin, attained, bound, worst_alpha) per given side; the
         # smaller margin is reported, lo on a tie (min keeps the first)
         sides = []
         if lo is not None:
-            sides.append((min_val[key] - lo, min_val[key], lo, min_at[key]))
+            sides.append((min_val[i] - lo, min_val[i], lo, min_at[i]))
         if hi is not None:
-            sides.append((hi - max_val[key], max_val[key], hi, max_at[key]))
+            sides.append((hi - max_val[i], max_val[i], hi, max_at[i]))
         margin, attained, bound, worst = min(sides, key=lambda side: side[0])
         checks.append(
             {

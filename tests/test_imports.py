@@ -1,7 +1,7 @@
 """Module boundaries of the package: no module imports another's private
-names, only thresholds passes a solve its previous roots, every public
-name has a caller or a README line, and importing the package loads none
-of the heavy standard modules."""
+names, only thresholds passes a solve its previous roots, splitting writes
+the density's power of n once, every public name has a caller or a README
+line, and importing the package loads none of the heavy standard modules."""
 
 import ast
 import json
@@ -43,6 +43,22 @@ def test_root_history_lives_in_thresholds():
             if isinstance(node, ast.Call):
                 found += [f"{path.name}:{node.lineno}" for kw in node.keywords if kw.arg == "_prev"]
     assert not found, found
+
+
+def test_density_is_written_once():
+    # splitting builds every density from _coeffs, the one place that
+    # raises n to (alpha - 2) / 2
+    found = []
+    tree = ast.parse((SRC / "splitting.py").read_text(encoding="utf-8"))
+    for func in tree.body:
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Pow)
+                and ast.unparse(node.right) == "(alpha - 2.0) / 2.0"
+            ):
+                found.append(getattr(func, "name", f"line {func.lineno}"))
+    assert found == ["_coeffs"], found
 
 
 def test_every_public_name_has_a_caller_or_a_readme_line():

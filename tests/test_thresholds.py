@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +323,14 @@ def test_delta_bound():
     for bad in (-1e-9, math.nan, math.inf):
         with pytest.raises(DomainError, match=r"^delta_bound: d must be nonnegative and finite"):
             delta_bound(bad)
+    # pi d (d + 2) overflows above about 1e154, and the cap itself above
+    # about 1e308; 1e200 used to return inf
+    with mpmath.workdps(40):
+        for d in (1e154, 1e200, 1e308):
+            want = mpmath.sqrt(mpmath.pi * d * (mpmath.mpf(d) + 2))
+            assert abs(delta_bound(d) - want) / want < 1e-15
+    with pytest.raises(DomainError, match=r"^delta_bound: the cap is out of double range at d = 1.7e\+308$"):
+        delta_bound(1.7e308)
 
 
 def test_c3_dominates_potential_slope():
@@ -411,10 +420,11 @@ HUGE_EPS_CASES = [
 
 
 @pytest.mark.parametrize("name, alpha", HUGE_EPS_CASES)
-@pytest.mark.parametrize("eps", [1e100, 1e200, 1e300, 1.7e308])
+@pytest.mark.parametrize("eps", [1e100, 1e200, 1e300, 8e307, 1.7e308])
 def test_huge_eps_is_finite_or_a_domain_error(name, alpha, eps):
     # c0(0.1, 1.7e308), c3(0.1, 1e200) and f1(0.01, 1e100) used to be inf,
-    # f2(0.5, 1.7e308) -inf, and c1(1.5, 1e300) raised a bare OverflowError
+    # f2(0.5, 1.7e308) -inf, and c1(1.5, 1e300) raised a bare OverflowError;
+    # at 8e307 C0 is finite but its delta_bound cap is not
     try:
         value = EPS_FUNCTIONS[name](eps, alpha)
     except DomainError as exc:

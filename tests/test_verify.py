@@ -2,14 +2,30 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from rieszdrop.errors import BracketError, DomainError
-from rieszdrop.splitting import r_cn
-from rieszdrop.thresholds import solve_r0
+from rieszdrop.specfun import gamma
+from rieszdrop.splitting import r_cn, rho_c1
+from rieszdrop.thresholds import (
+    c0,
+    c1,
+    c2,
+    c3,
+    f1,
+    f2,
+    m_c1,
+    m_of_eps,
+    rho0,
+    solve_eps0,
+    solve_eps1,
+    solve_m2,
+    solve_r0,
+)
 from rieszdrop.verify import f3, run_ledger
 
 CHECK_ORDER = (
@@ -109,6 +125,51 @@ def test_failure_reporting():
             assert c["margin"] <= 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alpha_max": 0.034, "grid": 50},
+        {"alpha_max": 0.05, "grid": 40},
+        {"alpha_max": 0.03, "grid": 30, "eps_probe": 0.5, "r_probe": 1.2},
+    ],
+)
+def test_each_row_is_its_claim_at_its_worst_alpha(kwargs):
+    # the ledger names a row only by its position, so pin each attained
+    # value to the public function its claim names, at its worst alpha:
+    # the closed forms bit for bit, the warm roots against cold solves
+    rep = run_ledger(**kwargs)
+    eps, r = rep["eps_probe"], rep["r_probe"]
+    closed = {
+        "gamma_2_minus_alpha": lambda a: gamma(2 - a),
+        "gamma_2_minus_half_alpha": lambda a: gamma(2 - a / 2),
+        "gamma_3_minus_half_alpha": lambda a: gamma(3 - a / 2),
+        "gamma_1_minus_alpha": lambda a: gamma(1 - a),
+        "m_c1_window": m_c1,
+        "c0_cap": lambda a: c0(a, eps),
+        "c3_cap": lambda a: c3(a, eps),
+        "f1_negative": lambda a: f1(a, eps),
+        "c1_floor": lambda a: c1(a, eps),
+        "c2_cap": c2,
+        "f2_floor": lambda a: f2(a, eps),
+        "r_c1_window": lambda a: r_cn(1, a),
+        "rho_c1_cap": rho_c1,
+        "rho0_probe_floor": lambda a: rho0(r, a),
+        "f3_floor": lambda a: f3(a, r),
+    }
+    warm = {
+        "m_2_cap": solve_m2,
+        "m_eps0_floor": lambda a: m_of_eps(solve_eps0(a), a),
+        "m_eps1_floor": lambda a: m_of_eps(solve_eps1(a), a),
+    }
+    assert set(closed) | set(warm) == set(CHECK_ORDER)
+    for c in rep["checks"]:
+        a = c["worst_alpha"]
+        if c["name"] in closed:
+            assert c["attained"] == closed[c["name"]](a), c["name"]
+        else:
+            assert rel(c["attained"], warm[c["name"]](a)) < 2e-12, c["name"]
+
+
 def test_f3_clearance():
     # stays above the ledger floor on the working range at the probe radius
     for k in range(1, 35):
@@ -166,6 +227,20 @@ def test_run_ledger_domain():
     for probe in ("eps_probe", "r_probe"):
         with pytest.raises(DomainError, match=rf"^run_ledger: {probe} must lie in \(0, inf\)"):
             run_ledger(grid=2, **{probe: math.inf})
+    # a finite probe that takes a row out of double range names the row and
+    # the probe; r_probe = 1e300 used to raise a bare OverflowError, and
+    # eps_probe = 1e200 to report infinite rows that JSON cannot hold
+    for row, probe, value in (
+        ("rho0_probe_floor", "r_probe", 1e300),
+        ("rho0_probe_floor", "r_probe", 1e-320),
+        ("f1_negative", "eps_probe", 1e200),
+        ("c3_cap", "eps_probe", 1.2e308),
+    ):
+        with pytest.raises(
+            DomainError,
+            match=rf"^run_ledger: {row} is out of double range at {probe} = {re.escape(repr(value))}$",
+        ):
+            run_ledger(grid=2, **{probe: value})
 
 
 def test_ledger_raises_the_first_solver_error():
