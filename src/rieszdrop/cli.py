@@ -141,10 +141,11 @@ def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
     """The sweep rows at alphas, in order; None marks an unsolved field.
 
     The rows are one thresholds.walk: from the third row on, each root
-    solve is warm-started from the same root in the previous two rows, and
-    an unsolved row starts that history over.  alpha = 0 has a closed-form
-    m_c1 but no solver thresholds.  Each unsolved row writes one stderr
-    line naming its alpha and every stage that failed.
+    solve is warm-started from a prediction by the same root in up to the
+    previous five rows, and an unsolved row starts that history over.
+    alpha = 0 has a closed-form m_c1 but no solver thresholds.  Each
+    unsolved row writes one stderr line naming its alpha and every stage
+    that failed.
     """
     # alpha lies in [0, 0.5] (_cmd_sweep checks the range and clamps)
     for k, _, masses, failures in walk(alphas, "sweep"):

@@ -28,17 +28,23 @@ monotonicity the formulas rely on is checked on every call.
 
 walk(alphas, stage) is the one grid walk: the ledger, the sweep rows and
 eval (a walk of one point) all take their roots (R_0, eps_0, eps_1) and
-masses from it.  It keeps the roots of the previous two points and
-warm-starts each solve from them: secant steps from the linear prediction,
-about 5.8 evaluations per root (17,370 for those 3,000, none falling back).
-A warm root is returned only if the objective changes sign between
-x (1 - rel_tol/2) and x (1 + rel_tol/2), so the true root lies within
-rel_tol/2 x of it, as for ITP; anything else falls back to the cold solve,
-with its bits and errors.  A point with an unsolved root starts the
-history over.  Every solve without two previous roots (eval, alpha_0, the
-public solve_* functions, a walk's first two points and the two after an
-unsolved one) is cold.  Results are bit-deterministic for identical
-inputs.
+masses from it.  It keeps each root at up to the previous five points and
+predicts the next one from them, then checks the prediction: R_0 by a
+cubic extrapolation, 4 r_-1 - 6 r_-2 + 4 r_-3 - r_-4, and eps_0 and eps_1
+by a quartic in 1/eps (eps grows like 1/alpha, which no polynomial in
+alpha extrapolates); lower orders while the history fills.  The warm solve
+evaluates the objective at p (1 -+ rel_tol/4) around the prediction p.
+On a sign change it returns the regula falsi point of that window, so the
+true root lies within rel_tol/2 x of it, as for ITP; otherwise it takes
+secant steps from the two window values, one evaluation each, and checks
+their result by the same window test.  Anything else falls back to the
+cold solve, with its bits and errors.  Along the default ledger grid that
+is 2 evaluations at 2,445 of its 2,994 warm roots and 7,777 in all, none
+falling back (secant steps from a linear prediction took 17,370).  A
+point with an unsolved root starts the history over.  Every solve without
+two previous roots (eval, alpha_0, the public solve_* functions, a walk's
+first two points and the two after an unsolved one) is cold.  Results are
+bit-deterministic for identical inputs.
 
 Everything above depends on alpha only through a handful of constants,
 kept in one record per exponent in two layers, each constant computed once
@@ -51,10 +57,11 @@ an objective reads its constants from the record on every solver step.
 
 Tolerances are fixed: every cold root solve stops at a bracket width of
 1e-12 relative, or raises ConvergenceError after 200 iterations; a warm
-one stops at a secant step of 1e-12 relative, or falls back after 8
-steps.  The one setting left to callers is the tolerance of the outer
-alpha_0 solve, which must be at least 2**-52 (MIN_REL_TOL), the relative
-spacing of doubles; below 1e-12 it tightens the inner solves with it.
+one returns from a window 5e-13 relative wide, stops its secant steps at
+a step of 1e-12 relative, or falls back after 8 steps.  The one setting
+left to callers is the tolerance of the outer alpha_0 solve, which must
+be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles; below
+1e-12 it tightens the inner solves with it.
 """
 
 from __future__ import annotations
@@ -91,7 +98,11 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
-_SECANT_STEPS = 8  # secant step budget of a warm start before the ITP fallback
+_WARM_STEPS = 8  # secant step budget of a warm solve before the ITP fallback
+# the roots a walk keeps for its predictions: a cubic for R_0, a quartic in
+# 1/eps for eps_0 and eps_1
+_R0_HISTORY = 4
+_EPS_HISTORY = 5
 
 
 def _not_finite(y: object, x: float) -> BracketError:
@@ -210,76 +221,93 @@ def _root(
     )
 
 
-def _secant(
+def _warm(
     f: Callable[[float], float],
     lo: float,
-    prev: tuple[float, float],
+    p: float,
     rel_tol: float,
     level: float,
 ) -> float | None:
-    """Root of f - level by secant steps from the two previous roots, or None.
+    """Root of f - level from a prediction p of it, or None.
 
-    prev = (r1, r2) holds the roots of the same objective at the previous
-    two points of a grid, the newest first.  The steps start from r1 and
-    the prediction 2 r1 - r2, and stop at the first step of at most
-    rel_tol x.  x is returned only if f - level changes sign between
-    x (1 - rel_tol/2) and x (1 + rel_tol/2), so the root lies within
-    rel_tol/2 x of it, as for _root; a point where f - level is exactly 0 is
-    returned as it is met.  None, for _root to solve cold, on a failed sign
-    test, an iterate at or below lo, a value that is not a finite float, a
-    flat secant, or _SECANT_STEPS steps with none small enough.
+    The window is p (1 -+ rel_tol/4), rel_tol/2 p wide.  Where f - level
+    changes sign across it, the regula falsi point of the window is
+    returned, clamped into it, so the root lies within the window's width
+    of the result, about rel_tol/2 x, as for _root.  Otherwise secant steps start from the two
+    window values, one evaluation each, up to the first step of at most
+    rel_tol x; its result is checked by the same window test, with no
+    steps after it.  A window end or an iterate where f - level is
+    exactly 0 is returned.  None, for _root to solve cold, on a failed
+    check, a window end or iterate at or below lo, a value that is not a
+    finite float, a flat secant, or _WARM_STEPS steps with none small
+    enough.
     """
     isfinite = math.isfinite
-    x0 = prev[0]
-    x1 = 2.0 * x0 - prev[1]
-    if not (x0 > lo and x1 > lo):
-        return None
-    y = f(x0)
-    if not (isinstance(y, float) and isfinite(y)):
-        return None
-    f0 = y - level
-    if f0 == 0.0:
-        return x0
-    y = f(x1)
-    if not (isinstance(y, float) and isfinite(y)):
-        return None
-    f1 = y - level
-    if f1 == 0.0:
-        return x1
-    for _ in range(_SECANT_STEPS):
-        if f1 == f0:
+    q = 0.25 * rel_tol
+    steps = _WARM_STEPS
+    while True:
+        a, b = p * (1.0 - q), p * (1.0 + q)
+        if not a > lo:
             return None
-        x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not x > lo:
+        ya, yb = f(a), f(b)
+        if not (isinstance(ya, float) and isfinite(ya) and isinstance(yb, float) and isfinite(yb)):
             return None
-        step = x - x1
-        if (step if step >= 0.0 else -step) <= rel_tol * x:
-            break
-        y = f(x)
-        if not (isinstance(y, float) and isfinite(y)):
+        fa, fb = ya - level, yb - level
+        if fa == 0.0:
+            return a
+        if fb == 0.0:
+            return b
+        if (fa > 0.0) != (fb > 0.0):
+            # fa and -fb share a sign, so the fraction lies in [0, 1]; the
+            # clamp guards its rounding
+            x = a + (b - a) * (fa / (fa - fb))
+            return a if x < a else b if x > b else x
+        if steps == 0:  # the secant steps' result failed its window test
             return None
-        x0, f0, x1, f1 = x1, f1, x, y - level
-        if f1 == 0.0:
-            return x
+        x0, f0, x1, f1 = a, fa, b, fb
+        while True:
+            if f1 == f0 or steps == 0:
+                return None
+            steps -= 1
+            x = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if not x > lo:
+                return None
+            step = x - x1
+            if (step if step >= 0.0 else -step) <= rel_tol * x:
+                break
+            y = f(x)
+            if not (isinstance(y, float) and isfinite(y)):
+                return None
+            x0, f0, x1, f1 = x1, f1, x, y - level
+            if f1 == 0.0:
+                return x
+        # check x by the same window test, with no secant steps after it
+        p, steps = x, 0
+
+
+def _extrapolate(h: list[float], inverse: bool = False) -> float | None:
+    """The next value of an evenly spaced sequence from its last values h, or None.
+
+    h holds up to five values, the newest first; the polynomial through
+    them is taken one step on, linear from two values up to a quartic from
+    five, and below two there is no prediction.  With inverse, h holds the
+    reciprocals of the sequence, and the reciprocal of their extrapolation
+    is returned, or None where that is not positive.
+    """
+    n = len(h)
+    if n < 2:
+        return None
+    if n == 2:
+        x = 2.0 * h[0] - h[1]
+    elif n == 3:
+        x = 3.0 * (h[0] - h[1]) + h[2]
+    elif n == 4:
+        x = 4.0 * (h[0] + h[2]) - 6.0 * h[1] - h[3]
     else:
-        return None
-    # the sign test, on the same footing as _root's bracket check
-    half = 0.5 * rel_tol
-    a = x * (1.0 - half)
-    y = f(a)
-    if not (isinstance(y, float) and isfinite(y)):
-        return None
-    fa = y - level
-    if fa == 0.0:
-        return a
-    b = x * (1.0 + half)
-    y = f(b)
-    if not (isinstance(y, float) and isfinite(y)):
-        return None
-    fb = y - level
-    if fb == 0.0:
-        return b
-    return x if (fa > 0.0) != (fb > 0.0) else None
+        x = 5.0 * (h[0] - h[3]) + 10.0 * (h[2] - h[1]) + h[4]
+    if inverse:
+        return 1.0 / x if x > 0.0 else None
+    return x
 
 
 def m_c1(alpha: float) -> float:
@@ -349,13 +377,18 @@ class AlphaConstants(DiskConstants):
         """C3 given C0 = d0."""
         return self.c3_lead * (1.0 + (2.0 / 3.0) * delta_bound(d0))
 
-    def f1(self, eps: float) -> float:
-        d0 = self.c0(eps)
-        d3 = self.c3(d0)
+    def f1(self, eps: float, d0: float | None = None, d3: float | None = None) -> float:
+        """F1 at eps, given C0 = d0 and C3 = d3 there where they are known."""
+        if d0 is None:
+            d0 = self.c0(eps)
+        if d3 is None:
+            d3 = self.c3(d0)
         return eps * d3 * (eps * d3 * d0 * (d0 + 2.0) + 2.0) - 1.0
 
-    def f2(self, eps: float) -> float:
-        d0 = self.c0(eps)
+    def f2(self, eps: float, d0: float | None = None) -> float:
+        """F2 at eps, given C0 = d0 there where it is known."""
+        if d0 is None:
+            d0 = self.c0(eps)
         return 1.0 / (1.0 + d0) + 2.0 * eps * (self.c1(d0) - self.c2)
 
     def rho0(self, r: float) -> float:
@@ -369,16 +402,16 @@ class AlphaConstants(DiskConstants):
         hi: float,
         rel_tol: float,
         level: float = 0.0,
-        prev: tuple[float, float] | None = None,
+        prev: float | None = None,
     ) -> float:
-        # a warm start from the two previous roots, if given; else, or if it
+        # a warm solve from the prediction prev, if given; else, or if it
         # fails its checks, cold ITP on the full bracket, with the same bits
         # and errors as without prev.  An objective that raises at a warm
-        # point (r^(2-2a) overflows far past R_0) fails the start like a
-        # value that is not finite
+        # point (r^(2-2a) overflows far past R_0) fails the warm solve like
+        # a value that is not finite
         if prev is not None:
             try:
-                x = _secant(f, lo, prev, rel_tol, level)
+                x = _warm(f, lo, prev, rel_tol, level)
             except (ArithmeticError, ValueError):
                 x = None
             if x is not None:
@@ -390,11 +423,11 @@ class AlphaConstants(DiskConstants):
             raise type(exc)(f"{name}(alpha={self.alpha}): {exc}") from None
 
     # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else;
-    # _prev, the same root at the previous two grid points (newest first),
-    # warm-starts a solve of walk
+    # _prev, a prediction of the root from the same root at the previous
+    # grid points, warm-starts a solve of walk
 
     def solve_r0(
-        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
     ) -> float:
         check_alpha(self.alpha, "rho0", 0.5)
         rc = self.r_c1
@@ -406,12 +439,12 @@ class AlphaConstants(DiskConstants):
         return math.pi * r0 * r0
 
     def solve_eps0(
-        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
     ) -> float:
         return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol, prev=_prev)
 
     def solve_eps1(
-        self, *, _rel_tol: float = 1e-12, _prev: tuple[float, float] | None = None
+        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
     ) -> float:
         check_alpha(self.alpha, "c3", 1.0, lo_open=True, hi_open=True)
         return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol, prev=_prev)
@@ -519,13 +552,13 @@ def f1(alpha: float, eps: float) -> float:
     """Rigidity objective eps C3 (eps C3 C0 (C0+2) + 2) - 1; increasing in eps."""
     k = _with_eps(alpha, eps)
     check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
-    return _in_range("f1", k, eps, lambda d0: k.f1(eps))
+    return _in_range("f1", k, eps, lambda d0: k.f1(eps, d0))
 
 
 def f2(alpha: float, eps: float) -> float:
     """Convexity objective 1/(1 + C0) + 2 eps (C1 - C2); decreasing from 1."""
     k = _with_eps(alpha, eps)
-    return _in_range("f2", k, eps, lambda d0: k.f2(eps))
+    return _in_range("f2", k, eps, lambda d0: k.f2(eps, d0))
 
 
 def _m_of_eps(eps: float, alpha: float) -> float:
@@ -571,10 +604,16 @@ def walk(
     stage; every other alpha tries all three solves.  failures lists the
     DomainError, BracketError or ConvergenceError of each unsolved root, in
     solve order, and an unsolved root and its mass are None.  From the
-    third point on, each solve is warm-started from the same root at the
-    previous two points; a point with a failure starts that history over.
+    third point on, each solve is warm-started from a prediction: the
+    polynomial through the same root at up to the previous four points
+    (R_0) or five (eps_0 and eps_1, in 1/eps), taken one step on.  A point
+    with a failure starts that history over.
     """
-    last = before = None  # the roots of the previous two points
+    # the roots at the previous points, newest first: R_0, and eps_0 and
+    # eps_1 as 1/eps, in which they extrapolate
+    h0: list[float] = []
+    h1: list[float] = []
+    h2: list[float] = []
     for alpha in alphas:
         k = AlphaConstants(alpha)
         r0 = eps0 = eps1 = m_2 = m_eps0 = m_eps1 = None
@@ -586,24 +625,28 @@ def walk(
         else:
             # the three solves written out, each with its mass: a loop over
             # them costs the ledger a few percent of its time
-            p0, p1, p2 = zip(last, before) if before is not None else (None, None, None)
             try:
-                r0 = k.solve_r0(_prev=p0)
+                r0 = k.solve_r0(_prev=_extrapolate(h0))
                 m_2 = math.pi * r0 * r0
             except (DomainError, BracketError, ConvergenceError) as exc:
                 failures.append(exc)
             try:
-                eps0 = k.solve_eps0(_prev=p1)
+                eps0 = k.solve_eps0(_prev=_extrapolate(h1, True))
                 m_eps0 = _m_of_eps(eps0, alpha)
             except (DomainError, BracketError, ConvergenceError) as exc:
                 failures.append(exc)
             try:
-                eps1 = k.solve_eps1(_prev=p2)
+                eps1 = k.solve_eps1(_prev=_extrapolate(h2, True))
                 m_eps1 = _m_of_eps(eps1, alpha)
             except (DomainError, BracketError, ConvergenceError) as exc:
                 failures.append(exc)
         yield k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures
-        last, before = (None, None) if failures else ((r0, eps0, eps1), last)
+        if failures:
+            h0, h1, h2 = [], [], []
+        else:
+            h0 = [r0, *h0[: _R0_HISTORY - 1]]
+            h1 = [1.0 / eps0, *h1[: _EPS_HISTORY - 1]]
+            h2 = [1.0 / eps1, *h2[: _EPS_HISTORY - 1]]
 
 
 _ALPHA0_BRACKET = (0.01, 0.10)

@@ -6,11 +6,12 @@ the fixed probes eps = 0.846 and R = 0.945.  run_ledger sweeps a uniform
 alpha grid, records the attained extreme of each quantity together with
 where it occurred, and compares against the claimed bound.  A failed check
 is a reported result, not an exception.  The grid is one thresholds.walk,
-which warm-starts each root solve from its roots at the previous two
-points; the first failed solve is raised.  Each point gives one tuple of
-the eighteen values in _CHECK_TABLE order, which is the only place a row
-is named; the running extremes are kept by row position as the walk
-streams, so no point is stored.
+which warm-starts each root solve from a prediction by its roots at the
+previous points; the first failed solve is raised.  Each point gives one
+tuple of the eighteen values in _CHECK_TABLE order, which is the only
+place a row is named; the running extremes are kept by row position as the
+walk streams, so no point is stored.  C0 and C3 at the eps probe are
+computed once per point and passed to F1 and F2.
 
 This is a floating-point grid check, not certified interval arithmetic;
 the attained margins (smallest around 8e-5) sit far above double-precision
@@ -104,9 +105,10 @@ def run_ledger(
         try:
             rho0_probe = k.rho0(r_probe)
             d0 = k.c0(eps_probe)
+            d3 = k.c3(d0)
             values = (
                 k.g2a, k.g2ah, k.g3ah, k.g1a, k.m_c1,
-                d0, k.c3(d0), k.f1(eps_probe), k.c1(d0), k.c2, k.f2(eps_probe),
+                d0, d3, k.f1(eps_probe, d0, d3), k.c1(d0), k.c2, k.f2(eps_probe, d0),
                 k.r_c1, k.rho_c1, rho0_probe, rho0_probe - k.rho_c1, *masses,
             )
         except OverflowError:  # r_probe^(2 - 2 alpha) in rho0

@@ -48,22 +48,6 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def evals(monkeypatch):
-    count = [0]
-
-    def counting(fn):
-        def wrapper(self, x):
-            count[0] += 1
-            return fn(self, x)
-
-        return wrapper
-
-    for name in ("f1", "f2", "rho0"):
-        monkeypatch.setattr(AlphaConstants, name, counting(getattr(AlphaConstants, name)))
-    return count
-
-
 def test_alpha_constants_are_set_once(calls):
     # construction computes every constant: 4 Gamma values and r_cn(1);
     # reading them again computes nothing, since the record is plain data
@@ -204,8 +188,9 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys, tmp_path):
 
 # Bisection needs about 44 objective evaluations per root on these
 # brackets; cold ITP needs about 11.  Along a grid, a solve warm-started
-# from the previous two roots needs about 6, the sign test included.  The
-# bounds sit well below bisection's counts.
+# from a prediction of its root by the previous roots needs 2 where the
+# prediction's window holds the root, and about 2.6 on average along the
+# ledger grid.  The bounds sit well below bisection's counts.
 
 
 def test_threshold_sample_objective_evals(evals, tmp_path):
@@ -216,11 +201,12 @@ def test_threshold_sample_objective_evals(evals, tmp_path):
 
 def test_ledger_objective_evals_per_point(evals):
     # 3 root solves and 3 probes per point: 134.6 with bisection, 39.0 with
-    # cold ITP, 24.36 warm-started from the third point on (the measured
-    # count)
+    # cold ITP, 24.36 with secant steps from a linear prediction from the
+    # third point on, and 20.78 from a cubic or quartic prediction (the
+    # measured count)
     grid = 50
     run_ledger(grid=grid)
-    assert evals[0] <= 1_218
+    assert evals[0] <= 1_039
 
 
 def test_alpha0_objective_evals(evals):
@@ -270,10 +256,11 @@ def test_ledger_no_root_stalls(root_evals):
 
 
 def test_ledger_warm_start_evals(evals, root_evals):
-    # run_ledger warm-starts every solve from the third point on: 17,370
-    # root evaluations where the cold grid takes 32,443, plus 3 probes per
-    # point.  Only the first two points run _root (6 cold solves), so no
-    # warm start falls back (pinned exactly, as above)
+    # run_ledger warm-starts every solve from the third point on: 7,777
+    # root evaluations where the cold grid takes 32,443 and secant steps
+    # from a linear prediction took 17,370, plus 3 probes per point.  Only
+    # the first two points run _root (6 cold solves), so no warm solve
+    # falls back (pinned exactly, as above)
     run_ledger(0.032, grid=1000)
     assert len(root_evals) == 6
-    assert evals[0] == 3 * 1000 + 17_370
+    assert evals[0] == 3 * 1000 + 7_777

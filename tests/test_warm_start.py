@@ -1,12 +1,15 @@
 """Warm-started root solves along the ledger and sweep grids.
 
 From the third grid point on, run_ledger and the sweep rows pass each
-solve the same root at the previous two points.  The solve takes secant
-steps from the linear prediction and keeps the result only if the
-objective changes sign across x (1 -+ rel_tol/2); anything else falls
-back to the cold ITP solve, which runs thresholds._root, so wrapping
-_root shows every fallback.  A warm root is not the cold root's bits, but
-it carries the same guarantee: the true root lies within rel_tol/2 x.
+solve a prediction of its root: the polynomial through the same root at
+up to the previous four points (R_0) or five (eps_0 and eps_1, in 1/eps),
+taken one step on.  The solve evaluates the objective at the ends of the
+window p (1 -+ rel_tol/4); on a sign change it returns the window's regula
+falsi point, and otherwise it takes secant steps from the two window values
+and checks their result by the same window test.  Anything else falls back
+to the cold ITP solve, which runs thresholds._root, so wrapping _root
+shows every fallback.  A warm root is not the cold root's bits, but it
+carries the same guarantee: the true root lies within rel_tol/2 x.
 """
 
 import math
@@ -32,7 +35,7 @@ def objective(name, alpha):
 
 @pytest.fixture
 def warm_roots(monkeypatch):
-    """(solve, alpha, root) of every solve given two previous roots."""
+    """(solve, alpha, root) of every solve given a prediction."""
     found = []
     for name in COLD:
         solve = getattr(AlphaConstants, name)
@@ -91,6 +94,35 @@ def test_sweep_warm_roots_match_cold(lo, warm_roots, cold_solves):
     assert_warm_roots_hold(warm_roots)
 
 
+def sweep(lo, hi, steps):
+    # the sweep command's grid, unclamped
+    return lambda: list(cli._sweep_rows(lo + (hi - lo) * i / (steps - 1) for i in range(steps)))
+
+
+# (run, objective evaluations with secant steps from a linear prediction):
+# a cubic or quartic prediction takes no more on a coarse grid, where its
+# extrapolation error is largest.  The 11-row sweep ends at
+# 0.5000000000000001, which is unsolved
+COARSE_GRIDS = {
+    "ledger-0.032-50": (lambda: run_ledger(0.032, grid=50), 1_212),
+    "ledger-0.034-10": (lambda: run_ledger(0.034, grid=10), 277),
+    "ledger-0.5-20": (lambda: run_ledger(0.5, grid=20), 530),
+    "ledger-0.5-200": (lambda: run_ledger(0.5, grid=200), 4_371),
+    "ledger-0.1-1000": (lambda: run_ledger(0.1, grid=1000), 19_779),
+    "sweep-0.005-0.405-201": (sweep(0.005, 0.405, 201), 3_787),
+    "sweep-0.0001-0.5-11": (sweep(0.0001, 0.5, 11), 282),
+    "sweep-0.0001-0.5-101": (sweep(0.0001, 0.5, 101), 2_107),
+}
+
+
+@pytest.mark.parametrize("shape", COARSE_GRIDS)
+def test_coarse_grids_take_no_more_evals(shape, evals, warm_roots, capsys):
+    run, linear = COARSE_GRIDS[shape]
+    run()
+    assert evals[0] <= linear
+    assert_warm_roots_hold(warm_roots)
+
+
 def test_unsolved_sweep_row_restarts_the_history(warm_roots, capsys):
     # alpha = 0 is unsolved, so rows 1 and 2 solve cold and row 3 is warm
     rows = list(cli._sweep_rows([0.0, 0.01, 0.02, 0.03]))
@@ -104,18 +136,20 @@ def test_unsolved_sweep_row_restarts_the_history(warm_roots, capsys):
 
 ALPHA = 0.034
 BAD_PREDICTIONS = {
-    # the prediction 2 r1 - r2 lies 199 roots out: the steps miss the budget
-    # or the sign test
-    "far past the root": lambda x: (100.0 * x, x),
+    # 199 roots out, where the linear prediction from (100 x, x) lay: the
+    # secant steps spend their budget
+    "far past the root": lambda x: 199.0 * x,
     # a falling history predicts a negative root, below the bracket
-    "wrong side of the bracket": lambda x: (0.5 * x, 1.5 * x),
-    "below lo": lambda x: (1e-7, 1.0),
+    "wrong side of the bracket": lambda x: -0.5 * x,
+    "below lo": lambda x: 1e-7,
     # rho0 raises OverflowError there, and f1, f2 are not finite
-    "overflowing": lambda x: (1e300, 1.0),
-    "nan": lambda x: (math.nan, 1.0),
-    "inf": lambda x: (math.inf, 1.0),
-    # a flat secant: the prediction is r1 itself
-    "flat": lambda x: (x, x),
+    "overflowing": lambda x: 1e300,
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    # f1 and f2 read the same value at both ends of the window there, a flat
+    # secant; rho0 - rho_c1 has no flat window above r_c1, and 2e-6 lies
+    # below it
+    "flat": lambda x: 2e-6,
 }
 
 
@@ -129,27 +163,35 @@ def test_bad_prediction_falls_back_to_cold_bits(name, case, cold_solves):
     assert cold_solves[0] == 1
 
 
+def test_flat_prediction_is_flat():
+    # the "flat" case above: both ends of the window read the same value
+    k, q = AlphaConstants(ALPHA), REL_TOL / 4
+    for f in (k.f1, k.f2):
+        assert f(2e-6 * (1.0 - q)) == f(2e-6 * (1.0 + q))
+
+
 def test_failed_sign_test_falls_back_with_the_same_error():
-    # f - level is positive everywhere, and the secant stops at 1 where it
-    # is 1e-300: the sign test rejects 1, and the cold solve raises the
-    # BracketError it raises without a prediction
+    # f - level is positive everywhere, and the secant steps from the
+    # window around 2.5 stop near 1, where it is 1e-300: the window test
+    # there fails, and the cold solve raises the BracketError it raises
+    # without a prediction
     def f(x):
         return max(x - 1.0, 0.0) + 1e-300
 
-    assert thresholds._secant(f, 0.5, (2.0, 1.5), REL_TOL, 0.0) is None
+    assert thresholds._warm(f, 0.5, 2.5, REL_TOL, 0.0) is None
     k = AlphaConstants(ALPHA)
     with pytest.raises(BracketError) as cold:
         k._solve("probe", f, 0.5, 4.0, REL_TOL)
     with pytest.raises(BracketError) as warm:
-        k._solve("probe", f, 0.5, 4.0, REL_TOL, prev=(2.0, 1.5))
+        k._solve("probe", f, 0.5, 4.0, REL_TOL, prev=2.5)
     assert str(warm.value) == str(cold.value)
 
 
 def test_iterate_below_lo_falls_back():
     # f has roots at 0.2, below the bracket [1, 4], and near 1.709.  The
-    # secant from (1.1, 1.05) jumps to about -0.48, then lands on 0.2,
-    # which passes the sign test; stopping at the first iterate below lo
-    # keeps the root in the bracket
+    # secant from the window around 1.05 jumps to about -0.15, then lands
+    # on 0.2, which passes the window test; stopping at the first iterate
+    # below lo keeps the root in the bracket
     def f(x):
         if x < 1.0:
             return x - 0.2
@@ -159,15 +201,25 @@ def test_iterate_below_lo_falls_back():
     k = AlphaConstants(ALPHA)
     cold = k._solve("probe", f, 1.0, 4.0, REL_TOL)
     assert abs(cold - 1.709) < 1e-3
-    assert k._solve("probe", f, 1.0, 4.0, REL_TOL, prev=(1.1, 1.15)).hex() == cold.hex()
+    assert k._solve("probe", f, 1.0, 4.0, REL_TOL, prev=1.05).hex() == cold.hex()
 
 
 def test_exact_zero_is_a_root():
-    # f - level is exactly 0 at the prediction 3.0; it is returned as met
-    def f(x):
-        return x - 1.0
+    # f - level is exactly 0 at and below 3; a window end or a secant
+    # iterate where it is 0 is returned as it is met
+    seen = []
 
-    assert thresholds._secant(f, 0.5, (2.5, 2.0), REL_TOL, 2.0) == 3.0
+    def f(x):
+        seen.append(x)
+        return max(x, 3.0) - 1.0
+
+    # the lower end of the window around 2.5
+    assert thresholds._warm(f, 0.5, 2.5, REL_TOL, 2.0) == 2.5 * (1.0 - REL_TOL / 4)
+    assert len(seen) == 2
+    # the first secant step from the window around 4 lands on 3
+    seen.clear()
+    assert thresholds._warm(f, 0.5, 4.0, REL_TOL, 2.0) == 3.0
+    assert seen[-1] == 3.0 and len(seen) == 3
 
 
 @pytest.mark.parametrize("alpha_max", [0.030, 0.032, 0.034])
