@@ -33,11 +33,26 @@ where the interpolation bridge takes over.  disk_potential hands the
 transformation 1 - z as (r - 1)(r + 1) / r^2 or (1 - r)(1 + r), free of
 cancellation, which keeps it within about 5e-15 of mpmath at r = 1 - 1e-8
 and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.
+
+Series memo.  The term ratios (a+k)(b+k)/((c+k)(1+k)) of a series depend
+only on its parameters (a, b, c), which every radius of a potential profile
+at one exponent shares.  For the last 16 parameter sets summed, keyed by
+(a, b, c), the module keeps the leading ratios, at most 256 per set, as an
+immutable tuple; a new set evicts the oldest one (first in, first out).  A
+series multiplies through the stored ratios and computes only those past
+them, then replaces the entry with a longer tuple.  A hit and a miss do the
+same floating-point operations in the same order, so they give the same
+bits, and the term cap counts stored terms like computed ones.  A series
+whose partial sum leaves the finite doubles raises DomainError when it
+stops or by its 257th term, rather than summing on to the cap.  The
+interpolation bridge sums 20 parameter sets per call, more than the memo
+holds, so its series miss every time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 from .errors import ConvergenceError, DomainError
 
@@ -49,10 +64,16 @@ __all__ = [
 ]
 
 # Every series stops once its next term is below _TERM_TOL times the partial
-# sum, and raises ConvergenceError after _MAX_TERMS terms, including each
-# series of the z > 0.75 transformation.
+# sum, and raises ConvergenceError after _MAX_TERMS terms, remembered ones
+# included, in each series of the z > 0.75 transformation too.
 _TERM_TOL = 1e-16
 _MAX_TERMS = 1_000_000
+
+# The series memo (see the module docstring): (a, b, c) -> the leading term
+# ratios, oldest key first
+_MEMO_KEYS = 16
+_MEMO_RATIOS = 256
+_ratios: OrderedDict[tuple[float, float, float], tuple[float, ...]] = OrderedDict()
 
 
 def gamma(x: float) -> float:
@@ -79,20 +100,80 @@ def _gamma_real(x: float) -> float:
 
 def _series(a: float, b: float, c: float, z: float) -> float:
     # plain power series with the term-ratio stopping rule; c may be any
-    # real that is not a non-positive integer here (internal use)
-    tol, max_terms = _TERM_TOL, _MAX_TERMS
-    s = 1.0
-    term = 1.0
-    k = 0
-    while k < max_terms:
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-        if abs(term) < tol * abs(s):
+    # real that is not a non-positive integer here (internal use).  The
+    # term ratios come from the memo as far as it reaches; a hit and a miss
+    # multiply the same ratios in the same order, so they give the same bits
+    known = _ratios.get((a, b, c), ())
+    if len(known) > _MAX_TERMS:
+        known = known[:_MAX_TERMS]
+    tol = _TERM_TOL
+    s = term = 1.0
+    lim = tol
+    for ratio in known:
+        term *= ratio * z
+        if -lim < term < lim:
+            break
+        s += term
+        lim = tol * abs(s)
+    else:
+        s = _series_past(a, b, c, z, known, s, term, lim)
+    if not math.isfinite(s):
+        raise _overflow(a, b, c, z)
+    return s
+
+
+def _series_past(
+    a: float, b: float, c: float, z: float, known: tuple, s: float, term: float, lim: float
+) -> float:
+    # the terms of _series past its known ratios, given the partial sum s,
+    # the last term and lim = _TERM_TOL * |s|.  The ratios up to
+    # _MEMO_RATIOS go to the memo; past them each term also checks that s
+    # is finite.  The bounds are floats, as k is, for a fast comparison
+    tol, max_terms = _TERM_TOL, float(_MAX_TERMS)
+    stop = min(max_terms, float(_MEMO_RATIOS))
+    k = float(len(known))
+    fresh = []
+    while k < stop:
+        ratio = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+        fresh.append(ratio)
+        term *= ratio * z
+        if -lim < term < lim:
+            _remember((a, b, c), known + tuple(fresh))
             return s
         s += term
-        k += 1
+        lim = tol * abs(s)
+        k += 1.0
+    if fresh:
+        _remember((a, b, c), known + tuple(fresh))
+    while k < max_terms:
+        if not math.isfinite(s):
+            raise _overflow(a, b, c, z)
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
+        if -lim < term < lim:
+            return s
+        s += term
+        lim = tol * abs(s)
+        k += 1.0
     raise ConvergenceError(
-        f"hyp2f1 series did not converge within {max_terms} terms "
+        f"hyp2f1 series did not converge within {_MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, z={z})"
+    )
+
+
+def _remember(key: tuple, ratios: tuple) -> None:
+    # a stored tuple is never mutated, only replaced, and a replaced key
+    # keeps its place; the oldest keys are evicted.  Each OrderedDict call
+    # is atomic under the interpreter lock, so threads need no lock of
+    # their own: a store that two threads race on holds either tuple, and
+    # the memo is back to _MEMO_KEYS keys once every store has returned
+    _ratios[key] = ratios
+    while len(_ratios) > _MEMO_KEYS:
+        _ratios.popitem(last=False)
+
+
+def _overflow(a: float, b: float, c: float, z: float) -> DomainError:
+    return DomainError(
+        f"hyp2f1 series: the partial sum left the finite doubles (a={a}, b={b}, c={c}, z={z})"
     )
 
 
@@ -106,7 +187,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     however close z is to 1.  When c - a - b lies within 1e-3 of an
     integer, where that transformation degenerates, it is evaluated at ten
     shifted values of b and interpolated back (see _bridge).  A series that
-    has not converged after 1,000,000 terms raises ConvergenceError.
+    has not converged after 1,000,000 terms, remembered ones included,
+    raises ConvergenceError; one whose partial sum overflows to an infinity
+    or NaN raises DomainError naming a, b, c and z.  The term ratios of the
+    last 16 parameter sets summed are remembered (see the module docstring);
+    a value is the same to the bit whether they were or not.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError(f"hyp2f1: a, b and c must be finite, got {a}, {b}, {c}")

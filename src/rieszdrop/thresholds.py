@@ -386,7 +386,16 @@ class AlphaConstants(DiskConstants):
         return eps * d3 * (eps * d3 * d0 * (d0 + 2.0) + 2.0) - 1.0
 
     def f2(self, eps: float, d0: float | None = None) -> float:
-        """F2 at eps, given C0 = d0 there where it is known."""
+        """F2 at eps, given C0 = d0 there where it is known.
+
+        F2 subtracts two values near pi and scales the difference by 2 eps,
+        so near eps_0 at small alpha it moves in steps of about 3e-14.  At
+        alpha = 0.0032, with eps_0 the point where F2 changes sign,
+        F2(eps_0 (1 + j 1e-15)) drops from about -2.4e-14 to -5.7e-14
+        between j = 24 and j = 25.  So eps_0 is defined there only to about
+        7e-14 relative, which is inside the warm solves' window; a form of
+        C1 - C2 free of that cancellation would define it more tightly.
+        """
         if d0 is None:
             d0 = self.c0(eps)
         return 1.0 / (1.0 + d0) + 2.0 * eps * (self.c1(d0) - self.c2)

@@ -11,6 +11,7 @@ flake the way timings do.
 """
 
 import sys
+from collections import OrderedDict
 
 import pytest
 
@@ -184,6 +185,25 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert codes == [0, 0, 1, 0, 0]
     assert built[0] == 6
+
+
+def test_potential_profile_reuses_its_series_ratios(monkeypatch):
+    # a 70-radius disk_potential profile at one exponent, in the shape of
+    # the potential benchmark's: its parameter sets share their series term
+    # ratios across radii, so a second pass finds every ratio in the memo
+    # and replaces no entry with a longer one.  The first pass sums 1,655
+    # terms from 229 ratios, one per term before the memo (pinned exactly)
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    alpha = 0.5
+    rs = [3.0 * (i - 0.5) / 60 for i in range(1, 61)]
+    rs += [1.0 + s * d for d in (1e-1, 1e-2, 1e-3, 1e-4, 1e-8) for s in (-1.0, 1.0)]
+    first = [specfun.disk_potential(r, alpha) for r in rs]
+    memo = dict(specfun._ratios)
+    assert len(memo) == 6
+    assert sum(map(len, memo.values())) == 229
+    assert [specfun.disk_potential(r, alpha) for r in rs] == first
+    assert specfun._ratios.keys() == memo.keys()
+    assert all(specfun._ratios[key] is ratios for key, ratios in memo.items())
 
 
 # Bisection needs about 44 objective evaluations per root on these

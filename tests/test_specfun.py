@@ -2,7 +2,11 @@
 
 import math
 import random
+import sys
+import threading
 import time
+import tracemalloc
+from collections import OrderedDict
 
 import mpmath
 import pytest
@@ -146,6 +150,156 @@ def test_hyp2f1_series_cap(monkeypatch):
         hyp2f1(0.3, 0.4, 1.2, 0.7)
 
 
+def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
+    # the memo holds more than 3 ratios for these parameters once they
+    # have been summed; the cap still counts every term from the first
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    hyp2f1(0.3, 0.4, 1.2, 0.7)
+    assert len(specfun._ratios[(0.3, 0.4, 1.2)]) > 3
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+    with pytest.raises(ConvergenceError):
+        hyp2f1(0.3, 0.4, 1.2, 0.7)
+
+
+# each term or partial sum leaves the finite doubles and never comes back;
+# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s
+OVERFLOW_PROBES = (
+    (1e308, 1e308, 1.0, 0.5),
+    (300.0, 300.0, 1.0, 0.75),
+    (1e154, 1e154, 1.0, 0.5),
+    (-1e5, 3.0, 1.0, 0.7),
+)
+
+
+def test_hyp2f1_overflow_fails_promptly():
+    for a, b, c, z in OVERFLOW_PROBES:
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError) as info:
+                hyp2f1(a, b, c, z)
+            best = min(best, time.perf_counter() - t0)
+        assert f"a={a}, b={b}, c={c}, z={z}" in str(info.value)
+        assert best < 0.01, (a, b, c, z)
+
+
+def reference_ratios(a, b, c, n):
+    return tuple((a + k) * (b + k) / ((c + k) * (1.0 + k)) for k in map(float, range(n)))
+
+
+def assert_memo_holds_true_ratios():
+    assert len(specfun._ratios) <= specfun._MEMO_KEYS
+    for (a, b, c), ratios in specfun._ratios.items():
+        assert 0 < len(ratios) <= specfun._MEMO_RATIOS
+        assert ratios == reference_ratios(a, b, c, len(ratios)), (a, b, c)
+
+
+def test_series_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    rng = random.Random(SEED)
+    for _ in range(10_000):
+        hyp2f1(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 4.0), 0.75)
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 300)
+    with pytest.raises(ConvergenceError):
+        hyp2f1(150.0, 150.0, 1.0, 0.75)
+    assert_memo_holds_true_ratios()
+    # this series sums 1,518 terms: a call holds at most _MEMO_RATIOS of
+    # their ratios (about 11 KB traced at peak, 60 KB when it held them all)
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    tracemalloc.start()
+    try:
+        hyp2f1(150.0, 150.0, 1.0, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000
+    assert len(specfun._ratios[(150.0, 150.0, 1.0)]) == specfun._MEMO_RATIOS
+    assert_memo_holds_true_ratios()
+
+
+def test_series_memo_evicts_the_oldest_set(monkeypatch):
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    params = [(0.5, 0.1 * j, 1.0) for j in range(1, specfun._MEMO_KEYS + 2)]
+    for p in params:
+        hyp2f1(*p, 0.5)
+    # a longer series of a held set replaces its tuple in place
+    hyp2f1(*params[1], 0.75)
+    assert list(specfun._ratios) == params[1:]
+
+
+# a profile at a generic exponent and one in the degenerate band, whose
+# interpolation bridge sums 20 parameter sets and so cycles the memo
+THREAD_ALPHAS = (0.5, 1.0005)
+THREAD_RADII = [0.05 * k for k in range(61)] + [1.0 - 1e-8, 1.0 + 1e-8]
+
+
+def test_series_memo_is_thread_safe(monkeypatch):
+    calls = [(r, alpha) for alpha in THREAD_ALPHAS for r in THREAD_RADII]
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    serial = [disk_potential(r, alpha) for r, alpha in calls]
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    results = {}
+
+    def work(n):
+        results[n] = [disk_potential(r, alpha) for _ in range(3) for r, alpha in calls]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {n: serial * 3 for n in range(4)}
+    assert_memo_holds_true_ratios()
+
+
+class Interrupt(Exception):
+    pass
+
+
+class InterruptingZ(float):
+    # z that raises at its n-th product with a term ratio, the way a
+    # latency limit's SIGALRM handler can raise at any point of a series
+    def __new__(cls, value, n):
+        z = super().__new__(cls, value)
+        z.left = n
+        return z
+
+    def __rmul__(self, ratio):
+        self.left -= 1
+        if self.left == 0:
+            raise Interrupt
+        return ratio * float(self)
+
+
+def test_series_memo_survives_an_interrupted_series(monkeypatch):
+    # an exception at each term in turn, while a shorter series of the same
+    # parameters has filled the memo part of the way
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    params = [(0.25, 0.25, 2.0), (-0.75, 0.25, 1.0), (0.3, 0.4, 1.2)]
+    want = {p: hyp2f1(*p, 0.75) for p in params}
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    for p in params:
+        n = 0
+        while True:
+            n += 1
+            hyp2f1(*p, 0.005 * n)
+            try:
+                got = hyp2f1(*p, InterruptingZ(0.75, n))
+            except Interrupt:
+                assert_memo_holds_true_ratios()
+                continue
+            assert got == want[p]
+            break
+        assert n > 30, p
+
+
 @given(
     st.floats(min_value=-2.0, max_value=2.0),
     st.floats(min_value=-2.0, max_value=2.0),
@@ -189,19 +343,36 @@ PROMPT_ALPHAS = (1e-9, 0.034, 0.999, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.001, 1.97,
 PROMPT_ZS = (0.76, 0.9, 0.99, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 2.0**-52)
 
 
-def test_hyp2f1_degenerate_band_is_prompt(monkeypatch):
+def assert_degenerate_band_is_prompt(monkeypatch, warm):
     # counted in series terms, not time: each transformation series
     # converges with ratio below 1/4, while a plain series in z needs up to
-    # 32M terms this close to z = 1
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 500)
+    # 32M terms this close to z = 1.  warm: each capped call follows the
+    # same call without the cap, whose ratios the memo then holds
+    cap = specfun._MAX_TERMS
+
+    def capped(fn, *args):
+        if warm:
+            monkeypatch.setattr(specfun, "_MAX_TERMS", cap)
+            fn(*args)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 500)
+        return fn(*args)
+
     for alpha in PROMPT_ALPHAS:
         for a, b, c in ((alpha / 2.0, alpha / 2.0, 2.0), ((alpha - 2.0) / 2.0, alpha / 2.0, 1.0)):
             for z in PROMPT_ZS:
                 want = float(mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), c, mpmath.mpf(z)))
-                assert rel(hyp2f1(a, b, c, z), want) <= 1e-10, (alpha, c, z)
+                assert rel(capped(hyp2f1, a, b, c, z), want) <= 1e-10, (alpha, c, z)
         for r in (1.0 - 1e-8, 1.0 + 1e-8):
             want = vb_reference(r, alpha)
-            assert rel(disk_potential(r, alpha), want) <= 1e-12, (alpha, r)
+            assert rel(capped(disk_potential, r, alpha), want) <= 1e-12, (alpha, r)
+
+
+def test_hyp2f1_degenerate_band_is_prompt(monkeypatch):
+    assert_degenerate_band_is_prompt(monkeypatch, warm=False)
+
+
+def test_hyp2f1_degenerate_band_is_prompt_from_a_warm_memo(monkeypatch):
+    assert_degenerate_band_is_prompt(monkeypatch, warm=True)
 
 
 def test_disk_potential_center_value():
