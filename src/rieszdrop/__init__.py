@@ -22,12 +22,7 @@ bit-for-bit across runs.  The command line tool is `rieszdrop`.
 """
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .specfun import (
-    disk_potential,
-    disk_potential_max_slope,
-    gamma,
-    hyp2f1,
-)
+from .specfun import disk_potential, gamma, hyp2f1
 from .splitting import (
     envelope_rows,
     r_cn,
@@ -42,6 +37,7 @@ from .thresholds import (
     c2,
     c3,
     delta_bound,
+    disk_potential_max_slope,
     f1,
     f2,
     m_at_crossing,

@@ -20,6 +20,10 @@ slope sits at r = 1:
 
     max |v'(r)| = pi alpha (2-alpha) Gamma(1-alpha) / (2 Gamma(2-alpha/2)^2).
 
+That slope is computed in thresholds (disk_potential_max_slope), as the
+lead of the slope constant C3 over pi, so the Gamma product is written
+once and its Gamma values come from the per-exponent record.
+
 Accuracy notes.  gamma is the standard library's math.gamma (CPython's own
 C code, about 1e-15 relative error against a 30-digit reference).  hyp2f1
 targets <= 1e-10 relative error on the parameter sets used by the potential
@@ -44,7 +48,9 @@ them, then replaces the entry with a longer tuple.  A hit and a miss do the
 same floating-point operations in the same order, so they give the same
 bits, and the term cap counts stored terms like computed ones.  A series
 whose partial sum leaves the finite doubles raises DomainError when it
-stops or by its 257th term, rather than summing on to the cap.  The
+stops or by its 257th term, rather than summing on to the cap; a
+terminating series whose partial sum is exactly 0, such as
+2F1(-1, 2; 1; 1/2), returns it by its 257th term in the same way.  The
 interpolation bridge sums 20 parameter sets per call, more than the memo
 holds, so its series miss every time.
 """
@@ -60,7 +66,6 @@ __all__ = [
     "gamma",
     "hyp2f1",
     "disk_potential",
-    "disk_potential_max_slope",
 ]
 
 # Every series stops once its next term is below _TERM_TOL times the partial
@@ -148,6 +153,10 @@ def _series_past(
     while k < max_terms:
         if not math.isfinite(s):
             raise _overflow(a, b, c, z)
+        if term == 0.0:
+            # a zero term was summed only where lim is 0 (s at or next to
+            # 0); every later term is 0 too, so the sum is final
+            return s
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         if -lim < term < lim:
             return s
@@ -180,9 +189,10 @@ def _overflow(a: float, b: float, c: float, z: float) -> DomainError:
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) on z in [0, 1].
 
-    a, b and c must be finite and c positive.  z = 1 requires c - a - b > 0
-    and is summed in closed form (Gauss).  For z <= 0.75 the power series
-    in z is summed.  For z > 0.75 the linear transformation to 1 - z is
+    a, b, c and c - a - b must be finite (a DomainError names a, b, c and
+    z otherwise) and c positive.  z = 1 requires c - a - b > 0 and is
+    summed in closed form (Gauss).  For z <= 0.75 the power series in z is
+    summed.  For z > 0.75 the linear transformation to 1 - z is
     used, whose two series converge geometrically with ratio below 1/4
     however close z is to 1.  When c - a - b lies within 1e-3 of an
     integer, where that transformation degenerates, it is evaluated at ten
@@ -193,8 +203,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     last 16 parameter sets summed are remembered (see the module docstring);
     a value is the same to the bit whether they were or not.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"hyp2f1: a, b and c must be finite, got {a}, {b}, {c}")
+    # c - a - b is finite only if a, b and c are, and the transformation
+    # to 1 - z rounds it
+    if not math.isfinite(c - a - b):
+        raise DomainError(
+            f"hyp2f1: a, b, c and c - a - b must be finite (a={a}, b={b}, c={c}, z={z})"
+        )
     if not c > 0.0:
         raise DomainError(f"hyp2f1: c must be positive, got {c}")
     if not 0.0 <= z <= 1.0:
@@ -293,17 +307,3 @@ def disk_potential(r: float, alpha: float) -> float:
         * _hyp2f1((alpha - 2.0) / 2.0, alpha / 2.0, 1.0, r * r, (1.0 - r) * (1.0 + r))
     )
 
-
-def disk_potential_max_slope(alpha: float) -> float:
-    """Largest slope magnitude of the disk potential, attained at r = 1.
-
-    Valid for 0 < alpha < 1, where the potential is C1:
-
-        pi alpha (2 - alpha) Gamma(1 - alpha) / (2 Gamma(2 - alpha/2)^2).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(
-            f"disk_potential_max_slope: alpha must lie in (0, 1), got {alpha}"
-        )
-    g = gamma(2.0 - alpha / 2.0)
-    return math.pi * alpha * (2.0 - alpha) * gamma(1.0 - alpha) / (2.0 * g * g)

@@ -4,9 +4,10 @@ Three mass scales organize the ground-state picture for exponents
 0 < alpha <= 1/2:
 
   m_c1    mass at which one disk and two half-mass disks tie,
-          m_c1 = pi * r_cn(1)^2, with the closed form
+          m_c1 = pi * r_cn(1)^2; the paper's closed form
           pi ((sqrt(2)-1) Gamma(2-a/2) Gamma(3-a/2)
-              / (pi (1 - 2^((a-2)/2)) Gamma(2-a)))^(2/(3-a));
+              / (pi (1 - 2^((a-2)/2)) Gamma(2-a)))^(2/(3-a))
+          is not computed here but kept as the tests' oracle;
   m_2     nonexistence threshold: pi R_0^2 where R_0 >= r_cn(1) solves
           rho_0(R_0) = rho_c1 for the comparison density
           rho_0(R) = 2/R + (2^a pi^(1-a) / rho_c1^a) R^(2-2a);
@@ -51,9 +52,10 @@ kept in one record per exponent in two layers, each constant computed once
 on construction.  splitting.DiskConstants holds the disk constants:
 Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, r_cn(1) and rho_c1.
 AlphaConstants extends it with the threshold constants: pi^(2-a),
-pi^(1-a), C2, the rho_0 coefficient and m_c1, and for a < 1 Gamma(1-a) and
-the slope lead of C3.  Each Gamma value is computed once per exponent, and
-an objective reads its constants from the record on every solver step.
+pi^(1-a), C2, the rho_0 coefficient and m_c1 = pi r_c1^2, and for a < 1
+Gamma(1-a) and the slope lead of C3, which disk_potential_max_slope
+divides by pi.  Each Gamma value is computed once per exponent, and an
+objective reads its constants from the record on every solver step.
 
 Tolerances are fixed: every cold root solve stops at a bracket width of
 1e-12 relative, or raises ConvergenceError after 200 iterations; a warm
@@ -77,6 +79,7 @@ __all__ = [
     "MIN_REL_TOL",
     "AlphaConstants",
     "m_c1",
+    "disk_potential_max_slope",
     "rho0",
     "solve_r0",
     "solve_m2",
@@ -95,7 +98,6 @@ __all__ = [
     "m_at_crossing",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
 _WARM_STEPS = 8  # secant step budget of a warm solve before the ITP fallback
@@ -311,9 +313,22 @@ def _extrapolate(h: list[float], inverse: bool = False) -> float | None:
 
 
 def m_c1(alpha: float) -> float:
-    """Mass where one disk ties with two half-mass disks (closed form)."""
+    """Mass where one disk ties with two half-mass disks, pi r_cn(1)^2."""
     check_alpha(alpha, "m_c1", 2.0, hi_open=True)
     return AlphaConstants(alpha).m_c1
+
+
+def disk_potential_max_slope(alpha: float) -> float:
+    """Largest slope magnitude of the disk potential, attained at r = 1.
+
+    Valid for 0 < alpha < 1, where the potential is C1:
+
+        pi alpha (2 - alpha) Gamma(1 - alpha) / (2 Gamma(2 - alpha/2)^2),
+
+    read as the C3 slope lead over pi, its one written form.
+    """
+    check_alpha(alpha, "disk_potential_max_slope", 1, lo_open=True, hi_open=True)
+    return AlphaConstants(alpha).c3_lead / math.pi
 
 
 _EPS_BRACKET = (1e-6, 4.0)
@@ -324,20 +339,23 @@ class AlphaConstants(DiskConstants):
 
     The record extends splitting.DiskConstants (Gamma(2-a), Gamma(2-a/2),
     Gamma(3-a/2) as g2a, g2ah, g3ah, V0, r_c1 and rho_c1) with pi^(2-a),
-    pi^(1-a), C2, the rho_0 coefficient 2^a pi^(1-a) / rho_c1^a and m_c1,
-    and for alpha < 1 with Gamma(1-a) (g1a) and the C3 slope lead
-    pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2).  Every constant is set
-    once on construction, so a solve pays for its constants once rather
-    than once per solver step; from alpha = 1 on, g1a and c3_lead are left
-    unset, and reading them raises AttributeError.  The record is slotted
-    plain data.
+    pi^(1-a), C2, the rho_0 coefficient 2^a pi^(1-a) / rho_c1^a and
+    m_c1 = pi r_c1^2, and for alpha < 1 with Gamma(1-a) (g1a) and the C3
+    slope lead pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2), pi times the
+    steepest slope of the disk potential.  The paper's Gamma closed form of
+    m_c1 is not computed here; the tests keep it as an oracle.  Every
+    constant is set once on construction, so a solve pays for its
+    constants once rather than once per solver step; from alpha = 1 on,
+    g1a and c3_lead are left unset, and reading them raises AttributeError.
+    The record is slotted plain data.
 
-    m_c1 and the methods are the only written form of m_c1, C0, C1, C3, F1,
-    F2 and rho_0; the public functions of the same names wrap them, so both
-    give the same bits.  The record builds for any alpha in [0, 2), and the
-    objectives take checked arguments: eps and r positive, alpha in the
-    domain of the objective.  The solves check alpha once per call:
-    solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
+    m_c1, c3_lead and the methods are the only written form of m_c1, the
+    potential's steepest slope, C0, C1, C3, F1, F2 and rho_0; the public
+    functions of the same names (and disk_potential_max_slope) wrap them,
+    so both give the same bits.  The record builds for any alpha in
+    [0, 2), and the objectives take checked arguments: eps and r positive,
+    alpha in the domain of the objective.  The solves check alpha once per
+    call: solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
     solve_eps1 for (0, 1), the domain of C3.
 
     The solve_* methods prefix a BracketError or ConvergenceError with the
@@ -353,9 +371,7 @@ class AlphaConstants(DiskConstants):
         self.pi_1ma = math.pi ** (1.0 - alpha)
         self.c2 = 2.0 * math.pi / (2.0 - alpha)
         self.rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
-        num = (_SQRT2 - 1.0) * self.g2ah * self.g3ah
-        den = math.pi * (1.0 - 2.0 ** ((alpha - 2.0) / 2.0)) * self.g2a
-        self.m_c1 = math.pi * (num / den) ** (2.0 / (3.0 - alpha))
+        self.m_c1 = math.pi * self.r_c1 * self.r_c1
         if alpha < 1.0:
             self.g1a = gamma(1.0 - alpha)
             g = self.g2ah

@@ -349,6 +349,16 @@ def test_solver_failure_names_the_solve_and_alpha(capsys):
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 6 (full accuracy as alpha -> 0): eval documents alpha "
+    "in (0, 0.5], but at 1e-20 C0 cancels and solve_eps0 finds no sign change",
+)
+def test_eval_at_tiny_alpha_exits_0(capsys):
+    code, _, _ = run_cli(["eval", "--alpha", "1e-20"], capsys)
+    assert code == 0
+
+
 def test_ledger_solver_failure_exits_1(capsys):
     # the walk's first failed solve ends the ledger; the command writes its
     # message and no traceback

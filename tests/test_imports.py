@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports another's private
 names, only thresholds passes a solve its previous roots, splitting writes
-the density's power of n once, every public name has a caller or a README
-line, and importing the package loads none of the heavy standard modules."""
+the density's power of n once, each Gamma value is computed in one place,
+every public name has a caller or a README line, and importing the package
+loads none of the heavy standard modules."""
 
 import ast
 import json
@@ -59,6 +60,35 @@ def test_density_is_written_once():
             ):
                 found.append(getattr(func, "name", f"line {func.lineno}"))
     assert found == ["_coeffs"], found
+
+
+def gamma_calls(node, where, found):
+    # found[where] counts the calls to a function named gamma (gamma(...),
+    # math.gamma(...)) in the function or method `where` and its nested code
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{child.name}" if ":" in where else f"{where}:{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "gamma":
+                found[where] = found.get(where, 0) + 1
+        gamma_calls(child, inner, found)
+
+
+def test_each_gamma_value_is_written_once():
+    # the per-exponent records compute every Gamma value a threshold or a
+    # slope reads: DiskConstants the three of V0, AlphaConstants Gamma(1-a).
+    # specfun._gamma_real is the one call of math.gamma under both
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        gamma_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert found == {
+        "splitting:DiskConstants.__init__": 3,
+        "thresholds:AlphaConstants.__init__": 1,
+        "specfun:_gamma_real": 1,
+    }, found
 
 
 def test_every_public_name_has_a_caller_or_a_readme_line():

@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 
 from rieszdrop import specfun
 from rieszdrop.errors import ConvergenceError, DomainError
-from rieszdrop.specfun import (
-    disk_potential,
-    disk_potential_max_slope,
-    gamma,
-    hyp2f1,
-)
+from rieszdrop.specfun import disk_potential, gamma, hyp2f1
+from rieszdrop.thresholds import disk_potential_max_slope
 
 mpmath.mp.dps = 30
 
@@ -162,12 +158,16 @@ def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
 
 
 # each term or partial sum leaves the finite doubles and never comes back;
-# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s
+# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  In
+# the last two c - a - b overflows, which the transformation to 1 - z
+# rounded into a bare OverflowError
 OVERFLOW_PROBES = (
     (1e308, 1e308, 1.0, 0.5),
     (300.0, 300.0, 1.0, 0.75),
     (1e154, 1e154, 1.0, 0.5),
     (-1e5, 3.0, 1.0, 0.7),
+    (1e308, 1e308, 1.0, 0.9),
+    (-1e308, -1e308, 1.0, 0.9),
 )
 
 
@@ -181,6 +181,22 @@ def test_hyp2f1_overflow_fails_promptly():
             best = min(best, time.perf_counter() - t0)
         assert f"a={a}, b={b}, c={c}, z={z}" in str(info.value)
         assert best < 0.01, (a, b, c, z)
+
+
+def test_hyp2f1_zero_sum_returns_promptly(monkeypatch):
+    # 1 - 2 z at z = 1/2 and 1 - 4 z at z = 1/4: terminating series whose
+    # partial sum is exactly 0, where the stopping test |term| < 1e-16 |s|
+    # cannot pass; each summed 1,000,000 zero terms (0.33-0.44 s) and
+    # raised ConvergenceError.  The second call reads the stored ratios
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    for a, b, c, z in ((-1.0, 2.0, 1.0, 0.5), (-1.0, 4.0, 1.0, 0.25)):
+        for _ in range(2):
+            t0 = time.perf_counter()
+            assert hyp2f1(a, b, c, z) == 0.0
+            assert time.perf_counter() - t0 < 0.01, (a, b, c, z)
+    # a partial sum of 0 that a later term moves on is not the value
+    assert hyp2f1(-2.0, 1.0, 1.0, 0.5) == 1.0 - 1.0 + 0.25
+    assert_memo_holds_true_ratios()
 
 
 def reference_ratios(a, b, c, n):

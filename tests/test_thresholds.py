@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rieszdrop import thresholds
 from rieszdrop.errors import BracketError, ConvergenceError, DomainError
-from rieszdrop.specfun import disk_potential_max_slope
+from rieszdrop.specfun import gamma
 from rieszdrop.splitting import r_cn, rho_c1
 from rieszdrop.thresholds import (
     AlphaConstants,
@@ -19,6 +19,7 @@ from rieszdrop.thresholds import (
     c2,
     c3,
     delta_bound,
+    disk_potential_max_slope,
     f1,
     f2,
     m_at_crossing,
@@ -65,12 +66,46 @@ def rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def m_c1_closed_form(a):
+    # the paper's closed form pi ((sqrt(2)-1) Gamma(2-a/2) Gamma(3-a/2)
+    # / (pi (1 - 2^((a-2)/2)) Gamma(2-a)))^(2/(3-a)), with 1 - 2^((a-2)/2)
+    # taken as -expm1: written as a difference it cancels toward a = 2 and
+    # is 2.6e-14 off 40-digit mpmath at a = 1.99
+    num = (math.sqrt(2.0) - 1.0) * gamma(2.0 - a / 2.0) * gamma(3.0 - a / 2.0)
+    den = -math.pi * math.expm1((a - 2.0) / 2.0 * math.log(2.0)) * gamma(2.0 - a)
+    return math.pi * (num / den) ** (2.0 / (3.0 - a))
+
+
 def test_m_c1_limit_and_identity():
     assert rel(m_c1(0.0), M_C1_AT_ZERO) < 1e-13
     # m_c1 is the mass at the first crossover radius, by construction
     for alpha in (0.01, 0.1, 0.5, 1.0):
         rc = r_cn(1, alpha)
-        assert rel(math.pi * rc * rc, m_c1(alpha)) < 1e-12
+        assert math.pi * rc * rc == m_c1(alpha)
+    # and it agrees with the paper's closed form
+    alphas = [0.5 * k / 1000 for k in range(1, 1001)] + [0.0, 1.0, 1.5, 1.99]
+    for alpha in alphas:
+        assert rel(m_c1(alpha), m_c1_closed_form(alpha)) <= 2e-15, alpha
+
+
+def test_m_c1_and_potential_slope_against_mpmath():
+    # pi r_c1^2 and the C3 lead over pi, each checked against its closed
+    # form in 40-digit arithmetic
+    def m_c1_ref(a):
+        num = (mpmath.sqrt(2) - 1) * mpmath.gamma(2 - a / 2) * mpmath.gamma(3 - a / 2)
+        den = mpmath.pi * (1 - mpmath.power(2, (a - 2) / 2)) * mpmath.gamma(2 - a)
+        return mpmath.pi * (num / den) ** (2 / (3 - a))
+
+    def slope_ref(a):
+        return mpmath.pi * a * (2 - a) * mpmath.gamma(1 - a) / (2 * mpmath.gamma(2 - a / 2) ** 2)
+
+    with mpmath.workdps(40):
+        for alpha in [0.5 * k / 200 for k in range(1, 201)] + [0.0, 1.0, 1.5, 1.99]:
+            want = m_c1_ref(mpmath.mpf(alpha))
+            assert abs(m_c1(alpha) - want) / want <= 2e-15, alpha
+        for alpha in [k / 200 for k in range(1, 200)] + [1e-9, 1e-4, 0.999]:
+            want = slope_ref(mpmath.mpf(alpha))
+            assert abs(disk_potential_max_slope(alpha) - want) / want <= 2e-15, alpha
 
 
 def test_m_c1_decreasing():
@@ -344,8 +379,8 @@ def test_c3_dominates_potential_slope():
 
 
 def test_c3_lead_is_pi_times_potential_slope():
-    # the lead of C3 is written out by hand; it is pi times the steepest
-    # slope of the disk potential
+    # the lead of C3 is pi times the steepest slope of the disk potential,
+    # which is read from it
     for alpha in (1e-9, 1e-4, 0.01, 0.034, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999):
         want = math.pi * disk_potential_max_slope(alpha)
         assert rel(AlphaConstants(alpha).c3_lead, want) <= 1e-15, alpha
