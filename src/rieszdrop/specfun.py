@@ -30,10 +30,22 @@ targets <= 1e-10 relative error on the parameter sets used by the potential
 (|a|, |b| <= 2, c in {1, 2, 3}).  For z > 0.75 each series it sums needs
 at most about 35 terms on those sets, however close z is to 1.  Both
 potential shapes have c - a - b = 2 - alpha, which is degenerate (an
-integer) at alpha = 1 and in the limits alpha -> 0, 2.  Against 40-digit
-mpmath, for r in [0.87, 1.15]: about 1e-13 relative error where 2 - alpha
-is at least 1e-3 from an integer, and at most 1.1e-11 closer than that,
-where the interpolation bridge takes over.  disk_potential hands the
+integer) at alpha = 1 and in the limits alpha -> 0, 2, and the connection
+formula loses digits toward alpha = 1.  Worst relative error of
+disk_potential against 40-digit mpmath, for r in [0.87, 1.15] (worst at
+r near 1.15, where z is just above 0.75), over 40 to 100 seeded random
+alphas on both sides of the band's centre:
+
+    |alpha - 1| below 1e-3 (interpolation bridge)   1.0e-11
+    |alpha - 1| in [1e-3, 3e-3]                     1.9e-11
+    |alpha - 1| in [3e-3, 1e-2]                     1.6e-12
+    |alpha - 1| in [1e-2, 3e-2]                     1.9e-13
+    |alpha - 1| in [3e-2, 0.1]                      1.7e-14
+    2 - alpha in [1e-5, 0.1]                        7.1e-13
+    alpha in [1e-5, 0.1]                            1.5e-15
+
+An accurate form of the degenerate neighbourhood is ROADMAP.md item 29.
+disk_potential hands the
 transformation 1 - z as (r - 1)(r + 1) / r^2 or (1 - r)(1 + r), free of
 cancellation, which keeps it within about 5e-15 of mpmath at r = 1 - 1e-8
 and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.
@@ -190,11 +202,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) on z in [0, 1].
 
     a, b, c and c - a - b must be finite (a DomainError names a, b, c and
-    z otherwise) and c positive.  z = 1 requires c - a - b > 0 and is
-    summed in closed form (Gauss).  For z <= 0.75 the power series in z is
-    summed.  For z > 0.75 the linear transformation to 1 - z is
-    used, whose two series converge geometrically with ratio below 1/4
-    however close z is to 1.  When c - a - b lies within 1e-3 of an
+    z otherwise) and c positive.  z = 0 gives exactly 1.0.  z = 1 requires
+    c - a - b > 0 and is summed in closed form (Gauss).  For z <= 0.75 the
+    power series in z is summed.  For z > 0.75 the linear transformation to
+    1 - z is used, whose two series converge geometrically with ratio below
+    1/4 however close z is to 1.  When c - a - b lies within 1e-3 of an
     integer, where that transformation degenerates, it is evaluated at ten
     shifted values of b and interpolated back (see _bridge).  A series that
     has not converged after 1,000,000 terms, remembered ones included,
@@ -213,6 +225,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"hyp2f1: c must be positive, got {c}")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"hyp2f1: z must lie in [0, 1], got {z}")
+    if z == 0.0:
+        # exact, where a series could overflow at its first ratio a b / c
+        return 1.0
     return _hyp2f1(a, b, c, z, 1.0 - z)
 
 
@@ -253,8 +268,8 @@ def _gamma_ratio(p: float, q: float, u: float, v: float) -> float:
 
 
 # Below this distance of c - a - b from an integer the connection formula
-# is not used directly.  At the distance itself it is accurate to about
-# 1e-13 on the potential's parameter sets.
+# is not used directly.  Just past the distance it is accurate to about
+# 2e-11 on the potential's parameter sets (see the module docstring).
 _BRIDGE_BELOW = 1e-3
 # Chebyshev points of the first kind on [-0.01, 0.01] and their barycentric
 # weights.  The node nearest 0 is 0.0016 from it, beyond _BRIDGE_BELOW.

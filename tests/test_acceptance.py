@@ -82,9 +82,11 @@ def test_ac02_crossing_exponent():
 
 def test_ac03_inequality_ledger():
     t0 = time.perf_counter()
-    report = run_ledger(0.034, 0.846, 0.945, 1000)
+    report = run_ledger(0.034, grid=1000)
     dt = time.perf_counter() - t0
     problems = []
+    if (report["eps_probe"], report["r_probe"]) != (0.846, 0.945):
+        problems.append(f"probes {report['eps_probe']}, {report['r_probe']} are not the paper's")
     if not report["passed"]:
         problems.append("report did not pass")
     if len(report["checks"]) != 18:

@@ -95,6 +95,8 @@ def test_gamma_recurrence(x):
 def test_hyp2f1_spot_values():
     assert rel(hyp2f1(0.05, 0.05, 2.0, 0.5), HYP_HALF) < 1e-14
     assert hyp2f1(0.3, -0.7, 1.4, 0.0) == 1.0
+    # exact at z = 0, where a series would overflow at its first ratio a b / c
+    assert hyp2f1(1e200, 1e200, 1.0, 0.0) == 1.0
     assert hyp2f1(0.0, 0.9, 1.4, 0.6) == 1.0  # terminating series
 
 
@@ -158,14 +160,16 @@ def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
 
 
 # each term or partial sum leaves the finite doubles and never comes back;
-# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  In
-# the last two c - a - b overflows, which the transformation to 1 - z
-# rounded into a bare OverflowError
+# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  The
+# one just off z = 0, unlike z = 0 itself, has a true value past double
+# range.  In the last two c - a - b overflows, which the transformation to
+# 1 - z rounded into a bare OverflowError
 OVERFLOW_PROBES = (
     (1e308, 1e308, 1.0, 0.5),
     (300.0, 300.0, 1.0, 0.75),
     (1e154, 1e154, 1.0, 0.5),
     (-1e5, 3.0, 1.0, 0.7),
+    (1e200, 1e200, 1.0, 1e-300),
     (1e308, 1e308, 1.0, 0.9),
     (-1e308, -1e308, 1.0, 0.9),
 )
