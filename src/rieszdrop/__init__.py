@@ -21,72 +21,22 @@ Everything runs on the standard library; numerics are deterministic
 bit-for-bit across runs.  The command line tool is `rieszdrop`.
 """
 
-from .errors import BracketError, ConvergenceError, DomainError
-from .specfun import disk_potential, gamma, hyp2f1
-from .splitting import (
-    envelope_rows,
-    r_cn,
-    rho_c1,
-    rho_min,
-    rho_n,
-    v0_const,
-)
-from .thresholds import (
-    c0,
-    c1,
-    c2,
-    c3,
-    delta_bound,
-    disk_potential_max_slope,
-    f1,
-    f2,
-    m_at_crossing,
-    m_c1,
-    m_of_eps,
-    rho0,
-    solve_alpha0,
-    solve_eps0,
-    solve_eps1,
-    solve_m2,
-    solve_r0,
-    walk,
-)
-from .verify import f3, run_ledger
+# each layer module's __all__ is the one declaration of its public names,
+# and the package re-exports them all, in layer order
+from . import errors, specfun, splitting, thresholds, verify
+from .errors import *
+from .specfun import *
+from .splitting import *
+from .thresholds import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
-    "ConvergenceError",
-    "DomainError",
     "__version__",
-    "c0",
-    "c1",
-    "c2",
-    "c3",
-    "delta_bound",
-    "disk_potential",
-    "disk_potential_max_slope",
-    "envelope_rows",
-    "f1",
-    "f2",
-    "f3",
-    "gamma",
-    "hyp2f1",
-    "m_at_crossing",
-    "m_c1",
-    "m_of_eps",
-    "r_cn",
-    "rho0",
-    "rho_c1",
-    "rho_min",
-    "rho_n",
-    "run_ledger",
-    "solve_alpha0",
-    "solve_eps0",
-    "solve_eps1",
-    "solve_m2",
-    "solve_r0",
-    "v0_const",
-    "walk",
+    *errors.__all__,
+    *specfun.__all__,
+    *splitting.__all__,
+    *thresholds.__all__,
+    *verify.__all__,
 ]

@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the exponent-domain check."""
 
+__all__ = ["DomainError", "ConvergenceError", "BracketError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the validated parameter domain."""

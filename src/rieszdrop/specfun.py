@@ -48,7 +48,10 @@ An accurate form of the degenerate neighbourhood is ROADMAP.md item 29.
 disk_potential hands the
 transformation 1 - z as (r - 1)(r + 1) / r^2 or (1 - r)(1 + r), free of
 cancellation, which keeps it within about 5e-15 of mpmath at r = 1 - 1e-8
-and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.
+and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.  Where hyp2f1
+computes no finite double it raises DomainError naming a, b, c and z,
+also where the true value is finite: 2F1(50, 3; 2; 0.999999) is 2.5e307,
+but the transformation to 1 - z sums inf - inf there.
 
 Series memo.  The term ratios (a+k)(b+k)/((c+k)(1+k)) of a series depend
 only on its parameters (a, b, c), which every radius of a potential profile
@@ -210,10 +213,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     integer, where that transformation degenerates, it is evaluated at ten
     shifted values of b and interpolated back (see _bridge).  A series that
     has not converged after 1,000,000 terms, remembered ones included,
-    raises ConvergenceError; one whose partial sum overflows to an infinity
-    or NaN raises DomainError naming a, b, c and z.  The term ratios of the
-    last 16 parameter sets summed are remembered (see the module docstring);
-    a value is the same to the bit whether they were or not.
+    raises ConvergenceError.  Where no finite double is computed (a partial
+    sum, a Gamma prefactor or a power of 1 - z overflows, or the terms
+    give inf - inf or inf / inf) a DomainError names a, b, c and z; the
+    true value may be finite.  The term ratios of the last 16 parameter
+    sets summed are remembered (see the module docstring); a value is the
+    same to the bit whether they were or not.
     """
     # c - a - b is finite only if a, b and c are, and the transformation
     # to 1 - z rounds it
@@ -228,7 +233,13 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if z == 0.0:
         # exact, where a series could overflow at its first ratio a b / c
         return 1.0
-    return _hyp2f1(a, b, c, z, 1.0 - z)
+    try:
+        value = _hyp2f1(a, b, c, z, 1.0 - z)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"hyp2f1: no finite double value (a={a}, b={b}, c={c}, z={z})")
+    return value
 
 
 def _hyp2f1(a: float, b: float, c: float, z: float, w: float) -> float:

@@ -43,7 +43,6 @@ from .errors import DomainError, check_alpha
 from .specfun import gamma
 
 __all__ = [
-    "DiskConstants",
     "v0_const",
     "rho_n",
     "r_cn",

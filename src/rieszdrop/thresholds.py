@@ -41,11 +41,10 @@ secant steps from the two window values, one evaluation each, and checks
 their result by the same window test.  Anything else falls back to the
 cold solve, with its bits and errors.  Along the default ledger grid that
 is 2 evaluations at 2,445 of its 2,994 warm roots and 7,777 in all, none
-falling back (secant steps from a linear prediction took 17,370).  A
-point with an unsolved root starts the history over.  Every solve without
-two previous roots (eval, alpha_0, the public solve_* functions, a walk's
-first two points and the two after an unsolved one) is cold.  Results are
-bit-deterministic for identical inputs.
+falling back.  A point with an unsolved root starts the history over.
+Every solve without two previous roots (eval, alpha_0, the public solve_*
+functions, a walk's first two points and the two after an unsolved one) is
+cold.  Results are bit-deterministic for identical inputs.
 
 Everything above depends on alpha only through a handful of constants,
 kept in one record per exponent in two layers, each constant computed once
@@ -76,8 +75,6 @@ from .specfun import gamma
 from .splitting import DiskConstants
 
 __all__ = [
-    "MIN_REL_TOL",
-    "AlphaConstants",
     "m_c1",
     "disk_potential_max_slope",
     "rho0",
@@ -121,7 +118,10 @@ def _root(
     expand_hi: bool = True,
     level: float = 0.0,
 ) -> float:
-    """Root of f - level on [lo, hi] by ITP, down to width rel_tol, growing hi geometrically.
+    """Root of f - level on [lo, hi] by ITP, down to width rel_tol hi, growing hi geometrically.
+
+    The bracket must be positive, 0 < lo < hi, as every bracket here is
+    (R_0, eps and alpha_0 are positive), so hi is the larger end in size.
 
     ITP (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS
     47(1), 2020) steps from the regula falsi point toward the midpoint by
@@ -180,10 +180,7 @@ def _root(
     for _ in range(_MAX_ITER):
         width = hi - lo
         mid = 0.5 * (lo + hi)
-        # rel_tol * max(|lo|, |hi|)
-        a = -lo if lo < 0.0 else lo
-        b = -hi if hi < 0.0 else hi
-        tol = rel_tol * (b if b > a else a)
+        tol = rel_tol * hi
         if width <= tol:
             return mid
         cap *= 0.5

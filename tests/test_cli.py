@@ -407,6 +407,14 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def child_env():
+    """The environment of a child interpreter that imports this rieszdrop."""
+    env = dict(os.environ)
+    src = str(Path(rieszdrop.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -414,6 +422,7 @@ def test_console_script_module_invocation():
          "from rieszdrop.cli import entrypoint; entrypoint()"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "eval" in proc.stdout and "verify" in proc.stdout
@@ -421,9 +430,7 @@ def test_console_script_module_invocation():
 
 def fresh_run(argv):
     """(module, (exit code, stdout, stderr)) of argv under `python -m module`."""
-    env = dict(os.environ)
-    src = str(Path(rieszdrop.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     for module in ("rieszdrop", "rieszdrop.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env

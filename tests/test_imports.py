@@ -1,8 +1,9 @@
 """Module boundaries of the package: no module imports another's private
 names, only thresholds passes a solve its previous roots, splitting writes
 the density's power of n once, each Gamma value is computed in one place,
-every public name has a caller or a README line, and importing the package
-loads none of the heavy standard modules."""
+the package exports exactly its layer modules' __all__, every public name
+has a caller or a README line, and importing the package loads none of the
+heavy standard modules."""
 
 import ast
 import json
@@ -89,6 +90,19 @@ def test_each_gamma_value_is_written_once():
         "thresholds:AlphaConstants.__init__": 1,
         "specfun:_gamma_real": 1,
     }, found
+
+
+def test_package_exports_the_layer_modules_lists():
+    # each layer module's __all__ is the one declaration of a public name;
+    # the package re-exports the same objects under the same names
+    from rieszdrop import errors, specfun, splitting, thresholds, verify
+
+    layers = (errors, specfun, splitting, thresholds, verify)
+    assert rieszdrop.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+    assert len(set(rieszdrop.__all__)) == len(rieszdrop.__all__)
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(rieszdrop, name) is getattr(module, name), (module.__name__, name)
 
 
 def test_every_public_name_has_a_caller_or_a_readme_line():

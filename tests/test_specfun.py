@@ -162,8 +162,11 @@ def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
 # each term or partial sum leaves the finite doubles and never comes back;
 # summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  The
 # one just off z = 0, unlike z = 0 itself, has a true value past double
-# range.  In the last two c - a - b overflows, which the transformation to
-# 1 - z rounded into a bare OverflowError
+# range.  In the next two c - a - b overflows, which the transformation to
+# 1 - z rounded into a bare OverflowError.  The last four have finite true
+# values (2.5e307, 2.0e8, 1.6e319 and 3.8e328 by 40-digit mpmath) that no
+# double form here reaches: the bridge sums inf - inf, the Gauss ratio at
+# z = 1 is inf / inf, and w**s overflows in the connection formula
 OVERFLOW_PROBES = (
     (1e308, 1e308, 1.0, 0.5),
     (300.0, 300.0, 1.0, 0.75),
@@ -172,6 +175,10 @@ OVERFLOW_PROBES = (
     (1e200, 1e200, 1.0, 1e-300),
     (1e308, 1e308, 1.0, 0.9),
     (-1e308, -1e308, 1.0, 0.9),
+    (50.0, 3.0, 2.0, 0.999999),
+    (-46.8052006248861, -40.714927351486665, 59.6508853624155, 1.0),
+    (50.0, 3.0, 0.5, 0.999999),
+    (4.0, 34.77586291823995, 0.03602849535405089, 0.9999999950491393),
 )
 
 
