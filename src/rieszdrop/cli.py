@@ -38,7 +38,7 @@ from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
 from .splitting import envelope_rows
-from .thresholds import MIN_REL_TOL, m_at_crossing, solve_alpha0, walk
+from .thresholds import MIN_REL_TOL, REL_TOL, m_at_crossing, solve_alpha0, walk
 from .verify import run_ledger
 
 __all__ = ["main", "entrypoint"]
@@ -245,7 +245,7 @@ def _build_parser() -> _Parser:
 
     p_a0 = sub.add_parser("alpha0", help="crossing exponent of the threshold ordering")
     p_a0.add_argument(
-        "--tol", type=float, default=1e-12,
+        "--tol", type=float, default=REL_TOL,
         help="relative bracket width that stops the crossing solve, at least 2**-52",
     )
     p_a0.add_argument("--out", help="write JSON here instead of stdout")

@@ -48,10 +48,20 @@ An accurate form of the degenerate neighbourhood is ROADMAP.md item 29.
 disk_potential hands the
 transformation 1 - z as (r - 1)(r + 1) / r^2 or (1 - r)(1 + r), free of
 cancellation, which keeps it within about 5e-15 of mpmath at r = 1 - 1e-8
-and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.  Where hyp2f1
-computes no finite double it raises DomainError naming a, b, c and z,
-also where the true value is finite: 2F1(50, 3; 2; 0.999999) is 2.5e307,
-but the transformation to 1 - z sums inf - inf there.
+and r = 1 + 1e-8, where 1.0 - z would lose up to 4e-10.
+
+Failure rule.  hyp2f1 reports a failed evaluation in one place, itself:
+an OverflowError or ZeroDivisionError (Gamma(u) Gamma(v) can underflow to
+0 in a Gauss ratio), a Gamma value out of double range, and a result that
+is not finite all become one DomainError, "hyp2f1: no finite double value
+(a=..., b=..., c=..., z=...)".  That holds also where the true value is
+finite: 2F1(50, 3; 2; 0.999999) is 2.5e307, but the transformation to
+1 - z sums inf - inf there, and 2F1(1, 1; 200; 0.9) is 1.0045, but
+Gamma(200) overflows in its prefactor.  A ConvergenceError passes through
+as it is, and the argument checks raise their own DomainErrors first.  The
+kernels below it raise nothing of their own: a series returns a partial
+sum that is not finite as it is.  disk_potential calls the kernel
+directly; its series are bounded, so no failure reaches it.
 
 Series memo.  The term ratios (a+k)(b+k)/((c+k)(1+k)) of a series depend
 only on its parameters (a, b, c), which every radius of a potential profile
@@ -62,10 +72,10 @@ series multiplies through the stored ratios and computes only those past
 them, then replaces the entry with a longer tuple.  A hit and a miss do the
 same floating-point operations in the same order, so they give the same
 bits, and the term cap counts stored terms like computed ones.  A series
-whose partial sum leaves the finite doubles raises DomainError when it
-stops or by its 257th term, rather than summing on to the cap; a
-terminating series whose partial sum is exactly 0, such as
-2F1(-1, 2; 1; 1/2), returns it by its 257th term in the same way.  The
+whose partial sum leaves the finite doubles returns it when it stops or
+by its 257th term, rather than summing on to the cap; a terminating
+series whose partial sum is exactly 0, such as 2F1(-1, 2; 1; 1/2),
+returns it by its 257th term in the same way.  The
 interpolation bridge sums 20 parameter sets per call, more than the memo
 holds, so its series miss every time.
 """
@@ -137,8 +147,6 @@ def _series(a: float, b: float, c: float, z: float) -> float:
         lim = tol * abs(s)
     else:
         s = _series_past(a, b, c, z, known, s, term, lim)
-    if not math.isfinite(s):
-        raise _overflow(a, b, c, z)
     return s
 
 
@@ -147,8 +155,9 @@ def _series_past(
 ) -> float:
     # the terms of _series past its known ratios, given the partial sum s,
     # the last term and lim = _TERM_TOL * |s|.  The ratios up to
-    # _MEMO_RATIOS go to the memo; past them each term also checks that s
-    # is finite.  The bounds are floats, as k is, for a fast comparison
+    # _MEMO_RATIOS go to the memo; past them a partial sum that is not
+    # finite is returned as it is, for hyp2f1 to report.  The bounds are
+    # floats, as k is, for a fast comparison
     tol, max_terms = _TERM_TOL, float(_MAX_TERMS)
     stop = min(max_terms, float(_MEMO_RATIOS))
     k = float(len(known))
@@ -166,11 +175,10 @@ def _series_past(
     if fresh:
         _remember((a, b, c), known + tuple(fresh))
     while k < max_terms:
-        if not math.isfinite(s):
-            raise _overflow(a, b, c, z)
-        if term == 0.0:
+        if term == 0.0 or not math.isfinite(s):
             # a zero term was summed only where lim is 0 (s at or next to
-            # 0); every later term is 0 too, so the sum is final
+            # 0); every later term is 0 too, so the sum is final.  A sum
+            # that left the finite doubles never comes back
             return s
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         if -lim < term < lim:
@@ -195,12 +203,6 @@ def _remember(key: tuple, ratios: tuple) -> None:
         _ratios.popitem(last=False)
 
 
-def _overflow(a: float, b: float, c: float, z: float) -> DomainError:
-    return DomainError(
-        f"hyp2f1 series: the partial sum left the finite doubles (a={a}, b={b}, c={c}, z={z})"
-    )
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) on z in [0, 1].
 
@@ -213,12 +215,13 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     integer, where that transformation degenerates, it is evaluated at ten
     shifted values of b and interpolated back (see _bridge).  A series that
     has not converged after 1,000,000 terms, remembered ones included,
-    raises ConvergenceError.  Where no finite double is computed (a partial
-    sum, a Gamma prefactor or a power of 1 - z overflows, or the terms
-    give inf - inf or inf / inf) a DomainError names a, b, c and z; the
-    true value may be finite.  The term ratios of the last 16 parameter
-    sets summed are remembered (see the module docstring); a value is the
-    same to the bit whether they were or not.
+    raises ConvergenceError.  Every other failure raises the one
+    DomainError "hyp2f1: no finite double value (a=..., b=..., c=...,
+    z=...)": a partial sum, a Gamma value or product or a power of 1 - z
+    that leaves the finite doubles, or terms that give inf - inf or
+    inf / inf.  The true value may be finite.  The term ratios of the last
+    16 parameter sets summed are remembered (see the module docstring); a
+    value is the same to the bit whether they were or not.
     """
     # c - a - b is finite only if a, b and c are, and the transformation
     # to 1 - z rounds it
@@ -230,12 +233,16 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"hyp2f1: c must be positive, got {c}")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"hyp2f1: z must lie in [0, 1], got {z}")
+    if z == 1.0 and not c - a - b > 0.0:
+        raise DomainError("hyp2f1: z = 1 requires c - a - b > 0")
     if z == 0.0:
         # exact, where a series could overflow at its first ratio a b / c
         return 1.0
+    # the one place a failed evaluation is reported: an overflow, a Gamma
+    # value or product out of double range, or a sum that is not finite
     try:
         value = _hyp2f1(a, b, c, z, 1.0 - z)
-    except OverflowError:
+    except (ArithmeticError, DomainError):
         value = math.nan
     if not math.isfinite(value):
         raise DomainError(f"hyp2f1: no finite double value (a={a}, b={b}, c={c}, z={z})")
@@ -247,10 +254,7 @@ def _hyp2f1(a: float, b: float, c: float, z: float, w: float) -> float:
     # knows 1 - z without cancellation (disk_potential near r = 1) keeps
     # the transformation to 1 - z accurate
     if z == 1.0:
-        s = c - a - b
-        if not s > 0.0:
-            raise DomainError("hyp2f1: z = 1 requires c - a - b > 0")
-        return _gamma_ratio(c, s, c - a, c - b)
+        return _gamma_ratio(c, c - a - b, c - a, c - b)
     if z <= 0.75:
         return _series(a, b, c, z)
     s = c - a - b
@@ -272,7 +276,8 @@ def _connection(a: float, b: float, c: float, w: float) -> float:
 
 def _gamma_ratio(p: float, q: float, u: float, v: float) -> float:
     # Gamma(p) Gamma(q) / (Gamma(u) Gamma(v)); 1/Gamma vanishes at its
-    # poles, so a denominator at a non-positive integer makes the ratio 0
+    # poles, so a denominator at a non-positive integer makes the ratio 0.
+    # A denominator that underflows to 0 raises ZeroDivisionError
     if u <= 0.0 and u == math.floor(u) or v <= 0.0 and v == math.floor(v):
         return 0.0
     return _gamma_real(p) * _gamma_real(q) / (_gamma_real(u) * _gamma_real(v))

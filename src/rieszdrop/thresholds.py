@@ -25,7 +25,9 @@ method that keeps bisection's worst-case iteration bound (to within one)
 and needs about 10.8 objective evaluations per root here (32,443 for the
 3,000 roots of the default ledger grid at alpha_max 0.032), where bisection
 needs about 44.  It asserts the bracket sign change at runtime, so the
-monotonicity the formulas rely on is checked on every call.
+monotonicity the formulas rely on is checked on every call.  Both root
+kernels, cold and warm, solve f = 0: R_0 is the root of the record's
+f3(r) = rho0(r) - rho_c1, eps_0 of F2 and eps_1 of F1.
 
 walk(alphas, stage) is the one grid walk: the ledger, the sweep rows and
 eval (a walk of one point) all take their roots (R_0, eps_0, eps_1) and
@@ -56,13 +58,15 @@ Gamma(1-a) and the slope lead of C3, which disk_potential_max_slope
 divides by pi.  Each Gamma value is computed once per exponent, and an
 objective reads its constants from the record on every solver step.
 
-Tolerances are fixed: every cold root solve stops at a bracket width of
-1e-12 relative, or raises ConvergenceError after 200 iterations; a warm
-one returns from a window 5e-13 relative wide, stops its secant steps at
-a step of 1e-12 relative, or falls back after 8 steps.  The one setting
-left to callers is the tolerance of the outer alpha_0 solve, which must
-be at least 2**-52 (MIN_REL_TOL), the relative spacing of doubles; below
-1e-12 it tightens the inner solves with it.
+Tolerances are fixed, and REL_TOL = 1e-12 is their one written form:
+every cold root solve stops at a bracket width of REL_TOL relative, or
+raises ConvergenceError after 200 iterations; a warm one returns from a
+window REL_TOL/2 relative wide, stops its secant steps at a step of
+REL_TOL relative, or falls back after 8 steps.  The one setting left to
+callers is the tolerance of the outer alpha_0 solve (REL_TOL by default,
+the command line's alpha0 --tol too), which must be at least 2**-52
+(MIN_REL_TOL), the relative spacing of doubles; below REL_TOL it tightens
+the inner solves with it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,12 @@ __all__ = [
 _EXPANSIONS = 60  # geometric bracket growth budget (factor 2 each)
 _MAX_ITER = 200  # ITP iteration budget
 _WARM_STEPS = 8  # secant step budget of a warm solve before the ITP fallback
+# the relative width at which every root solve stops, unless a caller of
+# the outer alpha_0 solve tightens it
+REL_TOL = 1e-12
+# two adjacent doubles x < y always satisfy y - x <= 2**-52 y, so the outer
+# solve can meet any relative width from here up, and none below
+MIN_REL_TOL = 2.0**-52
 # the roots a walk keeps for its predictions: a cubic for R_0, a quartic in
 # 1/eps for eps_0 and eps_1
 _R0_HISTORY = 4
@@ -114,11 +124,10 @@ def _root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
     expand_hi: bool = True,
-    level: float = 0.0,
 ) -> float:
-    """Root of f - level on [lo, hi] by ITP, down to width rel_tol hi, growing hi geometrically.
+    """Root of f on [lo, hi] by ITP, down to width rel_tol hi, growing hi geometrically.
 
     The bracket must be positive, 0 < lo < hi, as every bracket here is
     (R_0, eps and alpha_0 are positive), so hi is the larger end in size.
@@ -146,28 +155,25 @@ def _root(
     wrong root; so does an objective value that is not a finite float.
     """
     isfinite = math.isfinite
-    y = f(lo)
-    if not (isinstance(y, float) and isfinite(y)):
-        raise _not_finite(y, lo)
-    flo = y - level
+    flo = f(lo)
+    if not (isinstance(flo, float) and isfinite(flo)):
+        raise _not_finite(flo, lo)
     if flo == 0.0:
         return lo
     # every later sign is compared with this one, never multiplied by it:
     # the product of two tiny values underflows to 0 and would read as a
     # sign change
     pos = flo > 0.0
-    y = f(hi)
-    if not (isinstance(y, float) and isfinite(y)):
-        raise _not_finite(y, hi)
-    fhi = y - level
+    fhi = f(hi)
+    if not (isinstance(fhi, float) and isfinite(fhi)):
+        raise _not_finite(fhi, hi)
     if expand_hi:
         grown = 0
         while fhi != 0.0 and (fhi > 0.0) == pos and grown < _EXPANSIONS:
             hi *= 2.0
-            y = f(hi)
-            if not (isinstance(y, float) and isfinite(y)):
-                raise _not_finite(y, hi)
-            fhi = y - level
+            fhi = f(hi)
+            if not (isinstance(fhi, float) and isfinite(fhi)):
+                raise _not_finite(fhi, hi)
             grown += 1
     if fhi == 0.0:
         return hi
@@ -205,10 +211,9 @@ def _root(
             x = lo + half
         elif x > hi - half:
             x = hi - half
-        y = f(x)
-        if not (isinstance(y, float) and isfinite(y)):
-            raise _not_finite(y, x)
-        fx = y - level
+        fx = f(x)
+        if not (isinstance(fx, float) and isfinite(fx)):
+            raise _not_finite(fx, x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == pos:
@@ -225,21 +230,19 @@ def _warm(
     lo: float,
     p: float,
     rel_tol: float,
-    level: float,
 ) -> float | None:
-    """Root of f - level from a prediction p of it, or None.
+    """Root of f from a prediction p of it, or None.
 
-    The window is p (1 -+ rel_tol/4), rel_tol/2 p wide.  Where f - level
-    changes sign across it, the regula falsi point of the window is
-    returned, clamped into it, so the root lies within the window's width
-    of the result, about rel_tol/2 x, as for _root.  Otherwise secant steps start from the two
-    window values, one evaluation each, up to the first step of at most
-    rel_tol x; its result is checked by the same window test, with no
-    steps after it.  A window end or an iterate where f - level is
-    exactly 0 is returned.  None, for _root to solve cold, on a failed
-    check, a window end or iterate at or below lo, a value that is not a
-    finite float, a flat secant, or _WARM_STEPS steps with none small
-    enough.
+    The window is p (1 -+ rel_tol/4), rel_tol/2 p wide.  Where f changes
+    sign across it, the regula falsi point of the window is returned,
+    clamped into it, so the root lies within the window's width of the
+    result, about rel_tol/2 x, as for _root.  Otherwise secant steps start
+    from the two window values, one evaluation each, up to the first step
+    of at most rel_tol x; its result is checked by the same window test,
+    with no steps after it.  A window end or an iterate where f is exactly
+    0 is returned.  None, for _root to solve cold, on a failed check, a window
+    end or iterate at or below lo, a value that is not a finite float, a
+    flat secant, or _WARM_STEPS steps with none small enough.
     """
     isfinite = math.isfinite
     q = 0.25 * rel_tol
@@ -248,10 +251,9 @@ def _warm(
         a, b = p * (1.0 - q), p * (1.0 + q)
         if not a > lo:
             return None
-        ya, yb = f(a), f(b)
-        if not (isinstance(ya, float) and isfinite(ya) and isinstance(yb, float) and isfinite(yb)):
+        fa, fb = f(a), f(b)
+        if not (isinstance(fa, float) and isfinite(fa) and isinstance(fb, float) and isfinite(fb)):
             return None
-        fa, fb = ya - level, yb - level
         if fa == 0.0:
             return a
         if fb == 0.0:
@@ -277,7 +279,7 @@ def _warm(
             y = f(x)
             if not (isinstance(y, float) and isfinite(y)):
                 return None
-            x0, f0, x1, f1 = x1, f1, x, y - level
+            x0, f0, x1, f1 = x1, f1, x, y
             if f1 == 0.0:
                 return x
         # check x by the same window test, with no secant steps after it
@@ -349,9 +351,12 @@ class AlphaConstants(DiskConstants):
     m_c1, c3_lead and the methods are the only written form of m_c1, the
     potential's steepest slope, C0, C1, C3, F1, F2 and rho_0; the public
     functions of the same names (and disk_potential_max_slope) wrap them,
-    so both give the same bits.  The record builds for any alpha in
-    [0, 2), and the objectives take checked arguments: eps and r positive,
-    alpha in the domain of the objective.  The solves check alpha once per
+    so both give the same bits.  f3, the R_0 objective rho0 - rho_c1, is
+    the record's own; verify.f3 and the ledger's f3_floor row subtract
+    rho_c1 from the public rho0 and from the row's rho0 probe instead, so
+    no ledger point evaluates rho0 twice.  The record builds for any alpha
+    in [0, 2), and the objectives take checked arguments: eps and r
+    positive, alpha in the domain of the objective.  The solves check alpha once per
     call: solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
     solve_eps1 for (0, 1), the domain of C3.
 
@@ -416,6 +421,10 @@ class AlphaConstants(DiskConstants):
     def rho0(self, r: float) -> float:
         return 2.0 / r + self.rho0_coeff * r ** (2.0 - 2.0 * self.alpha)
 
+    def f3(self, r: float) -> float:
+        """The R_0 objective rho0(r) - rho_c1, increasing through 0 at R_0."""
+        return self.rho0(r) - self.rho_c1
+
     def _solve(
         self,
         name: str,
@@ -423,7 +432,6 @@ class AlphaConstants(DiskConstants):
         lo: float,
         hi: float,
         rel_tol: float,
-        level: float = 0.0,
         prev: float | None = None,
     ) -> float:
         # a warm solve from the prediction prev, if given; else, or if it
@@ -433,40 +441,39 @@ class AlphaConstants(DiskConstants):
         # a value that is not finite
         if prev is not None:
             try:
-                x = _warm(f, lo, prev, rel_tol, level)
+                x = _warm(f, lo, prev, rel_tol)
             except (ArithmeticError, ValueError):
                 x = None
             if x is not None:
                 return x
         # one try per solve, not per objective evaluation
         try:
-            return _root(f, lo, hi, rel_tol, level=level)
+            return _root(f, lo, hi, rel_tol)
         except (BracketError, ConvergenceError) as exc:
             raise type(exc)(f"{name}(alpha={self.alpha}): {exc}") from None
 
-    # _rel_tol is the inner stop of solve_alpha0, 1e-12 everywhere else;
+    # _rel_tol is the inner stop of solve_alpha0, REL_TOL everywhere else;
     # _prev, a prediction of the root from the same root at the previous
     # grid points, warm-starts a solve of walk
 
     def solve_r0(
-        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
+        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
     ) -> float:
         check_alpha(self.alpha, "rho0", 0.5)
         rc = self.r_c1
-        # the R_0 objective is rho0(r) - rho_c1; _root takes the level
-        return self._solve("solve_r0", self.rho0, rc, 4.0 * rc, _rel_tol, self.rho_c1, _prev)
+        return self._solve("solve_r0", self.f3, rc, 4.0 * rc, _rel_tol, _prev)
 
-    def solve_m2(self, *, _rel_tol: float = 1e-12) -> float:
+    def solve_m2(self, *, _rel_tol: float = REL_TOL) -> float:
         r0 = self.solve_r0(_rel_tol=_rel_tol)
         return math.pi * r0 * r0
 
     def solve_eps0(
-        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
+        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
     ) -> float:
         return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol, prev=_prev)
 
     def solve_eps1(
-        self, *, _rel_tol: float = 1e-12, _prev: float | None = None
+        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
     ) -> float:
         check_alpha(self.alpha, "c3", 1.0, lo_open=True, hi_open=True)
         return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol, prev=_prev)
@@ -509,11 +516,12 @@ def solve_m2(alpha: float) -> float:
     return AlphaConstants(alpha).solve_m2()
 
 
-def _with_eps(alpha: float, eps: float) -> AlphaConstants:
-    # the argument checks shared by C0 and everything built on it
-    check_alpha(alpha, "c0", 2.0, lo_open=True, hi_open=True)
+def _with_eps(stage: str, alpha: float, eps: float, alpha_hi: float = 2.0) -> AlphaConstants:
+    # the argument checks of C0 and everything built on it, alpha in
+    # (0, alpha_hi) and eps in (0, inf), each naming the function called
+    check_alpha(alpha, stage, alpha_hi, lo_open=True, hi_open=True)
     if not 0.0 < eps < math.inf:
-        raise DomainError(f"c0: eps must be positive and finite, got {eps}")
+        raise DomainError(f"{stage}: eps must be positive and finite, got {eps}")
     return AlphaConstants(alpha)
 
 
@@ -534,12 +542,12 @@ def _in_range(stage: str, k: AlphaConstants, eps: float, value: Callable[[float]
 
 def c0(alpha: float, eps: float) -> float:
     """Perturbation amplitude constant C0(alpha, eps)."""
-    return _in_range("c0", _with_eps(alpha, eps), eps, lambda d0: d0)
+    return _in_range("c0", _with_eps("c0", alpha, eps), eps, lambda d0: d0)
 
 
 def c1(alpha: float, eps: float) -> float:
     """Inner-interaction lower constant pi^(1-a) / (1 + C0)^a."""
-    k = _with_eps(alpha, eps)
+    k = _with_eps("c1", alpha, eps)
     return _in_range("c1", k, eps, k.c1)
 
 
@@ -565,21 +573,19 @@ def delta_bound(d: float) -> float:
 def c3(alpha: float, eps: float) -> float:
     """Slope constant C3 = pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2)
     times (1 + (2/3) sqrt(pi C0 (C0 + 2)))."""
-    k = _with_eps(alpha, eps)
-    check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
+    k = _with_eps("c3", alpha, eps, 1.0)
     return _in_range("c3", k, eps, k.c3)
 
 
 def f1(alpha: float, eps: float) -> float:
     """Rigidity objective eps C3 (eps C3 C0 (C0+2) + 2) - 1; increasing in eps."""
-    k = _with_eps(alpha, eps)
-    check_alpha(alpha, "c3", 1.0, lo_open=True, hi_open=True)
+    k = _with_eps("f1", alpha, eps, 1.0)
     return _in_range("f1", k, eps, lambda d0: k.f1(eps, d0))
 
 
 def f2(alpha: float, eps: float) -> float:
     """Convexity objective 1/(1 + C0) + 2 eps (C1 - C2); decreasing from 1."""
-    k = _with_eps(alpha, eps)
+    k = _with_eps("f2", alpha, eps)
     return _in_range("f2", k, eps, lambda d0: k.f2(eps, d0))
 
 
@@ -672,9 +678,6 @@ def walk(
 
 
 _ALPHA0_BRACKET = (0.01, 0.10)
-# two adjacent doubles x < y always satisfy y - x <= 2**-52 y, so the outer
-# solve can meet any relative width from here up, and none below
-MIN_REL_TOL = 2.0**-52
 
 
 def _inner_rel_tol(rel_tol: float, stage: str) -> float:
@@ -684,15 +687,15 @@ def _inner_rel_tol(rel_tol: float, stage: str) -> float:
             f"{stage}: rel_tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite,"
             f" got {rel_tol}"
         )
-    return 1e-12 if rel_tol >= 1e-12 else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
+    return REL_TOL if rel_tol >= REL_TOL else max(rel_tol / 100.0, 4.0 * MIN_REL_TOL)
 
 
-def solve_alpha0(rel_tol: float = 1e-12) -> float:
+def solve_alpha0(rel_tol: float = REL_TOL) -> float:
     """Exponent where min(m(eps_0), m(eps_1)) crosses m_2.
 
     Outer ITP solve on [0.01, 0.10] down to a relative width rel_tol, which
     must be finite and at least MIN_REL_TOL = 2**-52.  The three inner
-    solves stop at 1e-12 while rel_tol >= 1e-12, and at
+    solves stop at REL_TOL = 1e-12 while rel_tol >= REL_TOL, and at
     max(rel_tol / 100, 4 * 2**-52) below that: the outer objective carries
     their error, so an outer bracket narrower than it would only close in
     on noise.  The result lands within about max(rel_tol, 2e-15) relative
@@ -711,7 +714,7 @@ def solve_alpha0(rel_tol: float = 1e-12) -> float:
         raise type(exc)(f"solve_alpha0(rel_tol={rel_tol}): {exc}") from None
 
 
-def m_at_crossing(alpha0: float, rel_tol: float = 1e-12) -> float:
+def m_at_crossing(alpha0: float, rel_tol: float = REL_TOL) -> float:
     """min(m(eps_0), m(eps_1)) at the crossing alpha0 = solve_alpha0(rel_tol).
 
     Both eps solves stop where solve_alpha0(rel_tol) stops its inner

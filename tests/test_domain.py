@@ -77,13 +77,18 @@ def test_domains_cover_the_numeric_surface():
     assert set(DOMAINS) == public - aggregates
 
 
-# no finite double form of these four reaches its finite true value: two
-# returned NaN, two raised a bare OverflowError
+# no finite double form of the first four reaches its finite true value:
+# two returned NaN, two raised a bare OverflowError.  The last two raised a
+# bare ZeroDivisionError, where a Gamma product underflowed to 0
 @given(CALLS)
 @example(("hyp2f1", (50.0, 3.0, 2.0, 0.999999)))
 @example(("hyp2f1", (-46.8052006248861, -40.714927351486665, 59.6508853624155, 1.0)))
 @example(("hyp2f1", (50.0, 3.0, 0.5, 0.999999)))
 @example(("hyp2f1", (4.0, 34.77586291823995, 0.03602849535405089, 0.9999999950491393)))
+@example(("hyp2f1", (9.9166804651706, 249.30856096483387, 19.907339507937216, 0.9997772149773755)))
+@example(
+    ("hyp2f1", (188.01090429778378, -51.345288696536784, 0.4764234019078243, 0.8850273892720965))
+)
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_finite_value_or_typed_error_promptly(call):
     name, args = call

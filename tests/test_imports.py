@@ -1,9 +1,9 @@
 """Module boundaries of the package: no module imports another's private
 names, only thresholds passes a solve its previous roots, splitting writes
 the density's power of n once, each Gamma value is computed in one place,
-the package exports exactly its layer modules' __all__, every public name
-has a caller or a README line, and importing the package loads none of the
-heavy standard modules."""
+the solve tolerance 1e-12 is written once, the package exports exactly its
+layer modules' __all__, every public name has a caller or a README line,
+and importing the package loads none of the heavy standard modules."""
 
 import ast
 import json
@@ -61,6 +61,17 @@ def test_density_is_written_once():
             ):
                 found.append(getattr(func, "name", f"line {func.lineno}"))
     assert found == ["_coeffs"], found
+
+
+def test_solve_tolerance_is_written_once():
+    # thresholds.REL_TOL is the one written form of the solve tolerance;
+    # every default, the command line's --tol included, reads it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-12:
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, found
 
 
 def gamma_calls(node, where, found):

@@ -163,10 +163,14 @@ def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
 # summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  The
 # one just off z = 0, unlike z = 0 itself, has a true value past double
 # range.  In the next two c - a - b overflows, which the transformation to
-# 1 - z rounded into a bare OverflowError.  The last four have finite true
+# 1 - z rounded into a bare OverflowError.  The next four have finite true
 # values (2.5e307, 2.0e8, 1.6e319 and 3.8e328 by 40-digit mpmath) that no
 # double form here reaches: the bridge sums inf - inf, the Gauss ratio at
-# z = 1 is inf / inf, and w**s overflows in the connection formula
+# z = 1 is inf / inf, and w**s overflows in the connection formula.  In
+# the next two a Gamma product of the connection formula underflowed to 0
+# and raised a bare ZeroDivisionError (true values 4.5e861 and 1.1e84);
+# in the last Gamma(200) overflows, and the DomainError named only gamma
+# (true value 1.0045)
 OVERFLOW_PROBES = (
     (1e308, 1e308, 1.0, 0.5),
     (300.0, 300.0, 1.0, 0.75),
@@ -179,6 +183,9 @@ OVERFLOW_PROBES = (
     (-46.8052006248861, -40.714927351486665, 59.6508853624155, 1.0),
     (50.0, 3.0, 0.5, 0.999999),
     (4.0, 34.77586291823995, 0.03602849535405089, 0.9999999950491393),
+    (9.9166804651706, 249.30856096483387, 19.907339507937216, 0.9997772149773755),
+    (188.01090429778378, -51.345288696536784, 0.4764234019078243, 0.8850273892720965),
+    (1, 1, 200, 0.9),
 )
 
 
@@ -192,6 +199,64 @@ def test_hyp2f1_overflow_fails_promptly():
             best = min(best, time.perf_counter() - t0)
         assert f"a={a}, b={b}, c={c}, z={z}" in str(info.value)
         assert best < 0.01, (a, b, c, z)
+
+
+def test_hyp2f1_has_one_failure_message():
+    # the message names hyp2f1 and its arguments as given; the argument
+    # checks keep their own messages
+    with pytest.raises(DomainError) as info:
+        hyp2f1(1, 1, 200, 0.9)
+    assert str(info.value) == "hyp2f1: no finite double value (a=1, b=1, c=200, z=0.9)"
+    with pytest.raises(DomainError) as info:
+        hyp2f1(1.0, 2.0, 3.0, 1.0)
+    assert str(info.value) == "hyp2f1: z = 1 requires c - a - b > 0"
+
+
+def hyp2f1_draw(rng):
+    # a, b in [-300, 300], c in [0.001, 300], and z from one of four
+    # choices with equal odds: [0.75, 1], [0, 1], exactly 1, or
+    # 1 - 10^u with u in [-12, -1]
+    a, b = rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)
+    c = rng.uniform(0.001, 300.0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        z = rng.uniform(0.75, 1.0)
+    elif kind == 1:
+        z = rng.uniform(0.0, 1.0)
+    elif kind == 2:
+        z = 1.0
+    else:
+        z = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+    return a, b, c, z
+
+
+def test_hyp2f1_fuzz_gives_a_finite_value_or_a_typed_error():
+    # about 4% of these draws (78 of 2,000) raised a bare ZeroDivisionError
+    # where the denominator of a Gamma ratio underflowed to 0
+    rng = random.Random(0)
+    for _ in range(2000):
+        args = hyp2f1_draw(rng)
+        try:
+            value = hyp2f1(*args)
+        except (DomainError, ConvergenceError):
+            continue
+        assert math.isfinite(value), args
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 32 (hyp2f1 accurate or a typed error for large parameters): "
+    "the direct series cancels terms up to 6e56 down to a value near 1e-110",
+)
+def test_hyp2f1_large_parameters_accurate_or_typed_error():
+    # -1.68929347921873e-110 by mpmath at 40 and at 80 digits; the series
+    # in z returns 7.5e40, with no digit right
+    args = (-264.5814807436988, 291.06701046741955, 228.37509449248546, 0.5366586249466256)
+    try:
+        value = hyp2f1(*args)
+    except DomainError:
+        return
+    assert value == pytest.approx(-1.68929347921873e-110, rel=1e-8)
 
 
 def test_hyp2f1_zero_sum_returns_promptly(monkeypatch):

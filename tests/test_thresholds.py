@@ -207,15 +207,28 @@ def test_alpha_constants_domain_split():
         k.solve_m2()
     with pytest.raises(DomainError, match=r"^c3: alpha must lie in \(0, 1\.0\), got 1\.5"):
         AlphaConstants(1.5).solve_eps1()
+    # each eps function names itself
     for alpha in (1.0, 1.5):
-        where = rf"^c3: alpha must lie in \(0, 1\.0\), got {alpha}"
         for fn in (c3, f1):
+            where = rf"^{fn.__name__}: alpha must lie in \(0, 1\.0\), got {alpha}"
             with pytest.raises(DomainError, match=where):
                 fn(alpha, 0.5)
     # from alpha = 1 on, Gamma(1 - alpha) and the C3 lead are not set
     for name in ("g1a", "c3_lead"):
         with pytest.raises(AttributeError):
             getattr(AlphaConstants(1.0), name)
+
+
+def test_eps_functions_name_themselves():
+    # each checks alpha and eps once, under its own name
+    for fn, hi in ((c0, "2.0"), (c1, "2.0"), (c3, "1.0"), (f1, "1.0"), (f2, "2.0")):
+        name = fn.__name__
+        with pytest.raises(DomainError) as info:
+            fn(0.1, -1.0)
+        assert str(info.value) == f"{name}: eps must be positive and finite, got -1.0"
+        with pytest.raises(DomainError) as info:
+            fn(2.5, 0.5)
+        assert str(info.value) == f"{name}: alpha must lie in (0, {hi}), got 2.5"
 
 
 def _bisection_evals(f, lo, hi, rel_tol=1e-12):

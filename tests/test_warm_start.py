@@ -171,14 +171,14 @@ def test_flat_prediction_is_flat():
 
 
 def test_failed_sign_test_falls_back_with_the_same_error():
-    # f - level is positive everywhere, and the secant steps from the
-    # window around 2.5 stop near 1, where it is 1e-300: the window test
-    # there fails, and the cold solve raises the BracketError it raises
-    # without a prediction
+    # f is positive everywhere, and the secant steps from the window
+    # around 2.5 stop near 1, where it is 1e-300: the window test there
+    # fails, and the cold solve raises the BracketError it raises without
+    # a prediction
     def f(x):
         return max(x - 1.0, 0.0) + 1e-300
 
-    assert thresholds._warm(f, 0.5, 2.5, REL_TOL, 0.0) is None
+    assert thresholds._warm(f, 0.5, 2.5, REL_TOL) is None
     k = AlphaConstants(ALPHA)
     with pytest.raises(BracketError) as cold:
         k._solve("probe", f, 0.5, 4.0, REL_TOL)
@@ -205,8 +205,8 @@ def test_iterate_below_lo_falls_back():
 
 
 def test_exact_zero_is_a_root():
-    # f - level is exactly 0 at and below 3; a window end or a secant
-    # iterate where it is 0 is returned as it is met
+    # f - 2 is exactly 0 at and below 3; a window end or a secant iterate
+    # where it is 0 is returned as it is met
     seen = []
 
     def f(x):
@@ -214,11 +214,11 @@ def test_exact_zero_is_a_root():
         return max(x, 3.0) - 1.0
 
     # the lower end of the window around 2.5
-    assert thresholds._warm(f, 0.5, 2.5, REL_TOL, 2.0) == 2.5 * (1.0 - REL_TOL / 4)
+    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 2.5, REL_TOL) == 2.5 * (1.0 - REL_TOL / 4)
     assert len(seen) == 2
     # the first secant step from the window around 4 lands on 3
     seen.clear()
-    assert thresholds._warm(f, 0.5, 4.0, REL_TOL, 2.0) == 3.0
+    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 4.0, REL_TOL) == 3.0
     assert seen[-1] == 3.0 and len(seen) == 3
 
 
