@@ -16,7 +16,11 @@ full round-trip precision in JSON; unsolved CSV fields read "nan" and JSON
 ones are null.  The sweep and envelope tables are written from one row
 template each, and their bytes equal what json.dumps(rows, indent=2,
 allow_nan=False) and csv.writer, with every number written "%.15g", give
-for the same rows.
+for the same rows.  The template is filled a fixed block of rows at a
+time, with one JSON finiteness check per block, and only each block's
+text is kept.  All of it is held until the last row is formatted and then
+written, so a failing row writes no byte, and a table's peak memory is
+about the size of its output.
 
 alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
 relative spacing of doubles no bracket can get narrow enough.
@@ -32,8 +36,9 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import cache
+from itertools import islice
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -45,6 +50,7 @@ __all__ = ["main", "entrypoint"]
 
 _SWEEP_FIELDS = ("alpha", "m_c1", "m_2", "m_eps0", "m_eps1")
 _ENVELOPE_FIELDS = ("R", "rho_1", "rho_2", "rho_3", "rho_min", "n_opt")
+_BLOCK_ROWS = 256  # table rows formatted per string
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,12 +62,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(texts: Iterable[str], out: str | None) -> None:
+    # each string is written as it is held, so no copy of the whole output
+    # is made here
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def _json_text(payload: object) -> str:
@@ -75,44 +83,54 @@ def _json_finite(values: Iterable[float | int]) -> None:
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
 
 
-def _table_text(
-    fields: tuple[str, ...], rows: Sequence[tuple[float | int | None, ...]], fmt: str
-) -> str:
-    """The rows as a CSV or JSON table, one value per field in each row.
+def _table_blocks(
+    fields: tuple[str, ...], rows: Iterable[tuple[float | int | None, ...]], fmt: str
+) -> Iterator[str]:
+    """The rows as a CSV or JSON table, one value per field in each row,
+    as the text of _BLOCK_ROWS rows at a time.
 
-    The bytes equal json.dumps([dict(zip(fields, row)) ...], indent=2,
-    allow_nan=False) plus a newline, or csv.writer output with every number
-    written "%.15g", but come from one row template filled once per row:
-    JSON numbers are their repr (str and repr agree on float and int, and
-    repr is what json writes), CSV ones "%.15g".  None reads null or nan.
+    The joined strings equal json.dumps([dict(zip(fields, row)) ...],
+    indent=2, allow_nan=False) plus a newline, or csv.writer output with
+    every number written "%.15g", but come from one row template filled
+    once per row: JSON numbers are their repr (str and repr agree on float
+    and int, and repr is what json writes), CSV ones "%.15g".  None reads
+    null or nan.  rows may be any iterable; only one block of them, and of
+    their lines, is held at a time.
 
-    JSON first checks the whole table in one pass: a finite sum of every
-    value means every value is finite.  A None (the sum raises TypeError)
-    or a sum that is not finite falls back to a value-by-value check, which
+    JSON checks each block in one pass: a finite sum of the block's values
+    means every value is finite.  A None (the sum raises TypeError) or a
+    sum that is not finite falls back to a value-by-value check, which
     raises json's own ValueError for the first non-finite number in row
-    order; a finite table whose sum overflows passes it and is written.  CSV
-    writes a non-finite number as nan or inf.
+    order; a finite block whose sum overflows passes it and is written.
+    CSV writes a non-finite number as nan or inf.  A caller that must write
+    no byte of a table with a failing row holds every block before it
+    writes the first.
     """
     json_out = fmt == "json"
     if json_out:
         line = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
         head, sep, tail, missing = "[\n", ",\n", "\n]\n", "null"
-        try:
-            finite = math.isfinite(sum(map(sum, rows)))
-        except TypeError:
-            finite = False
-        if not finite:
-            _json_finite(v for row in rows for v in row if v is not None)
     else:
         line = ",".join(["%.15g"] * len(fields))
         head, sep, tail, missing = ",".join(fields) + "\n", "\n", "\n", math.nan
-    lines = [
-        line % (row if None not in row else tuple(missing if v is None else v for v in row))
-        for row in rows
-    ]
-    if not lines:
-        return "[]\n" if json_out else head
-    return head + sep.join(lines) + tail
+    rows, lead = iter(rows), head
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        if json_out:
+            try:
+                finite = math.isfinite(sum(map(sum, block)))
+            except TypeError:
+                finite = False
+            if not finite:
+                _json_finite(v for row in block for v in row if v is not None)
+        yield lead + sep.join(
+            line % (row if None not in row else tuple(missing if v is None else v for v in row))
+            for row in block
+        )
+        lead = sep
+    if lead is head:
+        yield "[]\n" if json_out else head
+    else:
+        yield tail
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -133,7 +151,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "m_eps0": m_eps0,
         "m_eps1": m_eps1,
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return 0
 
 
@@ -169,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a grid point can overshoot alpha-max by an ulp; it keeps those bits,
     # except past 0.5, which solve_r0 rejects
     rows = list(_sweep_rows(min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps)))
-    _emit(_table_text(_SWEEP_FIELDS, rows, args.format), args.out)
+    _emit(list(_table_blocks(_SWEEP_FIELDS, rows, args.format)), args.out)
     return 3 if any(None in row for row in rows) else 0
 
 
@@ -182,13 +200,13 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         raise DomainError(f"envelope: steps must be at least 1, got {steps}")
 
     radii = (r_max * i / steps for i in range(1, steps + 1))
-    # every row is computed before any is written, so a failing row
-    # raises its own error first, naming the r-max it came from
+    # every row is computed and formatted before any is written, so a
+    # failing row raises its own error first, naming the r-max it came from
     try:
-        rows = list(envelope_rows(alpha, radii))
+        blocks = list(_table_blocks(_ENVELOPE_FIELDS, envelope_rows(alpha, radii), args.format))
     except DomainError as exc:
         raise DomainError(f"{exc} (r-max {r_max})") from None
-    _emit(_table_text(_ENVELOPE_FIELDS, rows, args.format), args.out)
+    _emit(blocks, args.out)
     return 0
 
 
@@ -200,13 +218,13 @@ def _cmd_alpha0(args: argparse.Namespace) -> int:
         )
     a0 = solve_alpha0(tol)
     payload = {"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol}
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_ledger(alpha_max=args.alpha_max, grid=args.grid)
-    _emit(_json_text(report), args.out)
+    _emit([_json_text(report)], args.out)
     return 0 if report["passed"] else 2
 
 

@@ -1,14 +1,20 @@
 """The sweep and envelope table writer against json and csv, byte for byte.
 
-cli._table_text fills one row template per table.  These tests hold it to
-the text json.dumps(indent=2, allow_nan=False) and csv.writer write for the
-same rows, on the benchmark's table shapes and on hypothesis-drawn rows.
+cli._table_blocks fills one row template per table, cli._BLOCK_ROWS rows
+to a string.  These tests hold the joined strings to the text
+json.dumps(indent=2, allow_nan=False) and csv.writer write for the same
+rows: on the benchmark's table shapes, on hypothesis-drawn rows, and on
+tables that end just before, at and just past a block boundary, fed as a
+list and as a generator.  They also bound the command's traced peak
+memory by its output size, and check that a table with a failing row
+writes no byte.
 """
 
 import csv
 import io
 import json
 import math
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -38,9 +44,13 @@ def csv_reference(fields, rows):
     return buf.getvalue()
 
 
+def table_text(fields, rows, fmt):
+    return "".join(cli._table_blocks(fields, rows, fmt))
+
+
 def assert_same_bytes(fields, rows):
-    assert cli._table_text(fields, rows, "json") == json_reference(fields, rows)
-    assert cli._table_text(fields, rows, "csv") == csv_reference(fields, rows)
+    assert table_text(fields, rows, "json") == json_reference(fields, rows)
+    assert table_text(fields, rows, "csv") == csv_reference(fields, rows)
 
 
 def test_sweep_table_shape():
@@ -114,14 +124,96 @@ def check_non_finite_raises_json_error(bad, missing, shape):
     with pytest.raises(ValueError) as expected:
         json_reference(fields, rows)
     with pytest.raises(ValueError) as got:
-        cli._table_text(fields, rows, "json")
+        table_text(fields, rows, "json")
     assert str(got.value) == str(expected.value)
     assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
     # CSV writes them, as "%.15g" does
-    csv_lines = cli._table_text(fields, rows, "csv").splitlines()
+    csv_lines = table_text(fields, rows, "csv").splitlines()
     assert csv_lines[1 + at].split(",")[2] == "%.15g" % bad
 
 
 def test_empty_table():
-    assert cli._table_text(FIELDS, [], "json") == json_reference(FIELDS, []) == "[]\n"
-    assert cli._table_text(FIELDS, [], "csv") == csv_reference(FIELDS, []) == "a,b_c,rho_2\n"
+    assert table_text(FIELDS, [], "json") == json_reference(FIELDS, []) == "[]\n"
+    assert table_text(FIELDS, [], "csv") == csv_reference(FIELDS, []) == "a,b_c,rho_2\n"
+
+
+B = cli._BLOCK_ROWS
+
+
+def boundary_rows(n):
+    # n envelope rows, every 97th with a None, so that blocks with and
+    # without one meet at the boundaries
+    rows = envelope_table()[:n]
+    return [row if i % 97 else row[:2] + (None,) + row[3:] for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_tables_across_block_boundaries(n):
+    fields, rows = cli._ENVELOPE_FIELDS, boundary_rows(n)
+    assert len(rows) == n
+    expected = {"json": json_reference(fields, rows), "csv": csv_reference(fields, rows)}
+    for fmt in ("json", "csv"):
+        for feed in (rows, (row for row in rows)):
+            blocks = list(cli._table_blocks(fields, feed, fmt))
+            assert "".join(blocks) == expected[fmt]
+            # one string per block of B rows, then the closing text
+            assert len(blocks) == (1 if n == 0 else -(-n // B) + 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_in_a_middle_block_raises_json_error(bad):
+    # a None in the first block, the bad value in the second of three, and
+    # another non-finite value in the third: json names the first in row
+    # order
+    fields = cli._ENVELOPE_FIELDS
+    rows = boundary_rows(2 * B + 1)
+    assert None in rows[0]
+    rows[B + 44] = rows[B + 44][:3] + (bad,) + rows[B + 44][4:]
+    rows[2 * B] = (-math.inf if bad == math.inf else math.inf,) + rows[2 * B][1:]
+    with pytest.raises(ValueError) as expected:
+        json_reference(fields, rows)
+    assert repr(bad) in str(expected.value)
+    for feed in (rows, (row for row in rows)):
+        with pytest.raises(ValueError) as got:
+            table_text(fields, feed, "json")
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_envelope_peak_memory_is_about_its_output(fmt, tmp_path):
+    # only the table's text is held until it is written: the command's
+    # traced peak stays within 1.5 times the file it writes (about 1.1 for
+    # JSON and 1.2 for CSV; 4.4 and 6.2 when the whole row list, its lines
+    # and their join were held at once)
+    out = tmp_path / f"envelope.{fmt}"
+    argv = ["envelope", "--alpha", "0.04", "--r-max", "40", "--steps", "4000",
+            "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 300_000
+    assert peak <= 1.5 * size
+
+
+def test_failing_row_writes_no_byte(tmp_path, capsys):
+    # the minimizing n passes 2**53 at row 645, in the third block
+    argv = ["envelope", "--alpha", "0.1", "--r-max", "1e8", "--steps", "1000"]
+    assert 2 * B < 645
+    message = (
+        "rieszdrop: error: envelope_rows: the minimizing n is not below 2**53"
+        " at r = 64500000.0 (r-max 100000000.0)\n"
+    )
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", message)
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_bytes(b'{"kept": true}\n')
+    for out in (new, kept):
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not new.exists()
+    assert kept.read_bytes() == b'{"kept": true}\n'
