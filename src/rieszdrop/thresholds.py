@@ -31,18 +31,20 @@ f3(r) = rho0(r) - rho_c1, eps_0 of F2 and eps_1 of F1.
 
 walk(alphas, stage) is the one grid walk: the ledger, the sweep rows and
 eval (a walk of one point) all take their roots (R_0, eps_0, eps_1) and
-masses from it.  It keeps each root at up to the previous five points and
-predicts the next one from them, then checks the prediction: R_0 by a
-cubic extrapolation, 4 r_-1 - 6 r_-2 + 4 r_-3 - r_-4, and eps_0 and eps_1
-by a quartic in 1/eps (eps grows like 1/alpha, which no polynomial in
-alpha extrapolates); lower orders while the history fills.  The warm solve
-evaluates the objective at p (1 -+ rel_tol/4) around the prediction p.
-On a sign change it returns the regula falsi point of that window, so the
-true root lies within rel_tol/2 x of it, as for ITP; otherwise it takes
-secant steps from the two window values, one evaluation each, and checks
-their result by the same window test.  Anything else falls back to the
-cold solve, with its bits and errors.  Along the default ledger grid that
-is 2 evaluations at 2,445 of its 2,994 warm roots and 7,777 in all, none
+masses from it, and it is the one place a root is warm-started.  It keeps
+each root at up to the previous five points and predicts the next one
+from them: R_0 by a cubic extrapolation, 4 r_-1 - 6 r_-2 + 4 r_-3 - r_-4,
+and eps_0 and eps_1 by a quartic in 1/eps (eps grows like 1/alpha, which
+no polynomial in alpha extrapolates); lower orders while the history
+fills.  It checks a prediction p itself, by a warm solve on the record's
+objective (f3, f2 or f1), which evaluates it at p (1 -+ rel_tol/4).  On
+a sign change the warm solve returns the regula falsi point of that
+window, so the true root lies within rel_tol/2 x of it, as for ITP;
+otherwise it takes secant steps from the two window values, one
+evaluation each, and checks their result by the same window test.
+Anything else falls back to the record's solve_* method, which is cold
+only, with its bits and errors.  Along the default ledger grid that is 2
+evaluations at 2,445 of its 2,994 warm roots and 7,777 in all, none
 falling back.  A point with an unsolved root starts the history over.
 Every solve without two previous roots (eval, alpha_0, the public solve_*
 functions, a walk's first two points and the two after an unsolved one) is
@@ -240,50 +242,57 @@ def _warm(
     from the two window values, one evaluation each, up to the first step
     of at most rel_tol x; its result is checked by the same window test,
     with no steps after it.  A window end or an iterate where f is exactly
-    0 is returned.  None, for _root to solve cold, on a failed check, a window
-    end or iterate at or below lo, a value that is not a finite float, a
-    flat secant, or _WARM_STEPS steps with none small enough.
+    0 is returned.  None, for the cold solve, on a failed check, a window
+    end or iterate at or below lo, a value that is not a finite float or an
+    objective that raises ArithmeticError or ValueError, a flat secant, or
+    _WARM_STEPS steps with none small enough.
     """
-    isfinite = math.isfinite
+    finite = math.isfinite
     q = 0.25 * rel_tol
     steps = _WARM_STEPS
-    while True:
-        a, b = p * (1.0 - q), p * (1.0 + q)
-        if not a > lo:
-            return None
-        fa, fb = f(a), f(b)
-        if not (isinstance(fa, float) and isfinite(fa) and isinstance(fb, float) and isfinite(fb)):
-            return None
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if (fa > 0.0) != (fb > 0.0):
-            # fa and -fb share a sign, so the fraction lies in [0, 1]; the
-            # clamp guards its rounding
-            x = a + (b - a) * (fa / (fa - fb))
-            return a if x < a else b if x > b else x
-        if steps == 0:  # the secant steps' result failed its window test
-            return None
-        x0, f0, x1, f1 = a, fa, b, fb
+    try:
         while True:
-            if f1 == f0 or steps == 0:
+            a, b = p * (1.0 - q), p * (1.0 + q)
+            if not a > lo:
                 return None
-            steps -= 1
-            x = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not x > lo:
+            fa, fb = f(a), f(b)
+            if not (isinstance(fa, float) and finite(fa) and isinstance(fb, float) and finite(fb)):
                 return None
-            step = x - x1
-            if (step if step >= 0.0 else -step) <= rel_tol * x:
-                break
-            y = f(x)
-            if not (isinstance(y, float) and isfinite(y)):
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if (fa > 0.0) != (fb > 0.0):
+                # fa and -fb share a sign, so the fraction lies in [0, 1]; the
+                # clamp guards its rounding
+                x = a + (b - a) * (fa / (fa - fb))
+                return a if x < a else b if x > b else x
+            if steps == 0:  # the secant steps' result failed its window test
                 return None
-            x0, f0, x1, f1 = x1, f1, x, y
-            if f1 == 0.0:
-                return x
-        # check x by the same window test, with no secant steps after it
-        p, steps = x, 0
+            x0, f0, x1, f1 = a, fa, b, fb
+            while True:
+                if f1 == f0 or steps == 0:
+                    return None
+                steps -= 1
+                x = x1 - f1 * (x1 - x0) / (f1 - f0)
+                if not x > lo:
+                    return None
+                step = x - x1
+                if (step if step >= 0.0 else -step) <= rel_tol * x:
+                    break
+                y = f(x)
+                if not (isinstance(y, float) and finite(y)):
+                    return None
+                x0, f0, x1, f1 = x1, f1, x, y
+                if f1 == 0.0:
+                    return x
+            # check x by the same window test, with no secant steps after it
+            p, steps = x, 0
+    except (ArithmeticError, ValueError):
+        # an objective that raises at a window end or an iterate (r^(2-2a)
+        # overflows far past R_0) fails the check like a value that is not
+        # finite
+        return None
 
 
 def _extrapolate(h: list[float], inverse: bool = False) -> float | None:
@@ -352,17 +361,20 @@ class AlphaConstants(DiskConstants):
     potential's steepest slope, C0, C1, C3, F1, F2 and rho_0; the public
     functions of the same names (and disk_potential_max_slope) wrap them,
     so both give the same bits.  f3, the R_0 objective rho0 - rho_c1, is
-    the record's own; verify.f3 and the ledger's f3_floor row subtract
-    rho_c1 from the public rho0 and from the row's rho0 probe instead, so
-    no ledger point evaluates rho0 twice.  The record builds for any alpha
-    in [0, 2), and the objectives take checked arguments: eps and r
-    positive, alpha in the domain of the objective.  The solves check alpha once per
-    call: solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
+    the record's own, and verify.f3 reads it; the ledger's f3_floor row
+    subtracts rho_c1 from the row's rho0 probe instead, so no ledger point
+    evaluates rho0 twice.  f1 and f2 take the C0, C1 and C3 a caller
+    already holds.  The record builds for any alpha in [0, 2), and the
+    objectives take checked arguments: eps and r positive, alpha in the
+    domain of the objective.  The solves check alpha once per call:
+    solve_r0 (and solve_m2) for [0, 1/2], the domain of rho_0, and
     solve_eps1 for (0, 1), the domain of C3.
 
-    The solve_* methods prefix a BracketError or ConvergenceError with the
-    solve and alpha, e.g. "solve_eps0(alpha=1e-20): no sign change ...";
-    solve_m2 reports the solve_r0 that failed under it.
+    The solve_* methods are cold: ITP on the full bracket.  walk tries its
+    warm solves on the objectives and calls them only where those fail.
+    They prefix a BracketError or ConvergenceError with the solve and
+    alpha, e.g. "solve_eps0(alpha=1e-20): no sign change ..."; solve_m2
+    reports the solve_r0 that failed under it.
     """
 
     __slots__ = ("pi_2ma", "pi_1ma", "c2", "rho0_coeff", "m_c1", "g1a", "c3_lead")
@@ -403,8 +415,8 @@ class AlphaConstants(DiskConstants):
             d3 = self.c3(d0)
         return eps * d3 * (eps * d3 * d0 * (d0 + 2.0) + 2.0) - 1.0
 
-    def f2(self, eps: float, d0: float | None = None) -> float:
-        """F2 at eps, given C0 = d0 there where it is known.
+    def f2(self, eps: float, d0: float | None = None, d1: float | None = None) -> float:
+        """F2 at eps, given C0 = d0 and C1 = d1 there where they are known.
 
         F2 subtracts two values near pi and scales the difference by 2 eps,
         so near eps_0 at small alpha it moves in steps of about 3e-14.  At
@@ -416,7 +428,9 @@ class AlphaConstants(DiskConstants):
         """
         if d0 is None:
             d0 = self.c0(eps)
-        return 1.0 / (1.0 + d0) + 2.0 * eps * (self.c1(d0) - self.c2)
+        if d1 is None:
+            d1 = self.c1(d0)
+        return 1.0 / (1.0 + d0) + 2.0 * eps * (d1 - self.c2)
 
     def rho0(self, r: float) -> float:
         return 2.0 / r + self.rho0_coeff * r ** (2.0 - 2.0 * self.alpha)
@@ -426,57 +440,32 @@ class AlphaConstants(DiskConstants):
         return self.rho0(r) - self.rho_c1
 
     def _solve(
-        self,
-        name: str,
-        f: Callable[[float], float],
-        lo: float,
-        hi: float,
-        rel_tol: float,
-        prev: float | None = None,
+        self, name: str, f: Callable[[float], float], lo: float, hi: float, rel_tol: float
     ) -> float:
-        # a warm solve from the prediction prev, if given; else, or if it
-        # fails its checks, cold ITP on the full bracket, with the same bits
-        # and errors as without prev.  An objective that raises at a warm
-        # point (r^(2-2a) overflows far past R_0) fails the warm solve like
-        # a value that is not finite
-        if prev is not None:
-            try:
-                x = _warm(f, lo, prev, rel_tol)
-            except (ArithmeticError, ValueError):
-                x = None
-            if x is not None:
-                return x
-        # one try per solve, not per objective evaluation
+        # cold ITP on the full bracket, with one try per solve, not per
+        # objective evaluation; walk tries its warm solves before this
         try:
             return _root(f, lo, hi, rel_tol)
         except (BracketError, ConvergenceError) as exc:
             raise type(exc)(f"{name}(alpha={self.alpha}): {exc}") from None
 
-    # _rel_tol is the inner stop of solve_alpha0, REL_TOL everywhere else;
-    # _prev, a prediction of the root from the same root at the previous
-    # grid points, warm-starts a solve of walk
+    # _rel_tol is the inner stop of solve_alpha0, REL_TOL everywhere else
 
-    def solve_r0(
-        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
-    ) -> float:
+    def solve_r0(self, *, _rel_tol: float = REL_TOL) -> float:
         check_alpha(self.alpha, "rho0", 0.5)
         rc = self.r_c1
-        return self._solve("solve_r0", self.f3, rc, 4.0 * rc, _rel_tol, _prev)
+        return self._solve("solve_r0", self.f3, rc, 4.0 * rc, _rel_tol)
 
     def solve_m2(self, *, _rel_tol: float = REL_TOL) -> float:
         r0 = self.solve_r0(_rel_tol=_rel_tol)
         return math.pi * r0 * r0
 
-    def solve_eps0(
-        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
-    ) -> float:
-        return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol, prev=_prev)
+    def solve_eps0(self, *, _rel_tol: float = REL_TOL) -> float:
+        return self._solve("solve_eps0", self.f2, *_EPS_BRACKET, _rel_tol)
 
-    def solve_eps1(
-        self, *, _rel_tol: float = REL_TOL, _prev: float | None = None
-    ) -> float:
+    def solve_eps1(self, *, _rel_tol: float = REL_TOL) -> float:
         check_alpha(self.alpha, "c3", 1.0, lo_open=True, hi_open=True)
-        return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol, prev=_prev)
+        return self._solve("solve_eps1", self.f1, *_EPS_BRACKET, _rel_tol)
 
     def _m_eps_min(self, rel_tol: float) -> float:
         # min(m(eps_0), m(eps_1)), the mass solve_alpha0 meets with m_2
@@ -634,8 +623,11 @@ def walk(
     solve order, and an unsolved root and its mass are None.  From the
     third point on, each solve is warm-started from a prediction: the
     polynomial through the same root at up to the previous four points
-    (R_0) or five (eps_0 and eps_1, in 1/eps), taken one step on.  A point
-    with a failure starts that history over.
+    (R_0) or five (eps_0 and eps_1, in 1/eps), taken one step on.  The walk
+    solves that root warm itself, and where the warm solve fails it runs
+    the record's cold solve_* method, whose bits and errors the root then
+    has; R_0 above alpha 1/2 is never warm and raises solve_r0's
+    DomainError.  A point with a failure starts that history over.
     """
     # the roots at the previous points, newest first: R_0, and eps_0 and
     # eps_1 as 1/eps, in which they extrapolate
@@ -646,27 +638,42 @@ def walk(
         k = AlphaConstants(alpha)
         r0 = eps0 = eps1 = m_2 = m_eps0 = m_eps1 = None
         failures: list[Exception] = []
-        try:
-            check_alpha(alpha, stage, 1.0, lo_open=True, hi_open=True)
-        except DomainError as exc:
-            failures.append(exc)
-        else:
+        if 0.0 < alpha < 1.0:
             # the three solves written out, each with its mass: a loop over
-            # them costs the ledger a few percent of its time
+            # them costs the ledger a few percent of its time.  R_0 past
+            # alpha 1/2 is left to solve_r0, which raises
             try:
-                r0 = k.solve_r0(_prev=_extrapolate(h0))
+                p = _extrapolate(h0)
+                if p is not None and alpha <= 0.5:
+                    r0 = _warm(k.f3, k.r_c1, p, REL_TOL)
+                if r0 is None:
+                    r0 = k.solve_r0()
                 m_2 = math.pi * r0 * r0
             except (DomainError, BracketError, ConvergenceError) as exc:
                 failures.append(exc)
             try:
-                eps0 = k.solve_eps0(_prev=_extrapolate(h1, True))
+                p = _extrapolate(h1, True)
+                if p is not None:
+                    eps0 = _warm(k.f2, _EPS_BRACKET[0], p, REL_TOL)
+                if eps0 is None:
+                    eps0 = k.solve_eps0()
                 m_eps0 = _m_of_eps(eps0, alpha)
             except (DomainError, BracketError, ConvergenceError) as exc:
                 failures.append(exc)
             try:
-                eps1 = k.solve_eps1(_prev=_extrapolate(h2, True))
+                p = _extrapolate(h2, True)
+                if p is not None:
+                    eps1 = _warm(k.f1, _EPS_BRACKET[0], p, REL_TOL)
+                if eps1 is None:
+                    eps1 = k.solve_eps1()
                 m_eps1 = _m_of_eps(eps1, alpha)
             except (DomainError, BracketError, ConvergenceError) as exc:
+                failures.append(exc)
+        else:
+            # alpha outside (0, 1): check_alpha raises its DomainError
+            try:
+                check_alpha(alpha, stage, 1.0, lo_open=True, hi_open=True)
+            except DomainError as exc:
                 failures.append(exc)
         yield k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures
         if failures:

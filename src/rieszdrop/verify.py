@@ -10,7 +10,7 @@ which warm-starts each root solve from a prediction by its roots at the
 previous points; the first failed solve is raised.  Each point gives one
 tuple of the eighteen values in _CHECK_TABLE order, which is the only
 place a row is named; the running extremes are kept by row position as the
-walk streams, so no point is stored.  C0 and C3 at the eps probe are
+walk streams, so no point is stored.  C0, C1 and C3 at the eps probe are
 computed once per point and passed to F1 and F2.
 
 This is a floating-point grid check, not certified interval arithmetic;
@@ -24,13 +24,26 @@ import math
 
 from .errors import DomainError
 from .splitting import rho_c1
-from .thresholds import rho0, walk
+from .thresholds import AlphaConstants, rho0, walk
 
 __all__ = ["f3", "run_ledger"]
 
 
 def f3(alpha: float, r: float) -> float:
-    """Clearance rho0(r) - rho_c1 of the comparison density over the envelope level."""
+    """Clearance rho0(r) - rho_c1 of the comparison density over the envelope level.
+
+    The value is the f3 of one constants record, so each Gamma value is
+    computed once.  The domain is rho0's, and arguments outside it, or an r
+    where the density leaves double range, raise rho0's DomainError.
+    """
+    if 0.0 < r < math.inf and 0.0 <= alpha <= 0.5:
+        try:
+            value = AlphaConstants(alpha).f3(r)
+        except OverflowError:  # r^(2 - 2a)
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    # rho0 raises its DomainError for these arguments
     return rho0(r, alpha) - rho_c1(alpha)
 
 
@@ -97,10 +110,11 @@ def run_ledger(alpha_max: float = 0.034, grid: int = 1000) -> dict:
         # rows included, and the walk's three root solves
         rho0_probe = k.rho0(_R_PROBE)
         d0 = k.c0(_EPS_PROBE)
+        d1 = k.c1(d0)
         d3 = k.c3(d0)
         values = (
             k.g2a, k.g2ah, k.g3ah, k.g1a, k.m_c1,
-            d0, d3, k.f1(_EPS_PROBE, d0, d3), k.c1(d0), k.c2, k.f2(_EPS_PROBE, d0),
+            d0, d3, k.f1(_EPS_PROBE, d0, d3), d1, k.c2, k.f2(_EPS_PROBE, d0, d1),
             k.r_c1, k.rho_c1, rho0_probe, rho0_probe - k.rho_c1, *masses,
         )
         alpha = k.alpha

@@ -6,19 +6,23 @@ a counting wrapper, the way the benchmark's tracer does (the layers import
 these names directly, so patching the defining module alone would miss most
 calls).  The evals fixture wraps the objectives the root solves evaluate,
 AlphaConstants.f1, f2 and rho0.  The tests bound how often one operation
-calls them.  Counts do not depend on the machine, so these bounds cannot
-flake the way timings do.
+calls them.  ledger_python_calls counts every named Python call in the
+package during the default ledger, the dispatch the layers add around
+those objectives.  Counts do not depend on the machine, so these bounds
+cannot flake the way timings do.
 """
 
+import os
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 
+import rieszdrop
 from rieszdrop import cli, specfun, splitting, thresholds
 from rieszdrop.cli import main
 from rieszdrop.thresholds import AlphaConstants, solve_alpha0, solve_eps0, solve_eps1, solve_m2
-from rieszdrop.verify import run_ledger
+from rieszdrop.verify import f3, run_ledger
 
 COUNTED = {
     "gamma": specfun.gamma,
@@ -102,6 +106,55 @@ def test_ledger_gamma_calls_per_point(calls):
     assert calls["gamma"] == 4 * grid
     assert calls["v0_const"] == 0
     assert calls["_r_cn"] == grid
+
+
+def test_f3_computes_constants_once(calls):
+    # one constants record gives rho0(r) - rho_c1: 4 Gamma values, where
+    # the public rho0 and rho_c1 built a record each and cost 7
+    for alpha in (1e-3, 0.034, 0.5):
+        calls["gamma"] = 0
+        f3(alpha, 0.945)
+        assert calls["gamma"] == 4, alpha
+
+
+def ledger_python_calls():
+    """{name: calls} of the named functions under src/rieszdrop in run_ledger(0.032).
+
+    A profile hook counts each "call" event of a frame whose code lives in
+    the package, a generator's every resume included; lambdas and
+    comprehensions (names in angle brackets) are left out.
+    """
+    src = os.path.dirname(rieszdrop.__file__) + os.sep
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(src) and code.co_name[0] != "<":
+            counts[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_ledger(0.032)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_ledger_python_calls():
+    # the Python calls of the default-grid ledger, pinned exactly (the
+    # walk's path is fixed).  It made 63,166 when the walk passed each
+    # prediction through check_alpha, a solve_* method and
+    # AlphaConstants._solve to _warm (9,000 calls that evaluate nothing),
+    # and run_ledger computed C1 at the eps probe twice per point; now the
+    # walk calls _warm itself and runs the 3 solves only for the first two
+    # points' cold roots
+    counts = ledger_python_calls()
+    assert sum(counts.values()) == 53_182
+    assert counts["_warm"] == 3 * 998
+    assert counts["_solve"] == counts["_root"] == 3 * 2
+    assert counts["check_alpha"] == 4  # solve_r0 and solve_eps1, cold
+    # one C1 per F2: the probe's F2 reads the C1 of the c1_floor row
+    assert counts["c1"] == counts["f2"] == 1000 + 2_906
 
 
 def test_envelope_walks_each_segment_once(calls, tmp_path):

@@ -1,9 +1,10 @@
 """Module boundaries of the package: no module imports another's private
-names, only thresholds passes a solve its previous roots, splitting writes
-the density's power of n once, each Gamma value is computed in one place,
-the solve tolerance 1e-12 is written once, the package exports exactly its
-layer modules' __all__, every public name has a caller or a README line,
-and importing the package loads none of the heavy standard modules."""
+names, only thresholds.walk warm-starts a solve from its previous roots,
+splitting writes the density's power of n once, each Gamma value is
+computed in one place, the solve tolerance 1e-12 is written once, the
+package exports exactly its layer modules' __all__, every public name has
+a caller or a README line, and importing the package loads none of the
+heavy standard modules."""
 
 import ast
 import json
@@ -36,15 +37,26 @@ def test_no_private_cross_module_imports():
 
 def test_root_history_lives_in_thresholds():
     # thresholds.walk is the one grid walk: it keeps the previous roots and
-    # warm-starts each solve from them, so no other module passes _prev
+    # passes a prediction from them to _warm, once per root, so no other
+    # code warm-starts a solve, and no solve takes a prediction (_prev)
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "thresholds.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                found += [f"{path.name}:{node.lineno}" for kw in node.keywords if kw.arg == "_prev"]
-    assert not found, found
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the innermost function around each line: ast.walk is breadth
+        # first, so a nested function overwrites its outer one
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(range(func.lineno, func.end_lineno + 1), func.name))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{owner.get(getattr(node, 'lineno', 0), '<module>')}"
+            if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "_prev":
+                found.append(f"{where} names _prev")
+            elif isinstance(node, ast.Call):
+                callee = node.func
+                if getattr(callee, "id", None) == "_warm" or getattr(callee, "attr", None) == "_warm":
+                    found.append(f"{where} calls _warm")
+    assert found == ["thresholds.py:walk calls _warm"] * 3, found
 
 
 def test_density_is_written_once():

@@ -1,15 +1,17 @@
 """Warm-started root solves along the ledger and sweep grids.
 
-From the third grid point on, run_ledger and the sweep rows pass each
-solve a prediction of its root: the polynomial through the same root at
-up to the previous four points (R_0) or five (eps_0 and eps_1, in 1/eps),
-taken one step on.  The solve evaluates the objective at the ends of the
-window p (1 -+ rel_tol/4); on a sign change it returns the window's regula
-falsi point, and otherwise it takes secant steps from the two window values
-and checks their result by the same window test.  Anything else falls back
-to the cold ITP solve, which runs thresholds._root, so wrapping _root
-shows every fallback.  A warm root is not the cold root's bits, but it
-carries the same guarantee: the true root lies within rel_tol/2 x.
+From the third grid point on, thresholds.walk (which run_ledger and the
+sweep rows run) predicts each root: the polynomial through the same root
+at up to the previous four points (R_0) or five (eps_0 and eps_1, in
+1/eps), taken one step on.  It passes the prediction to thresholds._warm,
+so wrapping _warm shows every warm solve.  _warm evaluates the objective
+at the ends of the window p (1 -+ rel_tol/4); on a sign change it returns
+the window's regula falsi point, and otherwise it takes secant steps from
+the two window values and checks their result by the same window test.
+Anything else returns None, and the walk falls back to the record's cold
+ITP solve, which runs thresholds._root, so wrapping _root shows every
+fallback.  A warm root is not the cold root's bits, but it carries the
+same guarantee: the true root lies within rel_tol/2 x.
 """
 
 import math
@@ -22,6 +24,7 @@ from rieszdrop.thresholds import AlphaConstants, solve_eps0, solve_eps1, solve_r
 from rieszdrop.verify import run_ledger
 
 REL_TOL = 1e-12
+# in the walk's solve order
 COLD = {"solve_r0": solve_r0, "solve_eps0": solve_eps0, "solve_eps1": solve_eps1}
 
 
@@ -35,18 +38,28 @@ def objective(name, alpha):
 
 @pytest.fixture
 def warm_roots(monkeypatch):
-    """(solve, alpha, root) of every solve given a prediction."""
+    """(solve, alpha, root) of every warm solve of a record's objective.
+
+    The root is None where the warm solve failed.  The solve and alpha are
+    read from the bound objective the walk passes: the record's f3, f2 or
+    f1, as the class defines it when the solve runs.
+    """
     found = []
-    for name in COLD:
-        solve = getattr(AlphaConstants, name)
+    warm = thresholds._warm
 
-        def recording(self, *, _prev=None, _solve=solve, _name=name, **kwargs):
-            x = _solve(self, _prev=_prev, **kwargs)
-            if _prev is not None:
-                found.append((_name, self.alpha, x))
-            return x
+    def recording(f, lo, p, rel_tol):
+        x = warm(f, lo, p, rel_tol)
+        k = getattr(f, "__self__", None)
+        if isinstance(k, AlphaConstants):
+            solve = {
+                AlphaConstants.f3: "solve_r0",
+                AlphaConstants.f2: "solve_eps0",
+                AlphaConstants.f1: "solve_eps1",
+            }[f.__func__]
+            found.append((solve, k.alpha, x))
+        return x
 
-        monkeypatch.setattr(AlphaConstants, name, recording)
+    monkeypatch.setattr(thresholds, "_warm", recording)
     return found
 
 
@@ -68,6 +81,8 @@ def assert_warm_roots_hold(found):
     h = 0.5 * REL_TOL
     for name, alpha, x in list(found):
         cold = COLD[name](alpha)
+        if x is None:  # a failed warm solve: the walk takes the cold bits
+            x = cold
         assert abs(x - cold) <= REL_TOL * cold, (name, alpha, x, cold)
         f = objective(name, alpha)
         fa, fb = f(x * (1.0 - h)), f(x * (1.0 + h))
@@ -155,12 +170,33 @@ BAD_PREDICTIONS = {
 
 @pytest.mark.parametrize("name", sorted(COLD))
 @pytest.mark.parametrize("case", sorted(BAD_PREDICTIONS))
-def test_bad_prediction_falls_back_to_cold_bits(name, case, cold_solves):
+def test_bad_prediction_falls_back_to_cold_bits(
+    name, case, monkeypatch, warm_roots, cold_solves
+):
+    # a walk of three points at one alpha predicts each root at the third,
+    # where this root's prediction is replaced by a bad one
     cold = COLD[name](ALPHA)
+    index = list(COLD).index(name)
+    extrapolate, predicted = thresholds._extrapolate, []
+
+    def predict(h, inverse=False):
+        predicted.append(h)
+        if len(predicted) == 7 + index:
+            return BAD_PREDICTIONS[case](cold)
+        return extrapolate(h, inverse)
+
+    monkeypatch.setattr(thresholds, "_extrapolate", predict)
+    points = thresholds.walk([ALPHA] * 3, "probe")
+    next(points), next(points)
     cold_solves[0] = 0
-    x = getattr(AlphaConstants(ALPHA), name)(_prev=BAD_PREDICTIONS[case](cold))
-    assert x.hex() == cold.hex()
+    _, roots, _, failures = next(points)
+    assert failures == []
+    assert roots[index].hex() == cold.hex()
     assert cold_solves[0] == 1
+    # every prediction reached a warm solve, and only the bad one failed
+    assert [(solve, x is None) for solve, _, x in warm_roots] == [
+        (solve, solve == name) for solve in COLD
+    ]
 
 
 def test_flat_prediction_is_flat():
@@ -170,21 +206,24 @@ def test_flat_prediction_is_flat():
         assert f(2e-6 * (1.0 - q)) == f(2e-6 * (1.0 + q))
 
 
-def test_failed_sign_test_falls_back_with_the_same_error():
+def test_failed_sign_test_falls_back_with_the_same_error(monkeypatch, warm_roots):
     # f is positive everywhere, and the secant steps from the window
     # around 2.5 stop near 1, where it is 1e-300: the window test there
-    # fails, and the cold solve raises the BracketError it raises without
-    # a prediction
+    # fails
     def f(x):
         return max(x - 1.0, 0.0) + 1e-300
 
     assert thresholds._warm(f, 0.5, 2.5, REL_TOL) is None
-    k = AlphaConstants(ALPHA)
-    with pytest.raises(BracketError) as cold:
-        k._solve("probe", f, 0.5, 4.0, REL_TOL)
-    with pytest.raises(BracketError) as warm:
-        k._solve("probe", f, 0.5, 4.0, REL_TOL, prev=2.5)
-    assert str(warm.value) == str(cold.value)
+    # at alpha 1e-20 C0 cancels to 0, so F2 reads 1 and F1 stays negative on
+    # the whole bracket.  Given a prediction of 2.5 for each root, every
+    # warm solve fails, and the walk raises the BracketError each cold solve
+    # raises without a prediction
+    [(_, _, _, cold)] = thresholds.walk([1e-20], "probe")
+    monkeypatch.setattr(thresholds, "_extrapolate", lambda h, inverse=False: 2.5)
+    [(_, _, _, warm)] = thresholds.walk([1e-20], "probe")
+    assert warm_roots == [(solve, 1e-20, None) for solve in COLD]
+    assert [type(exc) for exc in warm] == [type(exc) for exc in cold] == [BracketError] * 2
+    assert [str(exc) for exc in warm] == [str(exc) for exc in cold]
 
 
 def test_iterate_below_lo_falls_back():
@@ -201,7 +240,8 @@ def test_iterate_below_lo_falls_back():
     k = AlphaConstants(ALPHA)
     cold = k._solve("probe", f, 1.0, 4.0, REL_TOL)
     assert abs(cold - 1.709) < 1e-3
-    assert k._solve("probe", f, 1.0, 4.0, REL_TOL, prev=1.05).hex() == cold.hex()
+    # the warm solve fails, so a walk takes the cold bits
+    assert thresholds._warm(f, 1.0, 1.05, REL_TOL) is None
 
 
 def test_exact_zero_is_a_root():
@@ -223,15 +263,15 @@ def test_exact_zero_is_a_root():
 
 
 @pytest.mark.parametrize("alpha_max", [0.030, 0.032, 0.034])
-def test_ledger_verdicts_match_cold(alpha_max, monkeypatch):
-    warm = run_ledger(alpha_max)
-    for name in COLD:
-        solve = getattr(AlphaConstants, name)
-        # drop the previous roots: every solve runs cold ITP
-        monkeypatch.setattr(
-            AlphaConstants, name, lambda self, *, _prev=None, _solve=solve: _solve(self)
-        )
-    cold = run_ledger(alpha_max)
+def test_ledger_verdicts_match_cold(alpha_max, monkeypatch, cold_solves):
+    grid = 1000
+    warm = run_ledger(alpha_max, grid)
+    assert cold_solves[0] == 3 * 2
+    # drop the predictions: every solve runs cold ITP
+    monkeypatch.setattr(thresholds, "_extrapolate", lambda h, inverse=False: None)
+    cold_solves[0] = 0
+    cold = run_ledger(alpha_max, grid)
+    assert cold_solves[0] == 3 * grid
     assert warm["passed"] == cold["passed"]
     for w, c in zip(warm["checks"], cold["checks"]):
         assert (w["name"], w["pass"], w["worst_alpha"]) == (c["name"], c["pass"], c["worst_alpha"])
