@@ -13,14 +13,16 @@ failure, 3 sweep completed with some rows unsolved; each unsolved row
 writes one stderr line naming its alpha and the stages that failed.
 Floating point fields are written with 15 significant digits in CSV and
 full round-trip precision in JSON; unsolved CSV fields read "nan" and JSON
-ones are null.  The sweep and envelope tables are written from one row
-template each, and their bytes equal what json.dumps(rows, indent=2,
+ones are null.  The sweep and envelope tables come from one formatter,
+which reads a table's values flat and row-major and fills a block template
+of rows with one %; their bytes equal what json.dumps(rows, indent=2,
 allow_nan=False) and csv.writer, with every number written "%.15g", give
-for the same rows.  The template is filled a fixed block of rows at a
-time, with one JSON finiteness check per block, and only each block's
-text is kept.  All of it is held until the last row is formatted and then
-written, so a failing row writes no byte, and a table's peak memory is
-about the size of its output.
+for the same rows.  The envelope is held as six doubles a row, not as
+text.  Every check that can fail (a row's own error, and for JSON one
+finiteness pass over the whole table) runs before the output is opened,
+and the text is then written one block at a time, so a failing row writes
+no byte, and the envelope's peak memory is its numbers and one block of
+text, about half its JSON output.
 
 alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
 relative spacing of doubles no bracket can get narrow enough.
@@ -36,9 +38,9 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from itertools import islice
+from itertools import chain, islice, starmap
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -50,6 +52,7 @@ __all__ = ["main", "entrypoint"]
 
 _SWEEP_FIELDS = ("alpha", "m_c1", "m_2", "m_eps0", "m_eps1")
 _ENVELOPE_FIELDS = ("R", "rho_1", "rho_2", "rho_3", "rho_min", "n_opt")
+_INT_FIELDS = frozenset({"n_opt"})  # JSON "%d": held as doubles, exact below 2**53
 _BLOCK_ROWS = 256  # table rows formatted per string
 
 
@@ -63,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(texts: Iterable[str], out: str | None) -> None:
-    # each string is written as it is held, so no copy of the whole output
-    # is made here
+    # each string is written as it comes, so a lazy iterator of texts is
+    # never held whole
     if out is None:
         sys.stdout.writelines(texts)
         return
@@ -76,61 +79,66 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _json_finite(values: Iterable[float | int]) -> None:
-    # json's own error, for the first value it could not write
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-
-
 def _table_blocks(
-    fields: tuple[str, ...], rows: Iterable[tuple[float | int | None, ...]], fmt: str
+    fields: tuple[str, ...], values: Sequence[float | int | None], fmt: str
 ) -> Iterator[str]:
-    """The rows as a CSV or JSON table, one value per field in each row,
-    as the text of _BLOCK_ROWS rows at a time.
+    """The flat, row-major values as a CSV or JSON table with one column per
+    field: a lazy iterator of the head, then of _BLOCK_ROWS rows at a time,
+    the last block with the closing text.
 
     The joined strings equal json.dumps([dict(zip(fields, row)) ...],
     indent=2, allow_nan=False) plus a newline, or csv.writer output with
-    every number written "%.15g", but come from one row template filled
-    once per row: JSON numbers are their repr (str and repr agree on float
-    and int, and repr is what json writes), CSV ones "%.15g".  None reads
-    null or nan.  rows may be any iterable; only one block of them, and of
-    their lines, is held at a time.
+    every number written "%.15g", for the rows the values make.  Each block
+    is one % on a block template built once.  JSON numbers are their repr
+    (str and repr agree on float and int, and repr is what json writes),
+    except that the _INT_FIELDS, which may be held as doubles, are written
+    "%d"; CSV numbers are "%.15g".  None reads null or nan; an _INT_FIELDS
+    value is never None.  values is a list, or an array("d") where no value
+    is None, and only one block of its values and their text is held at a
+    time.
 
-    JSON checks each block in one pass: a finite sum of the block's values
-    means every value is finite.  A None (the sum raises TypeError) or a
-    sum that is not finite falls back to a value-by-value check, which
-    raises json's own ValueError for the first non-finite number in row
-    order; a finite block whose sum overflows passes it and is written.
-    CSV writes a non-finite number as nan or inf.  A caller that must write
-    no byte of a table with a failing row holds every block before it
-    writes the first.
+    Every check runs before this returns, so a caller that writes the
+    texts as they come writes no byte of a table that fails.  One pass sums
+    every value.  The sum raises TypeError on a None, and in JSON a sum
+    that is finite means every value is; a None or a sum that is not finite
+    falls back to a value-by-value check, which raises json's own
+    ValueError for the first non-finite number in row order.  A finite
+    table whose sum overflows passes it and is written.  CSV writes a
+    non-finite number as nan or inf.
     """
-    json_out = fmt == "json"
-    if json_out:
-        line = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
+    width, size = len(fields), len(values)
+    if fmt == "json":
+        line = "  {\n" + ",\n".join(
+            f"    {json.dumps(k)}: {'%d' if k in _INT_FIELDS else '%s'}" for k in fields
+        ) + "\n  }"
         head, sep, tail, missing = "[\n", ",\n", "\n]\n", "null"
+        if not size:
+            return iter(["[]\n"])
     else:
-        line = ",".join(["%.15g"] * len(fields))
+        line = ",".join(["%.15g"] * width)
         head, sep, tail, missing = ",".join(fields) + "\n", "\n", "\n", math.nan
-    rows, lead = iter(rows), head
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        if json_out:
-            try:
-                finite = math.isfinite(sum(map(sum, block)))
-            except TypeError:
-                finite = False
-            if not finite:
-                _json_finite(v for row in block for v in row if v is not None)
-        yield lead + sep.join(
-            line % (row if None not in row else tuple(missing if v is None else v for v in row))
-            for row in block
-        )
-        lead = sep
-    if lead is head:
-        yield "[]\n" if json_out else head
-    else:
-        yield tail
+    try:
+        finite, has_none = math.isfinite(sum(values)), False
+    except TypeError:
+        finite, has_none = False, True
+    if fmt == "json" and not finite:
+        for v in values:
+            if v is not None and not math.isfinite(v):
+                # json's own error, for the first value it could not write
+                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+
+    step = _BLOCK_ROWS * width
+    full = sep.join([line] * _BLOCK_ROWS) + sep
+
+    def fill(start: int) -> str:
+        chunk = tuple(values[start : start + step])
+        if has_none and None in chunk:
+            chunk = tuple(missing if v is None else v for v in chunk)
+        if start + step < size:
+            return full % chunk
+        return (sep.join([line] * (len(chunk) // width)) + tail) % chunk
+
+    return chain([head], map(fill, range(0, size, step)))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -187,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a grid point can overshoot alpha-max by an ulp; it keeps those bits,
     # except past 0.5, which solve_r0 rejects
     rows = list(_sweep_rows(min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps)))
-    _emit(list(_table_blocks(_SWEEP_FIELDS, rows, args.format)), args.out)
+    _emit(_table_blocks(_SWEEP_FIELDS, list(chain.from_iterable(rows)), args.format), args.out)
     return 3 if any(None in row for row in rows) else 0
 
 
@@ -199,14 +207,22 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     if steps < 1:
         raise DomainError(f"envelope: steps must be at least 1, got {steps}")
 
+    from array import array  # loaded for this table only
+    from struct import Struct
+
     radii = (r_max * i / steps for i in range(1, steps + 1))
-    # every row is computed and formatted before any is written, so a
-    # failing row raises its own error first, naming the r-max it came from
+    rows, values = envelope_rows(alpha, radii), array("d")
+    # the table is held as six doubles a row, packed a block of rows at a
+    # time (array's own extend parses each value on its own); every check
+    # that can fail runs before the first byte is written, so a failing row
+    # raises its own error first, naming the r-max it came from
+    pack = Struct("d" * len(_ENVELOPE_FIELDS)).pack
     try:
-        blocks = list(_table_blocks(_ENVELOPE_FIELDS, envelope_rows(alpha, radii), args.format))
+        while block := b"".join(starmap(pack, islice(rows, _BLOCK_ROWS))):
+            values.frombytes(block)
     except DomainError as exc:
         raise DomainError(f"{exc} (r-max {r_max})") from None
-    _emit(blocks, args.out)
+    _emit(_table_blocks(_ENVELOPE_FIELDS, values, args.format), args.out)
     return 0
 
 

@@ -342,6 +342,12 @@ def disk_potential_max_slope(alpha: float) -> float:
 _EPS_BRACKET = (1e-6, 4.0)
 
 
+def _c2(alpha: float) -> float:
+    # the one written form of C2: the record's slot and the public c2 read
+    # it, so c2 computes no Gamma value
+    return 2.0 * math.pi / (2.0 - alpha)
+
+
 class AlphaConstants(DiskConstants):
     """The per-exponent constants of one alpha, with the objectives that read them.
 
@@ -360,7 +366,8 @@ class AlphaConstants(DiskConstants):
     m_c1, c3_lead and the methods are the only written form of m_c1, the
     potential's steepest slope, C0, C1, C3, F1, F2 and rho_0; the public
     functions of the same names (and disk_potential_max_slope) wrap them,
-    so both give the same bits.  f3, the R_0 objective rho0 - rho_c1, is
+    so both give the same bits; C2 alone is read from _c2, which c2 reads
+    without a record.  f3, the R_0 objective rho0 - rho_c1, is
     the record's own, and verify.f3 reads it; the ledger's f3_floor row
     subtracts rho_c1 from the row's rho0 probe instead, so no ledger point
     evaluates rho0 twice.  f1 and f2 take the C0, C1 and C3 a caller
@@ -383,7 +390,7 @@ class AlphaConstants(DiskConstants):
         DiskConstants.__init__(self, alpha)
         self.pi_2ma = math.pi ** (2.0 - alpha)
         self.pi_1ma = math.pi ** (1.0 - alpha)
-        self.c2 = 2.0 * math.pi / (2.0 - alpha)
+        self.c2 = _c2(alpha)
         self.rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
         self.m_c1 = math.pi * self.r_c1 * self.r_c1
         if alpha < 1.0:
@@ -543,7 +550,7 @@ def c1(alpha: float, eps: float) -> float:
 def c2(alpha: float) -> float:
     """Outer-interaction upper constant 2 pi / (2 - alpha)."""
     check_alpha(alpha, "c2", 2.0, hi_open=True)
-    return AlphaConstants(alpha).c2
+    return _c2(alpha)
 
 
 def delta_bound(d: float) -> float:

@@ -21,7 +21,9 @@ import pytest
 import rieszdrop
 from rieszdrop import cli, specfun, splitting, thresholds
 from rieszdrop.cli import main
-from rieszdrop.thresholds import AlphaConstants, solve_alpha0, solve_eps0, solve_eps1, solve_m2
+from rieszdrop.thresholds import (
+    AlphaConstants, c2, solve_alpha0, solve_eps0, solve_eps1, solve_m2,
+)
 from rieszdrop.verify import f3, run_ledger
 
 COUNTED = {
@@ -117,6 +119,15 @@ def test_f3_computes_constants_once(calls):
         assert calls["gamma"] == 4, alpha
 
 
+def test_c2_computes_no_gamma(calls):
+    # 2 pi / (2 - alpha) has one written form, which the record and c2 both
+    # read; c2 built a whole record for it, 4 Gamma values and r_cn(1)
+    alphas = (0.0, 0.034, 0.5, 1.0, 1.9)
+    values = [c2(alpha) for alpha in alphas]
+    assert calls == {"gamma": 0, "v0_const": 0, "r_cn": 0, "_r_cn": 0}
+    assert values == [AlphaConstants(alpha).c2 for alpha in alphas]
+
+
 def ledger_python_calls():
     """{name: calls} of the named functions under src/rieszdrop in run_ledger(0.032).
 
@@ -147,9 +158,12 @@ def test_ledger_python_calls():
     # AlphaConstants._solve to _warm (9,000 calls that evaluate nothing),
     # and run_ledger computed C1 at the eps probe twice per point; now the
     # walk calls _warm itself and runs the 3 solves only for the first two
-    # points' cold roots
+    # points' cold roots.  Each point's record reads C2 from _c2, its one
+    # written form, which c2 reads too (53,182 calls when the record wrote
+    # its own)
     counts = ledger_python_calls()
-    assert sum(counts.values()) == 53_182
+    assert sum(counts.values()) == 54_182
+    assert counts["_c2"] == 1000  # one per grid point's record
     assert counts["_warm"] == 3 * 998
     assert counts["_solve"] == counts["_root"] == 3 * 2
     assert counts["check_alpha"] == 4  # solve_r0 and solve_eps1, cold

@@ -3,8 +3,8 @@ names, only thresholds.walk warm-starts a solve from its previous roots,
 splitting writes the density's power of n once, each Gamma value is
 computed in one place, the solve tolerance 1e-12 is written once, the
 package exports exactly its layer modules' __all__, every public name has
-a caller or a README line, and importing the package loads none of the
-heavy standard modules."""
+a caller or a README line, importing the package loads none of the heavy
+standard modules, and only the envelope subcommand loads array."""
 
 import ast
 import json
@@ -185,3 +185,25 @@ def test_import_builds_no_parser():
     ).stderr
     # the parser and its five subcommand parsers, once main() runs
     assert err.split() == ["0", "6"]
+
+
+def test_array_loads_only_for_envelope(tmp_path):
+    # the envelope holds its table in an array of doubles; no other
+    # subcommand loads the array module, which cost the ledger workload
+    # about 0.1 MB of peak memory when cli imported it at module level
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); out = sys.argv[2]\n"
+        "import rieszdrop.cli as cli; seen = ['array' in sys.modules]\n"
+        "for argv in (['eval', '--alpha', '0.034'], ['sweep', '--steps', '3'],\n"
+        "             ['alpha0'], ['verify', '--grid', '10']):\n"
+        "    assert cli.main(argv + ['--out', out]) == 0, argv\n"
+        "    seen.append('array' in sys.modules)\n"
+        "assert cli.main(['envelope', '--alpha', '0.04', '--steps', '10', '--out', out]) == 0\n"
+        "seen.append('array' in sys.modules); import json; print(json.dumps(seen))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC.parent), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    # after the import, after each of the four, after the envelope
+    assert json.loads(out) == [False] * 5 + [True]

@@ -271,6 +271,14 @@ def test_density_finite_or_domain_error(name, r, alpha, finite):
             density(r, alpha)
 
 
+def test_rho_n_names_its_radius_domain():
+    # r = inf fails the domain check itself, not the overflow past it
+    for r in (math.inf, 0.0):
+        with pytest.raises(DomainError) as exc:
+            rho_n(1, r, 0.1)
+        assert str(exc.value) == f"rho_n: r must lie in (0, inf), got {r}"
+
+
 def rho_n_40(n, r, alpha):
     # the other form of rho_n, n E(r / sqrt(n)) / (pi r^2), at 40 digits
     with mpmath.workdps(40):

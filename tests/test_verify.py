@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
@@ -26,7 +27,7 @@ from rieszdrop.thresholds import (
     solve_m2,
     solve_r0,
 )
-from rieszdrop.verify import f3, run_ledger
+from rieszdrop.verify import _CHECK_TABLE, f3, run_ledger
 
 CHECK_ORDER = (
     "gamma_2_minus_alpha",
@@ -227,6 +228,28 @@ def test_f3_clearance():
         f3(0.6, 1.0)
     with pytest.raises(DomainError):
         f3(0.1, 0.0)
+    # just past rho0's last exponent, where the constants record still
+    # builds and f3 must not read it
+    with pytest.raises(DomainError) as exc:
+        f3(0.5000002, 0.945)
+    assert str(exc.value) == "rho0: alpha must lie in [0, 0.5], got 0.5000002"
+
+
+def test_each_claim_states_its_bounds():
+    # a claim reads "lo <= value <= hi", "value <= hi" or "value >= lo",
+    # with < and > in place of <= and >= where the row is strict; its
+    # numbers are the row's lo and hi, so neither can move alone
+    for name, claim, lo, hi, strict in _CHECK_TABLE:
+        parts = re.split(r" (<=|>=|<|>) ", claim)
+        ops = parts[1::2]
+        if len(parts) == 5:
+            assert ops == (["<", "<"] if strict else ["<=", "<="]), name
+            assert (float(parts[0]), float(parts[4])) == (lo, hi), name
+            continue
+        (op,) = ops
+        assert len(parts) == 3 and op in (("<", ">") if strict else ("<=", ">=")), name
+        bound = float(parts[2])
+        assert (lo, hi) == ((None, bound) if op[0] == "<" else (bound, None)), name
 
 
 def test_to_dict_shape(report):
