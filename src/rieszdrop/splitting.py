@@ -64,14 +64,15 @@ class DiskConstants:
     """The disk constants of one exponent alpha in [0, 2), each computed once.
 
     Gamma(2 - alpha), Gamma(2 - alpha/2), Gamma(3 - alpha/2) (g2a, g2ah,
-    g3ah), V0, r_c1 = r_cn(1, alpha) and rho_c1 = rho_1(r_c1) are set on
-    construction.  The record is the only place these are computed: the
-    functions of this module read V0 from one, and
-    thresholds.AlphaConstants extends it with the threshold constants.  It
-    is slotted plain data; alpha is not checked here.
+    g3ah), V0, r_c1 = r_cn(1, alpha), rho_c1 = rho_1(r_c1) and the mass
+    m_c1 = pi r_c1^2 are set on construction.  The record is the only
+    place these are computed: the functions of this module read V0 from
+    one, thresholds.m_c1 reads m_c1, and thresholds.AlphaConstants extends
+    it with the threshold constants.  It is slotted plain data; alpha is
+    not checked here.
     """
 
-    __slots__ = ("alpha", "g2a", "g2ah", "g3ah", "v0", "r_c1", "rho_c1")
+    __slots__ = ("alpha", "g2a", "g2ah", "g3ah", "v0", "r_c1", "rho_c1", "m_c1")
 
     def __init__(self, alpha: float) -> None:
         self.alpha = alpha
@@ -81,6 +82,7 @@ class DiskConstants:
         self.v0 = v0 = 2.0 * math.pi**2 * g2a / (g2ah * g3ah)
         self.r_c1 = r_c1 = _r_cn(1, alpha, v0)
         self.rho_c1 = _rho_n(1, r_c1, alpha, v0)
+        self.m_c1 = math.pi * r_c1 * r_c1
 
 
 def v0_const(alpha: float) -> float:

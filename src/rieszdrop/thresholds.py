@@ -53,9 +53,10 @@ cold.  Results are bit-deterministic for identical inputs.
 Everything above depends on alpha only through a handful of constants,
 kept in one record per exponent in two layers, each constant computed once
 on construction.  splitting.DiskConstants holds the disk constants:
-Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, r_cn(1) and rho_c1.
-AlphaConstants extends it with the threshold constants: pi^(2-a),
-pi^(1-a), C2, the rho_0 coefficient and m_c1 = pi r_c1^2, and for a < 1
+Gamma(2-a), Gamma(2-a/2), Gamma(3-a/2), V0, r_cn(1), rho_c1 and
+m_c1 = pi r_c1^2, so m_c1 computes 3 Gamma values.  AlphaConstants
+extends it with the threshold constants: pi^(2-a), pi^(1-a), C2 and the
+rho_0 coefficient (which is why rho0 builds one), and for a < 1
 Gamma(1-a) and the slope lead of C3, which disk_potential_max_slope
 divides by pi.  Each Gamma value is computed once per exponent, and an
 objective reads its constants from the record on every solver step.
@@ -323,7 +324,7 @@ def _extrapolate(h: list[float], inverse: bool = False) -> float | None:
 def m_c1(alpha: float) -> float:
     """Mass where one disk ties with two half-mass disks, pi r_cn(1)^2."""
     check_alpha(alpha, "m_c1", 2.0, hi_open=True)
-    return AlphaConstants(alpha).m_c1
+    return DiskConstants(alpha).m_c1
 
 
 def disk_potential_max_slope(alpha: float) -> float:
@@ -352,20 +353,19 @@ class AlphaConstants(DiskConstants):
     """The per-exponent constants of one alpha, with the objectives that read them.
 
     The record extends splitting.DiskConstants (Gamma(2-a), Gamma(2-a/2),
-    Gamma(3-a/2) as g2a, g2ah, g3ah, V0, r_c1 and rho_c1) with pi^(2-a),
-    pi^(1-a), C2, the rho_0 coefficient 2^a pi^(1-a) / rho_c1^a and
-    m_c1 = pi r_c1^2, and for alpha < 1 with Gamma(1-a) (g1a) and the C3
-    slope lead pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2), pi times the
-    steepest slope of the disk potential.  The paper's Gamma closed form of
-    m_c1 is not computed here; the tests keep it as an oracle.  Every
-    constant is set once on construction, so a solve pays for its
-    constants once rather than once per solver step; from alpha = 1 on,
+    Gamma(3-a/2) as g2a, g2ah, g3ah, V0, r_c1, rho_c1 and m_c1 =
+    pi r_c1^2) with pi^(2-a), pi^(1-a), C2 and the rho_0 coefficient
+    2^a pi^(1-a) / rho_c1^a, and for alpha < 1 with Gamma(1-a) (g1a) and
+    the C3 slope lead pi^2 a (2-a) Gamma(1-a) / (2 Gamma(2-a/2)^2), pi
+    times the steepest slope of the disk potential.  Every constant is set
+    once on construction, so a solve pays for its constants once rather
+    than once per solver step; from alpha = 1 on,
     g1a and c3_lead are left unset, and reading them raises AttributeError.
     The record is slotted plain data.
 
-    m_c1, c3_lead and the methods are the only written form of m_c1, the
-    potential's steepest slope, C0, C1, C3, F1, F2 and rho_0; the public
-    functions of the same names (and disk_potential_max_slope) wrap them,
+    c3_lead and the methods are the only written form of the potential's
+    steepest slope, C0, C1, C3, F1, F2 and rho_0; the public functions of
+    the same names (and disk_potential_max_slope) wrap them,
     so both give the same bits; C2 alone is read from _c2, which c2 reads
     without a record.  f3, the R_0 objective rho0 - rho_c1, is
     the record's own, and verify.f3 reads it; the ledger's f3_floor row
@@ -384,7 +384,7 @@ class AlphaConstants(DiskConstants):
     reports the solve_r0 that failed under it.
     """
 
-    __slots__ = ("pi_2ma", "pi_1ma", "c2", "rho0_coeff", "m_c1", "g1a", "c3_lead")
+    __slots__ = ("pi_2ma", "pi_1ma", "c2", "rho0_coeff", "g1a", "c3_lead")
 
     def __init__(self, alpha: float) -> None:
         DiskConstants.__init__(self, alpha)
@@ -392,7 +392,6 @@ class AlphaConstants(DiskConstants):
         self.pi_1ma = math.pi ** (1.0 - alpha)
         self.c2 = _c2(alpha)
         self.rho0_coeff = 2.0**alpha * self.pi_1ma / self.rho_c1**alpha
-        self.m_c1 = math.pi * self.r_c1 * self.r_c1
         if alpha < 1.0:
             self.g1a = gamma(1.0 - alpha)
             g = self.g2ah

@@ -22,7 +22,7 @@ import rieszdrop
 from rieszdrop import cli, specfun, splitting, thresholds
 from rieszdrop.cli import main
 from rieszdrop.thresholds import (
-    AlphaConstants, c2, solve_alpha0, solve_eps0, solve_eps1, solve_m2,
+    AlphaConstants, c2, m_c1, solve_alpha0, solve_eps0, solve_eps1, solve_m2,
 )
 from rieszdrop.verify import f3, run_ledger
 
@@ -119,6 +119,19 @@ def test_f3_computes_constants_once(calls):
         assert calls["gamma"] == 4, alpha
 
 
+def test_m_c1_computes_three_gamma(calls):
+    # pi r_c1^2 is a disk constant: m_c1 reads it from the disk record, whose
+    # 3 Gamma values give V0 and r_cn(1), where a threshold record cost a
+    # fourth, Gamma(1 - alpha), that m_c1 never read
+    alphas = (0.0, 0.034, 0.5, 1.0, 1.9)
+    values = []
+    for alpha in alphas:
+        calls["gamma"] = calls["_r_cn"] = 0
+        values.append(m_c1(alpha))
+        assert calls == {"gamma": 3, "v0_const": 0, "r_cn": 0, "_r_cn": 1}, alpha
+    assert values == [AlphaConstants(alpha).m_c1 for alpha in alphas]
+
+
 def test_c2_computes_no_gamma(calls):
     # 2 pi / (2 - alpha) has one written form, which the record and c2 both
     # read; c2 built a whole record for it, 4 Gamma values and r_cn(1)
@@ -160,9 +173,11 @@ def test_ledger_python_calls():
     # walk calls _warm itself and runs the 3 solves only for the first two
     # points' cold roots.  Each point's record reads C2 from _c2, its one
     # written form, which c2 reads too (53,182 calls when the record wrote
-    # its own)
+    # its own).  gamma calls math.gamma itself (54,182 calls when each of
+    # its 4,000 calls went on through a private wrapper)
     counts = ledger_python_calls()
-    assert sum(counts.values()) == 54_182
+    assert sum(counts.values()) == 50_182
+    assert counts["gamma"] == 4 * 1000
     assert counts["_c2"] == 1000  # one per grid point's record
     assert counts["_warm"] == 3 * 998
     assert counts["_solve"] == counts["_root"] == 3 * 2

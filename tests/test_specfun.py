@@ -96,7 +96,7 @@ def test_hyp2f1_spot_values():
     assert rel(hyp2f1(0.05, 0.05, 2.0, 0.5), HYP_HALF) < 1e-14
     assert hyp2f1(0.3, -0.7, 1.4, 0.0) == 1.0
     # exact at z = 0, where a series would overflow at its first ratio a b / c
-    assert hyp2f1(1e200, 1e200, 1.0, 0.0) == 1.0
+    assert hyp2f1(4.0, 4.0, 5e-324, 0.0) == 1.0
     assert hyp2f1(0.0, 0.9, 1.4, 0.6) == 1.0  # terminating series
 
 
@@ -131,46 +131,91 @@ def test_hyp2f1_domain():
 
 
 def test_hyp2f1_non_finite_parameters():
-    # rejected at entry: otherwise a NaN sums 1e6 NaN terms (0.6 s), z > 0.75
+    # rejected at entry: otherwise a NaN sums NaN terms to the cap, z > 0.75
     # hits round(inf) or round(nan), and c = inf gives the value 1.0
     for bad in (math.nan, math.inf, -math.inf):
         for a, b, c in ((bad, 0.5, 2.0), (0.5, bad, 2.0), (0.5, 0.5, bad)):
             for z in (0.0, 0.5, 0.9, 1.0):
                 t0 = time.perf_counter()
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match=BOX_MESSAGE):
                     hyp2f1(a, b, c, z)
                 assert time.perf_counter() - t0 < 0.1, (a, b, c, z)
 
 
+BOX = 4.0
+BOX_MESSAGE = r"^hyp2f1: needs \|a\|, \|b\| <= 4, 0 < c <= 4 and 0 <= z <= 1 \("
+
+
+def in_box(a, b, c, z):
+    return abs(a) <= BOX and abs(b) <= BOX and 0.0 < c <= BOX and 0.0 <= z <= 1.0
+
+
+def assert_box_error(a, b, c, z):
+    # the one DomainError outside the box, naming the box and the arguments
+    # as given, within 0.01 s (best of three)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=BOX_MESSAGE) as info:
+            hyp2f1(a, b, c, z)
+        best = min(best, time.perf_counter() - t0)
+    assert str(info.value).endswith(f"(a={a}, b={b}, c={c}, z={z})")
+    assert best < 0.01, (a, b, c, z)
+
+
+def test_hyp2f1_box_edges():
+    # the box is closed at |a|, |b| = 4, c = 4 and z = 0, 1, open at c = 0
+    for args in ((4.0, -4.0, 4.0, 0.5), (-4.0, 4.0, 1e-3, 0.9), (0.5, 0.5, 5e-324, 0.0)):
+        assert math.isfinite(hyp2f1(*args)), args
+    assert hyp2f1(-4.0, -4.0, 4.0, 1.0) == float(mpmath.hyp2f1(-4, -4, 4, 1))
+    for args in (
+        (math.nextafter(4.0, 5.0), 0.5, 1.0, 0.5),
+        (0.5, math.nextafter(-4.0, -5.0), 1.0, 0.5),
+        (0.5, 0.5, math.nextafter(4.0, 5.0), 0.5),
+        (0.5, 0.5, 0.0, 0.5),
+        (0.5, 0.5, -0.0, 0.5),
+        (0.5, 0.5, 1.0, -5e-324),
+        (0.5, 0.5, 1.0, math.nextafter(1.0, 2.0)),
+    ):
+        assert_box_error(*args)
+
+
 def test_hyp2f1_series_cap(monkeypatch):
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
-    with pytest.raises(ConvergenceError):
+    # the cap is the memo's ratio count; below the terms this series needs
+    # it raises, with the cap and the parameters in the message
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    monkeypatch.setattr(specfun, "_MEMO_RATIOS", 3)
+    with pytest.raises(ConvergenceError, match=r"within 3 term ratios \(a=0.3, b=0.4"):
         hyp2f1(0.3, 0.4, 1.2, 0.7)
+    assert_memo_holds_true_ratios()
 
 
 def test_hyp2f1_series_cap_counts_remembered_terms(monkeypatch):
-    # the memo holds more than 3 ratios for these parameters once they
-    # have been summed; the cap still counts every term from the first
+    # outside hyp2f1's box a series can reach the cap: once the memo holds
+    # all its ratios, the cap still counts every term from the first, and
+    # a warm call computes no ratio past them
     monkeypatch.setattr(specfun, "_ratios", OrderedDict())
-    hyp2f1(0.3, 0.4, 1.2, 0.7)
-    assert len(specfun._ratios[(0.3, 0.4, 1.2)]) > 3
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+    key = (150.0, 150.0, 1.0)
     with pytest.raises(ConvergenceError):
-        hyp2f1(0.3, 0.4, 1.2, 0.7)
+        specfun._series(*key, 0.75)
+    held = specfun._ratios[key]
+    assert len(held) == specfun._MEMO_RATIOS
+    with pytest.raises(ConvergenceError):
+        specfun._series(*key, 0.75)
+    assert specfun._ratios[key] is held
+    assert_memo_holds_true_ratios()
 
 
-# each term or partial sum leaves the finite doubles and never comes back;
-# summed on to the 1,000,000-term cap, each probe took 0.55-0.75 s.  The
-# one just off z = 0, unlike z = 0 itself, has a true value past double
-# range.  In the next two c - a - b overflows, which the transformation to
-# 1 - z rounded into a bare OverflowError.  The next four have finite true
-# values (2.5e307, 2.0e8, 1.6e319 and 3.8e328 by 40-digit mpmath) that no
-# double form here reaches: the bridge sums inf - inf, the Gauss ratio at
-# z = 1 is inf / inf, and w**s overflows in the connection formula.  In
-# the next two a Gamma product of the connection formula underflowed to 0
-# and raised a bare ZeroDivisionError (true values 4.5e861 and 1.1e84);
-# in the last Gamma(200) overflows, and the DomainError named only gamma
-# (true value 1.0045)
+# all outside hyp2f1's box, so each raises the box's DomainError before any
+# work.  Each broke a double form inside the old, unbounded domain: the
+# first five overflow a term or a partial sum (the fifth just off z = 0,
+# where the true value is past double range too), the next two
+# c - a - b; the next four
+# have finite true values (2.5e307, 2.0e8, 1.6e319 and 3.8e328 by 40-digit
+# mpmath) where the bridge sums inf - inf, the Gauss ratio at z = 1 is
+# inf / inf, or w**s overflows; in the next two a Gamma product underflows
+# to 0 (true values 4.5e861 and 1.1e84), and in the last Gamma(200)
+# overflows (true value 1.0045)
 OVERFLOW_PROBES = (
     (1e308, 1e308, 1.0, 0.5),
     (300.0, 300.0, 1.0, 0.75),
@@ -190,34 +235,39 @@ OVERFLOW_PROBES = (
 
 
 def test_hyp2f1_overflow_fails_promptly():
-    for a, b, c, z in OVERFLOW_PROBES:
-        best = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            with pytest.raises(DomainError) as info:
-                hyp2f1(a, b, c, z)
-            best = min(best, time.perf_counter() - t0)
-        assert f"a={a}, b={b}, c={c}, z={z}" in str(info.value)
-        assert best < 0.01, (a, b, c, z)
+    for args in OVERFLOW_PROBES:
+        assert not in_box(*args)
+        assert_box_error(*args)
 
 
 def test_hyp2f1_has_one_failure_message():
-    # the message names hyp2f1 and its arguments as given; the argument
-    # checks keep their own messages
+    # inside the box the message names hyp2f1 and its arguments as given:
+    # here the series overflows at its first ratio a b / c, and Gamma(1e-310)
+    # overflows where the true value is 2.3e304.  The argument checks keep
+    # their own messages
+    for args, text in (
+        ((4, 4, 5e-324, 0.5), "a=4, b=4, c=5e-324, z=0.5"),
+        ((0.001, 0.001, 1e-310, 0.9), "a=0.001, b=0.001, c=1e-310, z=0.9"),
+    ):
+        with pytest.raises(DomainError) as info:
+            hyp2f1(*args)
+        assert str(info.value) == f"hyp2f1: no finite double value ({text})"
     with pytest.raises(DomainError) as info:
         hyp2f1(1, 1, 200, 0.9)
-    assert str(info.value) == "hyp2f1: no finite double value (a=1, b=1, c=200, z=0.9)"
+    assert str(info.value) == (
+        "hyp2f1: needs |a|, |b| <= 4, 0 < c <= 4 and 0 <= z <= 1 (a=1, b=1, c=200, z=0.9)"
+    )
     with pytest.raises(DomainError) as info:
         hyp2f1(1.0, 2.0, 3.0, 1.0)
     assert str(info.value) == "hyp2f1: z = 1 requires c - a - b > 0"
 
 
-def hyp2f1_draw(rng):
-    # a, b in [-300, 300], c in [0.001, 300], and z from one of four
-    # choices with equal odds: [0.75, 1], [0, 1], exactly 1, or
+def hyp2f1_draw(rng, radius=300.0):
+    # a, b in [-radius, radius], c in [0.001, radius], and z from one of
+    # four choices with equal odds: [0.75, 1], [0, 1], exactly 1, or
     # 1 - 10^u with u in [-12, -1]
-    a, b = rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)
-    c = rng.uniform(0.001, 300.0)
+    a, b = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
+    c = rng.uniform(0.001, radius)
     kind = rng.randrange(4)
     if kind == 0:
         z = rng.uniform(0.75, 1.0)
@@ -232,10 +282,14 @@ def hyp2f1_draw(rng):
 
 def test_hyp2f1_fuzz_gives_a_finite_value_or_a_typed_error():
     # about 4% of these draws (78 of 2,000) raised a bare ZeroDivisionError
-    # where the denominator of a Gamma ratio underflowed to 0
+    # where the denominator of a Gamma ratio underflowed to 0; the draws
+    # outside the box now raise the box's DomainError
     rng = random.Random(0)
     for _ in range(2000):
         args = hyp2f1_draw(rng)
+        if not in_box(*args):
+            assert_box_error(*args)
+            continue
         try:
             value = hyp2f1(*args)
         except (DomainError, ConvergenceError):
@@ -243,14 +297,57 @@ def test_hyp2f1_fuzz_gives_a_finite_value_or_a_typed_error():
         assert math.isfinite(value), args
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP.md item 32 (hyp2f1 accurate or a typed error for large parameters): "
-    "the direct series cancels terms up to 6e56 down to a value near 1e-110",
-)
+def test_hyp2f1_in_box_matches_mpmath():
+    # the box's accuracy target, 1e-10 relative against 40-digit mpmath;
+    # the first 10,000 draws of this seed measured 2.8e-13 at worst.  The
+    # only typed errors are z = 1 draws with c - a - b <= 0, where 2F1
+    # diverges
+    rng = random.Random(11)
+    worst = 0.0
+    for _ in range(1000):
+        a, b, c, z = args = hyp2f1_draw(rng, BOX)
+        if z == 1.0 and c - a - b <= 0.0:
+            with pytest.raises(DomainError, match="z = 1 requires"):
+                hyp2f1(*args)
+            continue
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(a, b, c, z)
+            err = float(abs(hyp2f1(*args) - want) / abs(want))
+        assert err <= 1e-10, args
+        worst = max(worst, err)
+    assert worst < 1e-12
+
+
+# a, b = +-4 and c from 1e-3 to 4 on a geometric grid; at z = 0.75 the
+# direct series sums up to 190 ratios (at a = b = 4, c = 1e-3), just past
+# it the transformation's two series sum far fewer
+CORNER_CS = tuple(1e-3 * 4000.0 ** (j / 20) for j in range(21))
+CORNER_ZS = (0.75, math.nextafter(0.75, 1.0))
+
+
+def test_hyp2f1_box_corners_stop_before_the_cap(monkeypatch):
+    # every corner series stops by its own test, short of the memo's 256
+    # ratios, from a cold memo and then from a warm one, with the same bits
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
+    longest = 0
+    for z in CORNER_ZS:
+        for a in (-BOX, BOX):
+            for b in (-BOX, BOX):
+                for c in CORNER_CS:
+                    specfun._ratios.clear()
+                    cold = hyp2f1(a, b, c, z)
+                    held = max(map(len, specfun._ratios.values()), default=0)
+                    assert held < specfun._MEMO_RATIOS, (a, b, c, z)
+                    longest = max(longest, held)
+                    assert hyp2f1(a, b, c, z) == cold, (a, b, c, z)
+    assert 180 <= longest < 200
+    assert_memo_holds_true_ratios()
+
+
 def test_hyp2f1_large_parameters_accurate_or_typed_error():
     # -1.68929347921873e-110 by mpmath at 40 and at 80 digits; the series
-    # in z returns 7.5e40, with no digit right
+    # in z returned 7.5e40, with no digit right, before the box put these
+    # parameters outside the domain
     args = (-264.5814807436988, 291.06701046741955, 228.37509449248546, 0.5366586249466256)
     try:
         value = hyp2f1(*args)
@@ -262,8 +359,9 @@ def test_hyp2f1_large_parameters_accurate_or_typed_error():
 def test_hyp2f1_zero_sum_returns_promptly(monkeypatch):
     # 1 - 2 z at z = 1/2 and 1 - 4 z at z = 1/4: terminating series whose
     # partial sum is exactly 0, where the stopping test |term| < 1e-16 |s|
-    # cannot pass; each summed 1,000,000 zero terms (0.33-0.44 s) and
-    # raised ConvergenceError.  The second call reads the stored ratios
+    # cannot pass; summed on to the cap, each would raise ConvergenceError
+    # (under a 1,000,000-term cap each took 0.33-0.44 s).  The second call
+    # reads the stored ratios
     monkeypatch.setattr(specfun, "_ratios", OrderedDict())
     for a, b, c, z in ((-1.0, 2.0, 1.0, 0.5), (-1.0, 4.0, 1.0, 0.25)):
         for _ in range(2):
@@ -291,17 +389,15 @@ def test_series_memo_stays_bounded(monkeypatch):
     rng = random.Random(SEED)
     for _ in range(10_000):
         hyp2f1(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 4.0), 0.75)
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 300)
-    with pytest.raises(ConvergenceError):
-        hyp2f1(150.0, 150.0, 1.0, 0.75)
     assert_memo_holds_true_ratios()
-    # this series sums 1,518 terms: a call holds at most _MEMO_RATIOS of
-    # their ratios (about 11 KB traced at peak, 60 KB when it held them all)
-    monkeypatch.undo()
+    # this series, outside hyp2f1's box, needs 1,518 terms: a call holds at
+    # most _MEMO_RATIOS of their ratios (about 11 KB traced at peak, 60 KB
+    # when it held them all) and raises at the cap
     monkeypatch.setattr(specfun, "_ratios", OrderedDict())
     tracemalloc.start()
     try:
-        hyp2f1(150.0, 150.0, 1.0, 0.75)
+        with pytest.raises(ConvergenceError):
+            specfun._series(150.0, 150.0, 1.0, 0.75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -437,16 +533,17 @@ PROMPT_ZS = (0.76, 0.9, 0.99, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 2.0**-52)
 
 def assert_degenerate_band_is_prompt(monkeypatch, warm):
     # counted in series terms, not time: each transformation series
-    # converges with ratio below 1/4, while a plain series in z needs up to
-    # 32M terms this close to z = 1.  warm: each capped call follows the
-    # same call without the cap, whose ratios the memo then holds
-    cap = specfun._MAX_TERMS
+    # converges with ratio below 1/4 and stops within the 256-ratio cap,
+    # while a plain series in z needs up to 32M terms this close to z = 1.
+    # warm: each call follows the same call, whose ratios the memo then
+    # holds; cold: the memo is emptied first
+    monkeypatch.setattr(specfun, "_ratios", OrderedDict())
 
     def capped(fn, *args):
         if warm:
-            monkeypatch.setattr(specfun, "_MAX_TERMS", cap)
             fn(*args)
-        monkeypatch.setattr(specfun, "_MAX_TERMS", 500)
+        else:
+            specfun._ratios.clear()
         return fn(*args)
 
     for alpha in PROMPT_ALPHAS:
