@@ -201,7 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
     alpha, r_max, steps = args.alpha, args.r_max, args.steps
-    check_alpha(alpha, "envelope", 1, lo_open=True)
+    check_alpha(alpha, "envelope", 1.0, lo_open=True)
     if not r_max > 0.0:
         raise DomainError(f"envelope: r-max must be positive, got {r_max}")
     if steps < 1:

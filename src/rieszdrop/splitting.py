@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from .errors import DomainError, check_alpha
+from .errors import DomainError, check_alpha, finite
 from .specfun import gamma
 
 __all__ = [
@@ -87,7 +87,7 @@ class DiskConstants:
 
 def v0_const(alpha: float) -> float:
     """Self-interaction energy of the unit disk under the |x-y|^(-alpha) kernel."""
-    check_alpha(alpha, "v0_const", 2, hi_open=True)
+    check_alpha(alpha, "v0_const", 2.0, hi_open=True)
     return DiskConstants(alpha).v0
 
 
@@ -98,13 +98,11 @@ def rho_n(n: int, r: float, alpha: float) -> float:
     leaves double range raises DomainError.
     """
     n = _check_n(n, "rho_n")
-    check_alpha(alpha, "rho_n", 2, hi_open=True)
+    check_alpha(alpha, "rho_n", 2.0, hi_open=True)
     if not 0.0 < r < math.inf:
         raise DomainError(f"rho_n: r must lie in (0, inf), got {r}")
-    try:
-        return _rho_n(n, r, alpha, DiskConstants(alpha).v0)
-    except OverflowError:  # r^(2 - alpha), or the density itself
-        raise DomainError(f"rho_n: the density is out of double range at r = {r}") from None
+    v0 = DiskConstants(alpha).v0
+    return finite(lambda: _rho_n(n, r, alpha, v0), "rho_n", "density", "r", r)
 
 
 def _coeffs(n: int, alpha: float, v0: float) -> tuple[float, float]:
@@ -117,13 +115,10 @@ def _coeffs(n: int, alpha: float, v0: float) -> tuple[float, float]:
 
 def _rho_n(n: int, r: float, alpha: float, v0: float) -> float:
     # rho_n for checked arguments and a given v0 = v0_const(alpha), through
-    # _coeffs; a value past double range raises OverflowError, as
-    # r^(2 - alpha) does
+    # _coeffs; past double range r^(2 - alpha) raises OverflowError, and
+    # the density may read inf
     a, b = _coeffs(n, alpha, v0)
-    value = a / r + b * r ** (2.0 - alpha) / math.pi
-    if value == math.inf:
-        raise OverflowError
-    return value
+    return a / r + b * r ** (2.0 - alpha) / math.pi
 
 
 def r_cn(n: int, alpha: float) -> float:
@@ -134,7 +129,7 @@ def r_cn(n: int, alpha: float) -> float:
     expm1/log1p respectively.
     """
     n = _check_n(n, "r_cn")
-    check_alpha(alpha, "r_cn", 2, hi_open=True)
+    check_alpha(alpha, "r_cn", 2.0, hi_open=True)
     return _r_cn(n, alpha, DiskConstants(alpha).v0)
 
 
@@ -151,7 +146,7 @@ def _r_cn(n: int, alpha: float, v0: float) -> float:
 
 def rho_c1(alpha: float) -> float:
     """Density at the first crossover, rho_1(r_cn(1)); the flat-envelope level."""
-    check_alpha(alpha, "rho_c1", 2, hi_open=True)
+    check_alpha(alpha, "rho_c1", 2.0, hi_open=True)
     return DiskConstants(alpha).rho_c1
 
 
@@ -169,10 +164,7 @@ def rho_min(r: float, alpha: float) -> tuple[float, int]:
         raise DomainError(f"rho_min: r must lie in (0, inf), got {r}")
     v0 = DiskConstants(alpha).v0
     n, _ = _envelope_n(r, alpha, v0, _sqrt_n_slope(alpha, v0), 1, "rho_min")
-    try:
-        return _rho_n(n, r, alpha, v0), n
-    except OverflowError:
-        raise DomainError(f"rho_min: the density is out of double range at r = {r}") from None
+    return finite(lambda: _rho_n(n, r, alpha, v0), "rho_min", "density", "r", r), n
 
 
 def _sqrt_n_slope(alpha: float, v0: float) -> float:
@@ -240,7 +232,9 @@ def envelope_rows(
             n, bound = _envelope_n(r, alpha, v0, c, n + 1, "envelope_rows")
             an, bn = _coeffs(n, alpha, v0)
         # r lies below r_cn(2**53 - 1) here, so r^(2 - alpha) is finite and
-        # only the 1/r terms can overflow
+        # only the 1/r terms can overflow.  The check is inline rather than
+        # errors.finite: a closure and a call per row would show in a table
+        # of thousands of rows
         rp = r**power
         rho1 = a1 / r + b1 * rp / pi
         rho2 = a2 / r + b2 * rp / pi

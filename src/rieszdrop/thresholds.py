@@ -61,6 +61,13 @@ Gamma(1-a) and the slope lead of C3, which disk_potential_max_slope
 divides by pi.  Each Gamma value is computed once per exponent, and an
 objective reads its constants from the record on every solver step.
 
+The public rho0, m_of_eps, delta_bound and C0 to F2 report a result past
+double range through errors.finite, as one DomainError naming the
+function, the quantity and its argument; C1, C3, F1 and F2 check C0 first,
+since C1 reads 0 at an infinite C0.  The record methods do not: a cold
+solve reports an objective value that is not finite as BracketError, and
+a warm one falls back to the cold solve.
+
 Tolerances are fixed, and REL_TOL = 1e-12 is their one written form:
 every cold root solve stops at a bracket width of REL_TOL relative, or
 raises ConvergenceError after 200 iterations; a warm one returns from a
@@ -77,7 +84,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator
 
-from .errors import BracketError, ConvergenceError, DomainError, check_alpha
+from .errors import BracketError, ConvergenceError, DomainError, check_alpha, finite
 from .specfun import gamma
 from .splitting import DiskConstants
 
@@ -336,7 +343,7 @@ def disk_potential_max_slope(alpha: float) -> float:
 
     read as the C3 slope lead over pi, its one written form.
     """
-    check_alpha(alpha, "disk_potential_max_slope", 1, lo_open=True, hi_open=True)
+    check_alpha(alpha, "disk_potential_max_slope", 1.0, lo_open=True, hi_open=True)
     return AlphaConstants(alpha).c3_lead / math.pi
 
 
@@ -490,13 +497,7 @@ def rho0(r: float, alpha: float) -> float:
         raise DomainError(f"rho0: r must lie in (0, inf), got {r}")
     check_alpha(alpha, "rho0", 0.5)
     k = AlphaConstants(alpha)
-    try:
-        value = k.rho0(r)
-    except OverflowError:  # r^(2 - 2a)
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"rho0: the density is out of double range at r = {r}")
-    return value
+    return finite(lambda: k.rho0(r), "rho0", "density", "r", r)
 
 
 def solve_r0(alpha: float) -> float:
@@ -522,17 +523,10 @@ def _with_eps(stage: str, alpha: float, eps: float, alpha_hi: float = 2.0) -> Al
 
 def _in_range(stage: str, k: AlphaConstants, eps: float, value: Callable[[float], float]) -> float:
     # value(C0) at a checked eps.  C0 grows like eps, and C3 and F1 square
-    # it on the way, so they overflow long before eps does: a power raises
-    # OverflowError, delta_bound a DomainError, a product reads inf.  C0
+    # it on the way, so they leave double range long before eps does.  C0
     # itself is checked first, since C1 would read 0 at an infinite C0
-    try:
-        d0 = k.c0(eps)
-        y = value(d0) if math.isfinite(d0) else d0
-    except (OverflowError, DomainError):
-        y = math.inf
-    if not math.isfinite(y):
-        raise DomainError(f"{stage}: the computation overflows at eps = {eps}")
-    return y
+    d0 = finite(lambda: k.c0(eps), stage, "computation", "eps", eps)
+    return finite(lambda: value(d0), stage, "computation", "eps", eps)
 
 
 def c0(alpha: float, eps: float) -> float:
@@ -559,10 +553,9 @@ def delta_bound(d: float) -> float:
     if not 0.0 <= d < math.inf:
         raise DomainError(f"delta_bound: d must be nonnegative and finite, got {d}")
     # pi d (d + 2) overflows here; the cap itself does above about 1e308
-    value = math.sqrt(d) * math.sqrt(d + 2.0) * math.sqrt(math.pi)
-    if value == math.inf:
-        raise DomainError(f"delta_bound: the cap is out of double range at d = {d}")
-    return value
+    return finite(
+        lambda: math.sqrt(d) * math.sqrt(d + 2.0) * math.sqrt(math.pi), "delta_bound", "cap", "d", d
+    )
 
 
 def c3(alpha: float, eps: float) -> float:
@@ -594,13 +587,7 @@ def m_of_eps(eps: float, alpha: float) -> float:
     check_alpha(alpha, "m_of_eps", 2.0, hi_open=True)
     if not 0.0 < eps < math.inf:
         raise DomainError(f"m_of_eps: eps must be positive and finite, got {eps}")
-    try:
-        m = _m_of_eps(eps, alpha)
-    except OverflowError:
-        m = math.inf
-    if m == math.inf:
-        raise DomainError(f"m_of_eps: the mass is out of double range at eps = {eps}")
-    return m
+    return finite(lambda: _m_of_eps(eps, alpha), "m_of_eps", "mass", "eps", eps)
 
 
 def solve_eps0(alpha: float) -> float:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .splitting import rho_c1
+from .errors import DomainError, finite
 from .thresholds import AlphaConstants, rho0, walk
 
 __all__ = ["f3", "run_ledger"]
@@ -33,18 +32,15 @@ def f3(alpha: float, r: float) -> float:
     """Clearance rho0(r) - rho_c1 of the comparison density over the envelope level.
 
     The value is the f3 of one constants record, so each Gamma value is
-    computed once.  The domain is rho0's, and arguments outside it, or an r
-    where the density leaves double range, raise rho0's DomainError.
+    computed once.  The domain is rho0's: arguments outside it are handed
+    to rho0, which raises its own DomainError for them, and an r where the
+    density leaves double range raises errors.finite's DomainError under
+    rho0's name, the same message rho0 gives there.
     """
-    if 0.0 < r < math.inf and 0.0 <= alpha <= 0.5:
-        try:
-            value = AlphaConstants(alpha).f3(r)
-        except OverflowError:  # r^(2 - 2a)
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    # rho0 raises its DomainError for these arguments
-    return rho0(r, alpha) - rho_c1(alpha)
+    if not (0.0 < r < math.inf and 0.0 <= alpha <= 0.5):
+        rho0(r, alpha)  # raises: the domain is rho0's
+    k = AlphaConstants(alpha)
+    return finite(lambda: k.f3(r), "rho0", "density", "r", r)
 
 
 # (name, claim, lo, hi, strict): lo <= value <= hi on each given

@@ -133,7 +133,7 @@ def test_sweep_partial_failure_exit(capsys):
     )
     assert code == 3
     assert err == (
-        "rieszdrop: sweep: row alpha = 0.0 unsolved: sweep: alpha must lie in (0, 1.0), got 0.0\n"
+        "rieszdrop: sweep: row alpha = 0.0 unsolved: sweep: alpha must lie in (0, 1), got 0.0\n"
     )
     first = out.splitlines()[1].split(",")
     assert first[0] == "0"

@@ -5,13 +5,16 @@ One hypothesis test draws a public function and its arguments: each
 argument from the function's documented domain, or one of the edge values
 0, -0.0, the smallest subnormal, 1e-300, 1.7e308, +-inf and nan.  The
 aggregates walk, envelope_rows, run_ledger and solve_alpha0 are left out;
-their own tests cover their domains.
+their own tests cover their domains.  A table test gives every site of
+errors.finite an argument where its result leaves double range, and pins
+the DomainError each raises.
 """
 
 import inspect
 import math
 import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +124,40 @@ def test_finite_value_or_typed_error_promptly(call):
     if value is not None:
         values = value if isinstance(value, tuple) else (value,)
         assert all(math.isfinite(v) for v in values), (name, args, value)
+
+
+# every site of errors.finite, with an argument where the result leaves
+# double range: a power that raises OverflowError, a density or product
+# that reads inf, C0 infinite before C1 reads it (C1 would read 0), and
+# delta_bound's own DomainError inside C3.  verify.f3 reports under rho0
+RANGE = "is out of double range at"
+OUT_OF_RANGE = [
+    ("rho_n", (1, 5e-324, 0.1), f"rho_n: the density {RANGE} r = 5e-324"),
+    ("rho_n", (1, 1.7e308, 0.1), f"rho_n: the density {RANGE} r = 1.7e+308"),
+    ("rho_min", (5e-324, 0.1), f"rho_min: the density {RANGE} r = 5e-324"),
+    ("rho0", (5e-324, 0.1), f"rho0: the density {RANGE} r = 5e-324"),
+    ("rho0", (1e300, 0.0), f"rho0: the density {RANGE} r = 1e+300"),
+    ("m_of_eps", (1e308, 1.9), f"m_of_eps: the mass {RANGE} eps = 1e+308"),
+    ("delta_bound", (1.7e308,), f"delta_bound: the cap {RANGE} d = 1.7e+308"),
+    ("c0", (1.9, 1e308), f"c0: the computation {RANGE} eps = 1e+308"),
+    ("c1", (0.1, 1.7e308), f"c1: the computation {RANGE} eps = 1.7e+308"),
+    ("c3", (0.1, 1e308), f"c3: the computation {RANGE} eps = 1e+308"),
+    ("f1", (0.1, 1e100), f"f1: the computation {RANGE} eps = 1e+100"),
+    ("f2", (0.1, 1e308), f"f2: the computation {RANGE} eps = 1e+308"),
+    ("f3", (0.1, 5e-324), f"rho0: the density {RANGE} r = 5e-324"),
+    ("f3", (0.0, 1e300), f"rho0: the density {RANGE} r = 1e+300"),
+]
+
+
+@pytest.mark.parametrize("name, args, message", OUT_OF_RANGE)
+def test_out_of_range_result_raises_domain_error_promptly(name, args, message):
+    fn = getattr(rieszdrop, name)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError) as info:
+            fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    assert str(info.value) == message
+    assert info.value.__context__ is None
+    assert best < 0.01, (name, args, best)

@@ -1,5 +1,6 @@
 """Module boundaries of the package: no module imports another's private
 names, only thresholds.walk warm-starts a solve from its previous roots,
+errors.finite is the one rule for a result past double range,
 splitting writes the density's power of n once, each Gamma value is
 computed in one place, the solve tolerance 1e-12 is written once, the
 package exports exactly its layer modules' __all__, every public name has
@@ -35,28 +36,53 @@ def test_no_private_cross_module_imports():
     assert not found, found
 
 
-def test_root_history_lives_in_thresholds():
-    # thresholds.walk is the one grid walk: it keeps the previous roots and
-    # passes a prediction from them to _warm, once per root, so no other
-    # code warm-starts a solve, and no solve takes a prediction (_prev)
-    found = []
+def owned_nodes():
+    # (node, "module.py:function") for every node of the package, with the
+    # innermost function around its line: ast.walk is breadth first, so a
+    # nested function overwrites its outer one
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        # the innermost function around each line: ast.walk is breadth
-        # first, so a nested function overwrites its outer one
         owner = {}
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(range(func.lineno, func.end_lineno + 1), func.name))
         for node in ast.walk(tree):
-            where = f"{path.name}:{owner.get(getattr(node, 'lineno', 0), '<module>')}"
-            if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "_prev":
-                found.append(f"{where} names _prev")
-            elif isinstance(node, ast.Call):
-                callee = node.func
-                if getattr(callee, "id", None) == "_warm" or getattr(callee, "attr", None) == "_warm":
-                    found.append(f"{where} calls _warm")
+            yield node, f"{path.name}:{owner.get(getattr(node, 'lineno', 0), '<module>')}"
+
+
+def test_root_history_lives_in_thresholds():
+    # thresholds.walk is the one grid walk: it keeps the previous roots and
+    # passes a prediction from them to _warm, once per root, so no other
+    # code warm-starts a solve, and no solve takes a prediction (_prev)
+    found = []
+    for node, where in owned_nodes():
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "_prev":
+            found.append(f"{where} names _prev")
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "id", None) == "_warm" or getattr(callee, "attr", None) == "_warm":
+                found.append(f"{where} calls _warm")
     assert found == ["thresholds.py:walk calls _warm"] * 3, found
+
+
+def test_out_of_range_results_have_one_rule():
+    # errors.finite is the one rule for a result past double range: only it
+    # and envelope_rows, whose per-row check is inline, raise "out of double
+    # range", and only gamma and disk_potential catch OverflowError (see
+    # their docstrings and comments for why)
+    raisers, catchers = set(), set()
+    for node, where in owned_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if any(
+                isinstance(part, ast.Constant) and "out of double range" in str(part.value)
+                for part in ast.walk(node.exc)
+            ):
+                raisers.add(where)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if "OverflowError" in {getattr(n, "id", None) for n in ast.walk(node.type)}:
+                catchers.add(where)
+    assert raisers == {"errors.py:finite", "splitting.py:envelope_rows"}, raisers
+    assert catchers == {"specfun.py:gamma", "specfun.py:disk_potential"}, catchers
 
 
 def test_density_is_written_once():

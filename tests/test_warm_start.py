@@ -145,7 +145,7 @@ def test_unsolved_sweep_row_restarts_the_history(warm_roots, capsys):
     assert [alpha for _, alpha, _ in warm_roots] == [0.03] * 3
     assert capsys.readouterr().err == (
         "rieszdrop: sweep: row alpha = 0.0 unsolved: "
-        "sweep: alpha must lie in (0, 1.0), got 0.0\n"
+        "sweep: alpha must lie in (0, 1), got 0.0\n"
     )
 
 
