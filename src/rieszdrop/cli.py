@@ -28,18 +28,20 @@ alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
 relative spacing of doubles no bracket can get narrow enough.
 
 `python -m rieszdrop` runs the same command as `rieszdrop`.  main(argv)
-may be called repeatedly in one process: it builds the argument parser on
-its first call and reuses it, and `import rieszdrop.cli` builds none.
+may be called repeatedly in one process.  It reads argv against one table
+of commands and options, without argparse: `--name value`, `--name=value`
+and any unique prefix of a name are accepted, the last of a repeated
+option wins, and -h/--help prints a help text whose layout does not depend
+on the terminal.  A usage error prints the usage line and argparse's
+error text to stderr and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cache
 from itertools import chain, islice, starmap
 from typing import NoReturn
 
@@ -50,19 +52,13 @@ from .verify import run_ledger
 
 __all__ = ["main", "entrypoint"]
 
+_EVAL_FIELDS = (
+    "alpha", "m_c1", "R_c1", "rho_c1", "m_2", "R_0", "eps_0", "eps_1", "m_eps0", "m_eps1"
+)
 _SWEEP_FIELDS = ("alpha", "m_c1", "m_2", "m_eps0", "m_eps1")
 _ENVELOPE_FIELDS = ("R", "rho_1", "rho_2", "rho_3", "rho_min", "n_opt")
 _INT_FIELDS = frozenset({"n_opt"})  # JSON "%d": held as doubles, exact below 2**53
 _BLOCK_ROWS = 256  # table rows formatted per string
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors, which this tool reserves for
-    # ledger failures; remap to 1
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _emit(texts: Iterable[str], out: str | None) -> None:
@@ -141,25 +137,13 @@ def _table_blocks(
     return chain([head], map(fill, range(0, size, step)))
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    alpha = args.alpha
+def _cmd_eval(alpha: float, out: str | None) -> int:
     check_alpha(alpha, "eval", 0.5, lo_open=True)
     k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures = next(walk([alpha], "eval"))
     if failures:
         raise failures[0]
-    payload = {
-        "alpha": alpha,
-        "m_c1": k.m_c1,
-        "R_c1": k.r_c1,
-        "rho_c1": k.rho_c1,
-        "m_2": m_2,
-        "R_0": r0,
-        "eps_0": eps0,
-        "eps_1": eps1,
-        "m_eps0": m_eps0,
-        "m_eps1": m_eps1,
-    }
-    _emit([_json_text(payload)], args.out)
+    values = (alpha, k.m_c1, k.r_c1, k.rho_c1, m_2, r0, eps0, eps1, m_eps0, m_eps1)
+    _emit([_json_text(dict(zip(_EVAL_FIELDS, values)))], out)
     return 0
 
 
@@ -184,10 +168,10 @@ def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
             )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    lo, hi, steps = args.alpha_min, args.alpha_max, args.steps
+def _cmd_sweep(alpha_min: float, alpha_max: float, steps: int, format: str, out: str | None) -> int:
     if steps < 2:
         raise DomainError(f"sweep: steps must be at least 2, got {steps}")
+    lo, hi = alpha_min, alpha_max
     if not 0.0 <= lo < hi <= 0.5:
         raise DomainError(
             f"sweep: need 0 <= alpha-min < alpha-max <= 0.5, got {lo} and {hi}"
@@ -195,12 +179,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a grid point can overshoot alpha-max by an ulp; it keeps those bits,
     # except past 0.5, which solve_r0 rejects
     rows = list(_sweep_rows(min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps)))
-    _emit(_table_blocks(_SWEEP_FIELDS, list(chain.from_iterable(rows)), args.format), args.out)
+    _emit(_table_blocks(_SWEEP_FIELDS, list(chain.from_iterable(rows)), format), out)
     return 3 if any(None in row for row in rows) else 0
 
 
-def _cmd_envelope(args: argparse.Namespace) -> int:
-    alpha, r_max, steps = args.alpha, args.r_max, args.steps
+def _cmd_envelope(alpha: float, r_max: float, steps: int, format: str, out: str | None) -> int:
     check_alpha(alpha, "envelope", 1.0, lo_open=True)
     if not r_max > 0.0:
         raise DomainError(f"envelope: r-max must be positive, got {r_max}")
@@ -222,89 +205,159 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
             values.frombytes(block)
     except DomainError as exc:
         raise DomainError(f"{exc} (r-max {r_max})") from None
-    _emit(_table_blocks(_ENVELOPE_FIELDS, values, args.format), args.out)
+    _emit(_table_blocks(_ENVELOPE_FIELDS, values, format), out)
     return 0
 
 
-def _cmd_alpha0(args: argparse.Namespace) -> int:
-    tol = args.tol
+def _cmd_alpha0(tol: float, out: str | None) -> int:
     if not MIN_REL_TOL <= tol < math.inf:
         raise DomainError(
             f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite, got {tol}"
         )
     a0 = solve_alpha0(tol)
     payload = {"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol}
-    _emit([_json_text(payload)], args.out)
+    _emit([_json_text(payload)], out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_ledger(alpha_max=args.alpha_max, grid=args.grid)
-    _emit([_json_text(report)], args.out)
+def _cmd_verify(alpha_max: float, grid: int, out: str | None) -> int:
+    report = run_ledger(alpha_max=alpha_max, grid=grid)
+    _emit([_json_text(report)], out)
     return 0 if report["passed"] else 2
 
 
-@cache
-def _build_parser() -> _Parser:
-    # built on the first main() call and kept: parse_args leaves the parser
-    # as it was, and error and --help look up sys.stderr and sys.stdout
-    # when they write
-    parser = _Parser(
-        prog="rieszdrop",
-        description="Threshold masses and inequality checks for the planar "
-        "perimeter-plus-Riesz droplet energy.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_eval = sub.add_parser("eval", help="threshold quantities at one exponent")
-    p_eval.add_argument("--alpha", type=float, required=True, help="kernel exponent, in (0, 0.5]")
-    p_eval.add_argument("--out", help="write JSON here instead of stdout")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="threshold masses over an exponent range")
-    p_sweep.add_argument("--alpha-min", type=float, default=0.005)
-    p_sweep.add_argument("--alpha-max", type=float, default=0.045)
-    p_sweep.add_argument("--steps", type=int, default=81, help="grid points, endpoints included")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--out", help="write output here instead of stdout")
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_env = sub.add_parser("envelope", help="per-component densities over a radius range")
-    p_env.add_argument("--alpha", type=float, required=True, help="kernel exponent, in (0, 1]")
-    p_env.add_argument("--r-max", type=float, default=2.0, dest="r_max")
-    p_env.add_argument("--steps", type=int, default=400, help="radii R = r-max * i / steps")
-    p_env.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_env.add_argument("--out", help="write output here instead of stdout")
-    p_env.set_defaults(handler=_cmd_envelope)
-
-    p_a0 = sub.add_parser("alpha0", help="crossing exponent of the threshold ordering")
-    p_a0.add_argument(
-        "--tol", type=float, default=REL_TOL,
-        help="relative bracket width that stops the crossing solve, at least 2**-52",
-    )
-    p_a0.add_argument("--out", help="write JSON here instead of stdout")
-    p_a0.set_defaults(handler=_cmd_alpha0)
-
-    p_ver = sub.add_parser("verify", help="machine-check the inequality ledger")
-    p_ver.add_argument("--alpha-max", type=float, default=0.034)
-    p_ver.add_argument("--grid", type=int, default=1000, help="exponent grid points")
-    p_ver.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_ver.set_defaults(handler=_cmd_verify)
-
-    return parser
+# command: (handler, help line, options), and option: (converter or a tuple
+# of choices, default or ... where the option is required, help line); the
+# handler takes each option as a keyword, its name without "--" and with "_"
+# for "-"
+_COMMANDS = {
+    "eval": (_cmd_eval, "threshold quantities at one exponent", {
+        "--alpha": (float, ..., "kernel exponent, in (0, 0.5]"),
+        "--out": (str, None, "write JSON here instead of stdout")}),
+    "sweep": (_cmd_sweep, "threshold masses over an exponent range", {
+        "--alpha-min": (float, 0.005, ""),
+        "--alpha-max": (float, 0.045, ""),
+        "--steps": (int, 81, "grid points, endpoints included"),
+        "--format": (("csv", "json"), "csv", ""),
+        "--out": (str, None, "write output here instead of stdout")}),
+    "envelope": (_cmd_envelope, "per-component densities over a radius range", {
+        "--alpha": (float, ..., "kernel exponent, in (0, 1]"),
+        "--r-max": (float, 2.0, ""),
+        "--steps": (int, 400, "radii R = r-max * i / steps"),
+        "--format": (("csv", "json"), "csv", ""),
+        "--out": (str, None, "write output here instead of stdout")}),
+    "alpha0": (_cmd_alpha0, "crossing exponent of the threshold ordering", {
+        "--tol": (float, REL_TOL,
+                  "relative bracket width that stops the crossing solve, at least 2**-52"),
+        "--out": (str, None, "write JSON here instead of stdout")}),
+    "verify": (_cmd_verify, "machine-check the inequality ledger", {
+        "--alpha-max": (float, 0.034, ""),
+        "--grid": (int, 1000, "exponent grid points"),
+        "--out": (str, None, "write the JSON report here instead of stdout")}),
+}
+_DESCRIPTION = (
+    "Threshold masses and inequality checks for the planar perimeter-plus-Riesz\ndroplet energy.\n"
+)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+class _Usage(Exception):
+    """The command line asks for usage text: args are the command, None for
+    the top level, and the error message, None where it asks for help."""
+
+
+def _is_value(arg: str) -> bool:
+    # argparse's rule: an argument is an option unless it does not start
+    # with "-", is "-" itself, is a negative number or holds a space
+    return arg[:1] != "-" or arg == "-" or " " in arg or arg[1:].replace(".", "", 1).isdecimal()
+
+
+def _convert(kind: object, value: str, name: str, command: str | None) -> object:
+    """value read by kind, a converter or a tuple of the values allowed."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        return kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+    except ValueError:
+        choices = f" (choose from {', '.join(map(repr, kind))})" if isinstance(kind, tuple) else ""
+        what = "choice" if choices else f"{kind.__name__} value"
+        raise _Usage(command, f"argument {name}: invalid {what}: {value!r}{choices}") from None
+
+
+def _parse(argv: Iterable[str]) -> tuple[str, dict[str, object]]:
+    """The command argv names and the keyword arguments of its handler.
+
+    Options are read as argparse reads them: "--name value" or
+    "--name=value", a unique prefix of the name (no name is a prefix of
+    another), the last of a repeated option wins, and a value may not look
+    like an option.  -h or --help raises _Usage for the help, and the first
+    usage error met raises it for the error, except that a missing command
+    or required option is named before an argument that names nothing.
+    """
+    command, options, values, unknown, args = None, {}, {}, [], iter(argv)
+    for arg in args:
+        # as in argparse, an argument whose text before any "=" spells an
+        # option is that option, even where it holds a space
+        name, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        found = [o for o in ("--help", *options) if len(name) > 2 and o.startswith(name)]
+        if len(found) > 1:
+            raise _Usage(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found == ["--help"]:
+            raise _Usage(command, None)
+        if found:
+            # an option without "=" takes the next argument; argv's end reads as "--"
+            if not eq and not _is_value(value := next(args, "--")):
+                raise _Usage(command, f"argument {found[0]}: expected one argument")
+            values[found[0]] = _convert(options[found[0]][0], value, found[0], command)
+        elif command is None and _is_value(arg):
+            command = _convert(tuple(_COMMANDS), arg, "command", None)
+            options = _COMMANDS[command][2]
+        else:
+            unknown.append(arg)
+    missing = [o for o, (_, d, _) in options.items() if d is ... and o not in values]
+    if command is None or missing:
+        required = ", ".join(missing or ["command"])
+        raise _Usage(command, f"the following arguments are required: {required}")
+    if unknown:
+        raise _Usage(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, {o[2:].replace("-", "_"): values.get(o, d) for o, (_, d, _) in options.items()}
+
+
+def _listing(title: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(name) for name, _ in rows)
+    lines = (f"  {name:<{width}}  {text}".rstrip() + "\n" for name, text in rows)
+    return f"\n{title}:\n" + "".join(lines)
+
+
+def _help(command: str | None) -> tuple[str, str]:
+    """The usage line of a command, or of the top level for None, and the
+    rest of its help text: one line per command or option, in a fixed
+    layout."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        commands = _listing("commands", [(name, entry[1]) for name, entry in _COMMANDS.items()])
+        text = f"\n{_DESCRIPTION}{commands}{_listing('options', rows)}"
+        return "usage: rieszdrop [-h] command ...\n", text
+    usage = [f"usage: rieszdrop {command} [-h]"]
+    for option, (kind, default, text) in _COMMANDS[command][2].items():
+        meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else option[2:].upper()
+        rows.append((f"{option} {meta.replace('-', '_')}", text))
+        usage.append(rows[-1][0] if default is ... else f"[{rows[-1][0]}]")
+    return " ".join(usage) + "\n", _listing("options", rows)
+
+
+def main(argv: Iterable[str] | None = None) -> int:
     try:
-        return args.handler(args)
+        command, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[command][0](**kwargs)
+    except _Usage as exc:
+        command, message = exc.args
+        usage, rest = _help(command)
+        if message is None:
+            sys.stdout.write(usage + rest)
+            return 0
+        prog = f"rieszdrop {command}" if command else "rieszdrop"
+        sys.stderr.write(f"{usage}{prog}: error: {message}\n")
     except (DomainError, BracketError, ConvergenceError, OSError) as exc:
         print(f"rieszdrop: error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 def entrypoint() -> NoReturn:

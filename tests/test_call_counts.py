@@ -19,7 +19,7 @@ from collections import Counter, OrderedDict
 import pytest
 
 import rieszdrop
-from rieszdrop import cli, specfun, splitting, thresholds
+from rieszdrop import specfun, splitting, thresholds
 from rieszdrop.cli import main
 from rieszdrop.thresholds import (
     AlphaConstants, c2, m_c1, solve_alpha0, solve_eps0, solve_eps1, solve_m2,
@@ -241,32 +241,6 @@ def test_envelope_search_jumps_to_its_n(calls):
         calls["_r_cn"] = 0
         splitting.rho_min(r, 0.1)
         assert calls["_r_cn"] <= 24, r
-
-
-def test_cli_builds_its_parser_once(monkeypatch, capsys, tmp_path):
-    # one parser and its five subcommand parsers serve every main() call in
-    # the process, a usage error and --help included; a parser built per
-    # call made 6 per call, 30 here
-    built = [0]
-    init = cli._Parser.__init__
-
-    def counting(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
-    cli._build_parser.cache_clear()  # start from a process that has built none
-    out = str(tmp_path / "table.csv")
-    codes = [
-        main(["eval", "--alpha", "0.034", "--out", out]),
-        main(["sweep", "--steps", "3", "--out", out]),
-        main(["sweep", "--steps", "x"]),
-        main(["--help"]),
-        main(["envelope", "--alpha", "0.04", "--steps", "4", "--out", out]),
-    ]
-    capsys.readouterr()
-    assert codes == [0, 0, 1, 0, 0]
-    assert built[0] == 6
 
 
 def test_potential_profile_reuses_its_series_ratios(monkeypatch):

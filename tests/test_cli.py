@@ -59,7 +59,7 @@ def test_eval_at_ledger_endpoint(capsys):
 
 
 def test_eval_rejects_bad_alpha(capsys):
-    for bad in ("0.0", "0.6", "-1"):
+    for bad in ("0.0", "0.6", "-1", "0.5000001"):
         code, out, err = run_cli(["eval", "--alpha", bad], capsys)
         assert code == 1
         assert out == ""
@@ -168,6 +168,9 @@ def test_sweep_validation(capsys):
     assert run_cli(["sweep", "--steps", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--alpha-min", "0.03", "--alpha-max", "0.01"], capsys)[0] == 1
     assert run_cli(["sweep", "--alpha-max", "0.6"], capsys)[0] == 1
+    # an empty range and one just past 0.5, which the grid would clamp
+    assert run_cli(["sweep", "--alpha-min", "0.02", "--alpha-max", "0.02"], capsys)[0] == 1
+    assert run_cli(["sweep", "--alpha-max", "0.5000001"], capsys)[0] == 1
 
 
 def test_sweep_deterministic_across_worker_counts(tmp_path, capsys):
@@ -245,6 +248,14 @@ def test_envelope_validation(capsys):
     assert run_cli(["envelope", "--alpha", "1.5"], capsys)[0] == 1
     assert run_cli(["envelope", "--alpha", "0.1", "--r-max", "0"], capsys)[0] == 1
     assert run_cli(["envelope", "--alpha", "0.1", "--steps", "0"], capsys)[0] == 1
+    # the command's own check, not a later stage's
+    assert run_cli(["envelope", "--alpha", "1.0000001"], capsys)[2] == (
+        "rieszdrop: error: envelope: alpha must lie in (0, 1], got 1.0000001\n"
+    )
+    # r-max 0 is refused by the command, before any row is computed
+    code, out, err = run_cli(["envelope", "--alpha", "0.1", "--r-max", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "rieszdrop: error: envelope: r-max must be positive, got 0.0\n"
 
 
 def test_envelope_past_the_cap_names_its_stage(capsys):
@@ -438,9 +449,10 @@ def fresh_run(argv):
         yield module, (proc.returncode, proc.stdout, proc.stderr)
 
 
-@pytest.mark.parametrize(
-    "argv", [["eval", "--alpha", "0.034"], ["eval", "--alpha", "0.6"], ["bogus"]]
-)
+@pytest.mark.parametrize("argv", [
+    ["eval", "--alpha", "0.034"], ["eval", "--alpha", "0.6"], ["bogus"],
+    ["--help"], ["sweep", "--alpha-m", "0.1"], ["eval", "--alpha=0.034"],
+])
 def test_python_dash_m_matches_main(argv, capsys):
     # `python -m rieszdrop` and `python -m rieszdrop.cli` run the same command
     got = run_cli(argv, capsys)
@@ -449,10 +461,10 @@ def test_python_dash_m_matches_main(argv, capsys):
 
 
 def test_reused_parser_matches_a_fresh_process(monkeypatch, capsys):
-    # main() keeps its parser between calls: a success, a usage error and
-    # --help leave nothing behind that a later call in the same process
-    # could see, so each call prints what a fresh process prints
-    monkeypatch.setenv("COLUMNS", "80")  # the --help width, here and in the children
+    # main() reads one module-level table on every call: a success, a usage
+    # error and --help leave nothing behind that a later call in the same
+    # process could see, so each call prints what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")  # the help text must not depend on it
     sequence = [
         ["eval", "--alpha", "0.034"],
         ["sweep", "--steps", "x"],
@@ -463,3 +475,140 @@ def test_reused_parser_matches_a_fresh_process(monkeypatch, capsys):
         got = run_cli(argv, capsys)
         for module, fresh in fresh_run(argv):
             assert fresh == got, (module, argv)
+
+
+USAGE_ERRORS = [
+    ([], "rieszdrop: error: the following arguments are required: command"),
+    (["bogus"], "rieszdrop: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'eval', 'sweep', 'envelope', 'alpha0', 'verify')"),
+    (["eval"], "rieszdrop eval: error: the following arguments are required: --alpha"),
+    (["eval", "--alpha", "abc"], "rieszdrop eval: error: argument --alpha: invalid float value: 'abc'"),
+    (["eval", "--alpha"], "rieszdrop eval: error: argument --alpha: expected one argument"),
+    (["sweep", "--steps", "1.5"], "rieszdrop sweep: error: argument --steps: invalid int value: '1.5'"),
+    (["sweep", "--format", "xml"],
+     "rieszdrop sweep: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (["eval", "--alpha", "0.1", "--bogus", "1"], "rieszdrop: error: unrecognized arguments: --bogus 1"),
+    (["sweep", "--alpha-m", "0.1"],
+     "rieszdrop sweep: error: ambiguous option: --alpha-m could match --alpha-min, --alpha-max"),
+    # "--" is no prefix of every option, and argparse reads -1e5 as an option
+    (["eval", "--alpha", "0.1", "--"], "rieszdrop: error: unrecognized arguments: --"),
+    (["eval", "--alpha", "-1e5"], "rieszdrop eval: error: argument --alpha: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, line", USAGE_ERRORS)
+def test_usage_error_texts(argv, line, capsys):
+    # each usage error keeps argparse's own error line under the usage line
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: rieszdrop") and err.endswith(line + "\n")
+    assert err.count("\n") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]] + [
+    [command, flag] for command in ("eval", "sweep", "envelope", "alpha0", "verify")
+    for flag in ("--help", "-h")
+])
+def test_help_texts(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: rieszdrop") and "-h, --help" in out
+
+
+def test_help_ignores_the_terminal_width(monkeypatch, capsys):
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts.append(run_cli(["sweep", "--help"], capsys)[1] + run_cli(["--help"], capsys)[1])
+    assert texts[0] == texts[1]
+
+
+def test_option_spellings_give_the_same_bytes(capsys):
+    # --name value, --name=value, a unique prefix, and the last repeat wins
+    full = run_cli(["verify", "--alpha-max", "0.034", "--grid", "5"], capsys)
+    assert full[0] == 0
+    for argv in (
+        ["verify", "--alpha-max=0.034", "--grid=5"],
+        ["verify", "--alpha-ma", "0.034", "--gr", "5"],
+        ["verify", "--alpha-max", "0.02", "--grid", "7", "--alpha-max=0.034", "--grid", "5"],
+    ):
+        assert run_cli(argv, capsys) == full, argv
+    assert run_cli(["eval", "--alpha=0.034"], capsys) == run_cli(["eval", "--alpha", "0.034"], capsys)
+
+
+def test_no_option_name_is_a_prefix_of_another():
+    # a full name then never reads as ambiguous, since the parser matches
+    # every name by prefix
+    from rieszdrop.cli import _COMMANDS
+
+    for _, _, options in _COMMANDS.values():
+        names = ["--help", *options]
+        assert not [(a, b) for a in names for b in names if a != b and b.startswith(a)]
+
+
+OPTIONS = {
+    "eval": ("--alpha",), "sweep": ("--alpha-min", "--alpha-max", "--steps", "--format"),
+    "envelope": ("--alpha", "--r-max", "--steps", "--format"), "alpha0": ("--tol",),
+    "verify": ("--alpha-max", "--grid"),
+}
+EDGES = ["0", "-0.0", "5e-324", "1e-20", repr(0.5 - 1e-10), repr(0.5 + 1e-10), "1e308",
+         "inf", "-inf", "nan", "abc", "", "1_0", "0x10", "csv", "json", "xml"]
+
+
+def test_seeded_argv_draws_exit_cleanly(capsys):
+    # every drawn command line exits 0, 1, 2 or 3 without a traceback;
+    # exit 1 writes no stdout, exit 0 no stderr, and JSON stdout parses
+    from hypothesis import HealthCheck, given, seed, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(OPTIONS)))
+        args = [command]
+        for option in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=3)):
+            if option in ("--steps", "--grid"):
+                value = str(draw(st.integers(-1, 50)))
+            else:
+                value = draw(st.sampled_from(EDGES))
+            spelling = draw(st.sampled_from(["full", "prefix", "equals"]))
+            if spelling == "prefix":
+                args += [option[:-1], value]
+            elif spelling == "equals":
+                args.append(f"{option}={value}")
+            else:
+                args += [option, value]
+        return args
+
+    @seed(2014)
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv())
+    def check(args):
+        code, out, err = run_cli(args, capsys)
+        assert code in (0, 1, 2, 3), args
+        assert "Traceback" not in err, args
+        if code == 1:
+            assert out == "", args
+        if code == 0:
+            assert err == "", args
+        if out.startswith(("[", "{")):
+            json.loads(out)
+
+    start = time.perf_counter()
+    check()
+    assert time.perf_counter() - start < 2.0
+
+
+def test_option_defaults():
+    # what each command runs with when argv names only what is required
+    from rieszdrop.cli import _parse
+    from rieszdrop.thresholds import REL_TOL
+
+    assert _parse(["eval", "--alpha", "0.1"]) == ("eval", {"alpha": 0.1, "out": None})
+    assert _parse(["sweep"]) == ("sweep", {
+        "alpha_min": 0.005, "alpha_max": 0.045, "steps": 81, "format": "csv", "out": None})
+    assert _parse(["envelope", "--alpha", "0.1"]) == ("envelope", {
+        "alpha": 0.1, "r_max": 2.0, "steps": 400, "format": "csv", "out": None})
+    assert _parse(["alpha0"]) == ("alpha0", {"tol": REL_TOL, "out": None})
+    assert _parse(["verify"]) == ("verify", {"alpha_max": 0.034, "grid": 1000, "out": None})

@@ -6,7 +6,7 @@ digits, without importing rieszdrop, and checks each root by a sign change
 across root * (1 -+ 1e-9).  Each JSON file of tests/golden/cases.json goes
 through the output schema and the oracle check of its subcommand, with the
 options its argv gave and the command line's defaults for the rest, read
-from the command line's own parser.  Each CSV file must hold its JSON
+from the command line's own option table.  Each CSV file must hold its JSON
 twin's rows, every number written "%.15g" and null as nan; the CSVs do not
 go through the oracle, whose sweep check compares each alpha bit for bit
 with the grid formula, which 15 digits cannot round-trip.
@@ -52,22 +52,22 @@ def oracle():
 
 def problems(oracle, name):
     module, precision = oracle
-    args = cli._build_parser().parse_args(CASES[name]["argv"])
+    command, args = cli._parse(CASES[name]["argv"])
     doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
     with precision:
-        found = module.schema_problems(str(ROOT), doc, args.command)
+        found = module.schema_problems(str(ROOT), doc, command)
         if found:
             return found
-        if args.command == "eval":
-            return module.check_eval(doc, args.alpha)
-        if args.command == "sweep":
-            return module.check_sweep(doc, args.alpha_min, args.alpha_max, args.steps)
-        if args.command == "envelope":
-            return module.check_envelope(doc, args.alpha, args.r_max, args.steps)
-        if args.command == "alpha0":
+        if command == "eval":
+            return module.check_eval(doc, args["alpha"])
+        if command == "sweep":
+            return module.check_sweep(doc, args["alpha_min"], args["alpha_max"], args["steps"])
+        if command == "envelope":
+            return module.check_envelope(doc, args["alpha"], args["r_max"], args["steps"])
+        if command == "alpha0":
             return module.check_alpha0(doc)
-        assert args.command == "verify", name
-        return module.check_ledger(doc, args.alpha_max, args.grid)
+        assert command == "verify", name
+        return module.check_ledger(doc, args["alpha_max"], args["grid"])
 
 
 @pytest.mark.parametrize("name", JSON_CASES)
