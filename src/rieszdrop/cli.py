@@ -8,9 +8,12 @@ Five subcommands cover the library surface:
   alpha0    crossing exponent of the threshold ordering, JSON
   verify    run the inequality ledger, JSON report
 
-Exit codes: 0 success, 1 usage or domain error, 2 ledger verification
-failure, 3 sweep completed with some rows unsolved; each unsolved row
-writes one stderr line naming its alpha and the stages that failed.
+Each command returns its exit code and its text, one JSON text or a
+table's lazy blocks, and main alone writes that text: to stdout, or to the
+file named by --out, which every command takes.  Exit codes: 0 success, 1
+usage, domain or output error, 2 ledger verification failure, 3 sweep
+completed with some rows unsolved; each unsolved row writes one stderr
+line naming its alpha and the stages that failed.
 Floating point fields are written with 15 significant digits in CSV and
 full round-trip precision in JSON; unsolved CSV fields read "nan" and JSON
 ones are null.  The sweep and envelope tables come from one formatter,
@@ -59,6 +62,7 @@ _SWEEP_FIELDS = ("alpha", "m_c1", "m_2", "m_eps0", "m_eps1")
 _ENVELOPE_FIELDS = ("R", "rho_1", "rho_2", "rho_3", "rho_min", "n_opt")
 _INT_FIELDS = frozenset({"n_opt"})  # JSON "%d": held as doubles, exact below 2**53
 _BLOCK_ROWS = 256  # table rows formatted per string
+_Output = tuple[int, Iterable[str]]  # a command's exit code and the texts main writes
 
 
 def _emit(texts: Iterable[str], out: str | None) -> None:
@@ -137,14 +141,13 @@ def _table_blocks(
     return chain([head], map(fill, range(0, size, step)))
 
 
-def _cmd_eval(alpha: float, out: str | None) -> int:
+def _cmd_eval(alpha: float) -> _Output:
     check_alpha(alpha, "eval", 0.5, lo_open=True)
     k, (r0, eps0, eps1), (m_2, m_eps0, m_eps1), failures = next(walk([alpha], "eval"))
     if failures:
         raise failures[0]
     values = (alpha, k.m_c1, k.r_c1, k.rho_c1, m_2, r0, eps0, eps1, m_eps0, m_eps1)
-    _emit([_json_text(dict(zip(_EVAL_FIELDS, values)))], out)
-    return 0
+    return 0, [_json_text(dict(zip(_EVAL_FIELDS, values)))]
 
 
 def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
@@ -168,7 +171,7 @@ def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
             )
 
 
-def _cmd_sweep(alpha_min: float, alpha_max: float, steps: int, format: str, out: str | None) -> int:
+def _cmd_sweep(alpha_min: float, alpha_max: float, steps: int, format: str) -> _Output:
     if steps < 2:
         raise DomainError(f"sweep: steps must be at least 2, got {steps}")
     lo, hi = alpha_min, alpha_max
@@ -178,12 +181,12 @@ def _cmd_sweep(alpha_min: float, alpha_max: float, steps: int, format: str, out:
         )
     # a grid point can overshoot alpha-max by an ulp; it keeps those bits,
     # except past 0.5, which solve_r0 rejects
-    rows = list(_sweep_rows(min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps)))
-    _emit(_table_blocks(_SWEEP_FIELDS, list(chain.from_iterable(rows)), format), out)
-    return 3 if any(None in row for row in rows) else 0
+    grid = (min(lo + (hi - lo) * i / (steps - 1), 0.5) for i in range(steps))
+    values = list(chain.from_iterable(_sweep_rows(grid)))
+    return 3 if None in values else 0, _table_blocks(_SWEEP_FIELDS, values, format)
 
 
-def _cmd_envelope(alpha: float, r_max: float, steps: int, format: str, out: str | None) -> int:
+def _cmd_envelope(alpha: float, r_max: float, steps: int, format: str) -> _Output:
     check_alpha(alpha, "envelope", 1.0, lo_open=True)
     if not r_max > 0.0:
         raise DomainError(f"envelope: r-max must be positive, got {r_max}")
@@ -205,56 +208,48 @@ def _cmd_envelope(alpha: float, r_max: float, steps: int, format: str, out: str 
             values.frombytes(block)
     except DomainError as exc:
         raise DomainError(f"{exc} (r-max {r_max})") from None
-    _emit(_table_blocks(_ENVELOPE_FIELDS, values, format), out)
-    return 0
+    return 0, _table_blocks(_ENVELOPE_FIELDS, values, format)
 
 
-def _cmd_alpha0(tol: float, out: str | None) -> int:
+def _cmd_alpha0(tol: float) -> _Output:
     if not MIN_REL_TOL <= tol < math.inf:
         raise DomainError(
             f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite, got {tol}"
         )
     a0 = solve_alpha0(tol)
-    payload = {"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol}
-    _emit([_json_text(payload)], out)
-    return 0
+    return 0, [_json_text({"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol})]
 
 
-def _cmd_verify(alpha_max: float, grid: int, out: str | None) -> int:
+def _cmd_verify(alpha_max: float, grid: int) -> _Output:
     report = run_ledger(alpha_max=alpha_max, grid=grid)
-    _emit([_json_text(report)], out)
-    return 0 if report["passed"] else 2
+    return 0 if report["passed"] else 2, [_json_text(report)]
 
 
 # command: (handler, help line, options), and option: (converter or a tuple
 # of choices, default or ... where the option is required, help line); the
 # handler takes each option as a keyword, its name without "--" and with "_"
-# for "-"
+# for "-", except the shared _OUT, which main reads
 _COMMANDS = {
     "eval": (_cmd_eval, "threshold quantities at one exponent", {
-        "--alpha": (float, ..., "kernel exponent, in (0, 0.5]"),
-        "--out": (str, None, "write JSON here instead of stdout")}),
+        "--alpha": (float, ..., "kernel exponent, in (0, 0.5]")}),
     "sweep": (_cmd_sweep, "threshold masses over an exponent range", {
         "--alpha-min": (float, 0.005, ""),
         "--alpha-max": (float, 0.045, ""),
         "--steps": (int, 81, "grid points, endpoints included"),
-        "--format": (("csv", "json"), "csv", ""),
-        "--out": (str, None, "write output here instead of stdout")}),
+        "--format": (("csv", "json"), "csv", "")}),
     "envelope": (_cmd_envelope, "per-component densities over a radius range", {
         "--alpha": (float, ..., "kernel exponent, in (0, 1]"),
         "--r-max": (float, 2.0, ""),
         "--steps": (int, 400, "radii R = r-max * i / steps"),
-        "--format": (("csv", "json"), "csv", ""),
-        "--out": (str, None, "write output here instead of stdout")}),
+        "--format": (("csv", "json"), "csv", "")}),
     "alpha0": (_cmd_alpha0, "crossing exponent of the threshold ordering", {
         "--tol": (float, REL_TOL,
-                  "relative bracket width that stops the crossing solve, at least 2**-52"),
-        "--out": (str, None, "write JSON here instead of stdout")}),
+                  "relative bracket width that stops the crossing solve, at least 2**-52")}),
     "verify": (_cmd_verify, "machine-check the inequality ledger", {
         "--alpha-max": (float, 0.034, ""),
-        "--grid": (int, 1000, "exponent grid points"),
-        "--out": (str, None, "write the JSON report here instead of stdout")}),
+        "--grid": (int, 1000, "exponent grid points")}),
 }
+_OUT = {"--out": (str, None, "write the output here instead of stdout")}  # last in every command
 _DESCRIPTION = (
     "Threshold masses and inequality checks for the planar perimeter-plus-Riesz\ndroplet energy.\n"
 )
@@ -282,7 +277,7 @@ def _convert(kind: object, value: str, name: str, command: str | None) -> object
 
 
 def _parse(argv: Iterable[str]) -> tuple[str, dict[str, object]]:
-    """The command argv names and the keyword arguments of its handler.
+    """The command argv names and its keyword arguments: its handler's and out.
 
     Options are read as argparse reads them: "--name value" or
     "--name=value", a unique prefix of the name (no name is a prefix of
@@ -308,7 +303,7 @@ def _parse(argv: Iterable[str]) -> tuple[str, dict[str, object]]:
             values[found[0]] = _convert(options[found[0]][0], value, found[0], command)
         elif command is None and _is_value(arg):
             command = _convert(tuple(_COMMANDS), arg, "command", None)
-            options = _COMMANDS[command][2]
+            options = _COMMANDS[command][2] | _OUT
         else:
             unknown.append(arg)
     missing = [o for o, (_, d, _) in options.items() if d is ... and o not in values]
@@ -336,7 +331,7 @@ def _help(command: str | None) -> tuple[str, str]:
         text = f"\n{_DESCRIPTION}{commands}{_listing('options', rows)}"
         return "usage: rieszdrop [-h] command ...\n", text
     usage = [f"usage: rieszdrop {command} [-h]"]
-    for option, (kind, default, text) in _COMMANDS[command][2].items():
+    for option, (kind, default, text) in (_COMMANDS[command][2] | _OUT).items():
         meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else option[2:].upper()
         rows.append((f"{option} {meta.replace('-', '_')}", text))
         usage.append(rows[-1][0] if default is ... else f"[{rows[-1][0]}]")
@@ -346,7 +341,10 @@ def _help(command: str | None) -> tuple[str, str]:
 def main(argv: Iterable[str] | None = None) -> int:
     try:
         command, kwargs = _parse(sys.argv[1:] if argv is None else argv)
-        return _COMMANDS[command][0](**kwargs)
+        out = kwargs.pop("out")
+        code, texts = _COMMANDS[command][0](**kwargs)
+        _emit(texts, out)
+        return code
     except _Usage as exc:
         command, message = exc.args
         usage, rest = _help(command)

@@ -37,9 +37,9 @@ from them: R_0 by a cubic extrapolation, 4 r_-1 - 6 r_-2 + 4 r_-3 - r_-4,
 and eps_0 and eps_1 by a quartic in 1/eps (eps grows like 1/alpha, which
 no polynomial in alpha extrapolates); lower orders while the history
 fills.  It checks a prediction p itself, by a warm solve on the record's
-objective (f3, f2 or f1), which evaluates it at p (1 -+ rel_tol/4).  On
+objective (f3, f2 or f1), which evaluates it at p (1 -+ REL_TOL/4).  On
 a sign change the warm solve returns the regula falsi point of that
-window, so the true root lies within rel_tol/2 x of it, as for ITP;
+window, so the true root lies within REL_TOL/2 x of it, as for ITP;
 otherwise it takes secant steps from the two window values, one
 evaluation each, and checks their result by the same window test.
 Anything else falls back to the record's solve_* method, which is cold
@@ -235,20 +235,15 @@ def _root(
     )
 
 
-def _warm(
-    f: Callable[[float], float],
-    lo: float,
-    p: float,
-    rel_tol: float,
-) -> float | None:
+def _warm(f: Callable[[float], float], lo: float, p: float) -> float | None:
     """Root of f from a prediction p of it, or None.
 
-    The window is p (1 -+ rel_tol/4), rel_tol/2 p wide.  Where f changes
+    The window is p (1 -+ REL_TOL/4), REL_TOL/2 p wide.  Where f changes
     sign across it, the regula falsi point of the window is returned,
     clamped into it, so the root lies within the window's width of the
-    result, about rel_tol/2 x, as for _root.  Otherwise secant steps start
+    result, about REL_TOL/2 x, as for _root.  Otherwise secant steps start
     from the two window values, one evaluation each, up to the first step
-    of at most rel_tol x; its result is checked by the same window test,
+    of at most REL_TOL x; its result is checked by the same window test,
     with no steps after it.  A window end or an iterate where f is exactly
     0 is returned.  None, for the cold solve, on a failed check, a window
     end or iterate at or below lo, a value that is not a finite float or an
@@ -256,7 +251,7 @@ def _warm(
     _WARM_STEPS steps with none small enough.
     """
     finite = math.isfinite
-    q = 0.25 * rel_tol
+    q = 0.25 * REL_TOL
     steps = _WARM_STEPS
     try:
         while True:
@@ -286,7 +281,7 @@ def _warm(
                 if not x > lo:
                     return None
                 step = x - x1
-                if (step if step >= 0.0 else -step) <= rel_tol * x:
+                if (step if step >= 0.0 else -step) <= REL_TOL * x:
                     break
                 y = f(x)
                 if not (isinstance(y, float) and finite(y)):
@@ -638,7 +633,7 @@ def walk(
             try:
                 p = _extrapolate(h0)
                 if p is not None and alpha <= 0.5:
-                    r0 = _warm(k.f3, k.r_c1, p, REL_TOL)
+                    r0 = _warm(k.f3, k.r_c1, p)
                 if r0 is None:
                     r0 = k.solve_r0()
                 m_2 = math.pi * r0 * r0
@@ -647,7 +642,7 @@ def walk(
             try:
                 p = _extrapolate(h1, True)
                 if p is not None:
-                    eps0 = _warm(k.f2, _EPS_BRACKET[0], p, REL_TOL)
+                    eps0 = _warm(k.f2, _EPS_BRACKET[0], p)
                 if eps0 is None:
                     eps0 = k.solve_eps0()
                 m_eps0 = _m_of_eps(eps0, alpha)
@@ -656,7 +651,7 @@ def walk(
             try:
                 p = _extrapolate(h2, True)
                 if p is not None:
-                    eps1 = _warm(k.f1, _EPS_BRACKET[0], p, REL_TOL)
+                    eps1 = _warm(k.f1, _EPS_BRACKET[0], p)
                 if eps1 is None:
                     eps1 = k.solve_eps1()
                 m_eps1 = _m_of_eps(eps1, alpha)

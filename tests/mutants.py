@@ -8,8 +8,9 @@ literal is scaled by 1 + 1e-6.  The sites of the named modules are listed in sou
 order; --count N draws N of them with random.Random(--seed), and 0 takes
 every site.  Each mutant is written into one copy of the checkout in a
 temporary directory, and tier-1 (`python -m pytest -x -q`) runs against it:
-a failing run kills the mutant.  The tool prints one line per mutant, then
-the kill rate and each survivor.
+a failing run kills the mutant.  Mutants are made from that copy's source,
+so editing the checkout during a run does not change them.  The tool
+prints one line per mutant, then the kill rate and each survivor.
 
 EQUIVALENT lists mutants no test can kill, keyed by module, the source text
 of the mutated node and the mutation, not by line number, each with its
@@ -76,9 +77,8 @@ def sites(module: str) -> list[tuple[str, int, str, str]]:
     return [site[:4] for site in found]
 
 
-def mutant_source(module: str, site: tuple[str, int, str, str]) -> str:
-    """The module's source with the one mutation of site applied."""
-    text = (SRC / f"{module}.py").read_text(encoding="utf-8")
+def mutant_source(text: str, module: str, site: tuple[str, int, str, str]) -> str:
+    """The module's source text with the one mutation of site applied."""
     tree = ast.parse(text)
     for node in ast.walk(tree):
         for apply, mutation in _ops(node):
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             module = site[0]
             target = copy / "src" / "rieszdrop" / f"{module}.py"
             original = target.read_text(encoding="utf-8")
-            target.write_text(mutant_source(module, site), encoding="utf-8")
+            target.write_text(mutant_source(original, module, site), encoding="utf-8")
             try:
                 run = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],

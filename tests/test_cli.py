@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -439,6 +440,19 @@ def test_console_script_module_invocation():
     assert "eval" in proc.stdout and "verify" in proc.stdout
 
 
+def test_console_script_names_the_entrypoint():
+    # the [project.scripts] line, read as text (tomllib is 3.11+), names a
+    # callable that resolves to cli.entrypoint
+    from rieszdrop.cli import entrypoint
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    name, _, value = text.split("\n[project.scripts]\n", 1)[1].splitlines()[0].partition("=")
+    assert name.strip() == "rieszdrop"
+    module, _, attr = value.strip().strip('"').partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target) and target is entrypoint
+
+
 def fresh_run(argv):
     """(module, (exit code, stdout, stderr)) of argv under `python -m module`."""
     env = child_env()
@@ -540,10 +554,11 @@ def test_option_spellings_give_the_same_bytes(capsys):
 def test_no_option_name_is_a_prefix_of_another():
     # a full name then never reads as ambiguous, since the parser matches
     # every name by prefix
-    from rieszdrop.cli import _COMMANDS
+    from rieszdrop.cli import _COMMANDS, _OUT
 
     for _, _, options in _COMMANDS.values():
-        names = ["--help", *options]
+        names = ["--help", *options, *_OUT]
+        assert "--out" in names
         assert not [(a, b) for a in names for b in names if a != b and b.startswith(a)]
 
 

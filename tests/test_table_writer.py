@@ -8,8 +8,10 @@ hypothesis-drawn rows, and on tables that end just before, at and just
 past a block boundary, with their rows given as a list and as a generator
 and their values as a list and as the envelope's array of doubles.  The
 commands stream the blocks, and one test holds stdout and --out to the
-same reference bytes.  They also bound the envelope's traced peak memory by its
-output size, and check that a table with a failing row writes no byte.
+same reference bytes; another holds every command's --out to its stdout
+bytes, exit code and stderr.  They also bound the envelope's traced peak
+memory by its output size, and check that a table with a failing row
+writes no byte.
 """
 
 import csv
@@ -242,14 +244,49 @@ def test_streamed_tables_same_bytes_to_stdout_and_out(command, fmt, n, tmp_path,
     assert len(rows) == n and all(None not in row for row in rows)
     reference = json_reference if fmt == "json" else csv_reference
     expected = reference(fields, rows)
-    argv += ["--format", fmt]
-    assert cli.main(argv) == 0
-    stdout, stderr = capsys.readouterr()
-    out = tmp_path / f"{command}.{fmt}"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert capsys.readouterr() == ("", "")
+    stdout, stderr = stdout_and_out(argv + ["--format", fmt], 0, tmp_path, capsys)
     assert stderr == ""
-    assert stdout.encode() == out.read_bytes() == expected.encode()
+    assert stdout == expected
+
+
+def stdout_and_out(argv, code, tmp_path, capsys):
+    """The stdout and stderr of argv, which exits code, after checking --out.
+
+    With --out FILE the file holds exactly the stdout bytes, stdout is
+    empty, and the exit code and stderr are the same; an --out that names
+    a directory exits 1 with one error line and no stdout.
+    """
+    assert cli.main(argv) == code
+    stdout, stderr = capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr() == ("", stderr)
+    assert out.read_bytes() == stdout.encode()
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    got, err = capsys.readouterr()
+    assert got == "" and "Traceback" not in err
+    assert err.startswith(stderr) and err[len(stderr):].startswith("rieszdrop: error: ")
+    assert err.count("\n") == stderr.count("\n") + 1
+    return stdout, stderr
+
+
+PARTIAL_SWEEP = ["sweep", "--alpha-min", "0", "--alpha-max", "0.01", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["eval", "--alpha", "0.034"], 0, id="eval"),
+    pytest.param(PARTIAL_SWEEP, 3, id="sweep-csv-partial"),  # alpha 0 is unsolved
+    pytest.param(PARTIAL_SWEEP + ["--format", "json"], 3, id="sweep-json-partial"),
+    pytest.param(["envelope", "--alpha", "0.1", "--r-max", "1.2", "--steps", "3"], 0, id="envelope"),
+    pytest.param(["alpha0", "--tol", "1e-6"], 0, id="alpha0"),
+    pytest.param(["verify", "--grid", "5"], 0, id="verify-pass"),
+    pytest.param(["verify", "--alpha-max", "0.04", "--grid", "5"], 2, id="verify-fail"),
+])
+def test_every_command_same_bytes_to_stdout_and_out(argv, code, tmp_path, capsys):
+    # main writes every command's texts, to stdout or to --out alike
+    stdout, stderr = stdout_and_out(argv, code, tmp_path, capsys)
+    assert stdout
+    assert (stderr == "") == (code != 3)  # only a sweep's unsolved rows write stderr
 
 
 def test_failing_row_writes_no_byte(tmp_path, capsys):

@@ -309,6 +309,13 @@ def test_root_rejects_non_finite_values(name):
         thresholds._root(f, 1.0, 2.0)
 
 
+def test_root_at_a_bracket_end_is_returned():
+    # f(lo) == 0 returns lo before f(hi) is read; f(hi) == 0 returns hi,
+    # here after the bracket has grown from [0.5, 1] to [0.5, 4]
+    assert thresholds._root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert thresholds._root(lambda x: x - 4.0, 0.5, 1.0) == 4.0
+
+
 ROOT_ALPHAS = [0.5 * 2.0 ** (-k / 2) for k in range(20)]  # 0.5 down to 6.9e-4
 
 

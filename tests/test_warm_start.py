@@ -5,13 +5,13 @@ sweep rows run) predicts each root: the polynomial through the same root
 at up to the previous four points (R_0) or five (eps_0 and eps_1, in
 1/eps), taken one step on.  It passes the prediction to thresholds._warm,
 so wrapping _warm shows every warm solve.  _warm evaluates the objective
-at the ends of the window p (1 -+ rel_tol/4); on a sign change it returns
+at the ends of the window p (1 -+ REL_TOL/4); on a sign change it returns
 the window's regula falsi point, and otherwise it takes secant steps from
 the two window values and checks their result by the same window test.
 Anything else returns None, and the walk falls back to the record's cold
 ITP solve, which runs thresholds._root, so wrapping _root shows every
 fallback.  A warm root is not the cold root's bits, but it carries the
-same guarantee: the true root lies within rel_tol/2 x.
+same guarantee: the true root lies within REL_TOL/2 x.
 """
 
 import math
@@ -47,8 +47,8 @@ def warm_roots(monkeypatch):
     found = []
     warm = thresholds._warm
 
-    def recording(f, lo, p, rel_tol):
-        x = warm(f, lo, p, rel_tol)
+    def recording(f, lo, p):
+        x = warm(f, lo, p)
         k = getattr(f, "__self__", None)
         if isinstance(k, AlphaConstants):
             solve = {
@@ -213,7 +213,7 @@ def test_failed_sign_test_falls_back_with_the_same_error(monkeypatch, warm_roots
     def f(x):
         return max(x - 1.0, 0.0) + 1e-300
 
-    assert thresholds._warm(f, 0.5, 2.5, REL_TOL) is None
+    assert thresholds._warm(f, 0.5, 2.5) is None
     # at alpha 1e-20 C0 cancels to 0, so F2 reads 1 and F1 stays negative on
     # the whole bracket.  Given a prediction of 2.5 for each root, every
     # warm solve fails, and the walk raises the BracketError each cold solve
@@ -241,12 +241,12 @@ def test_iterate_below_lo_falls_back():
     cold = k._solve("probe", f, 1.0, 4.0, REL_TOL)
     assert abs(cold - 1.709) < 1e-3
     # the warm solve fails, so a walk takes the cold bits
-    assert thresholds._warm(f, 1.0, 1.05, REL_TOL) is None
+    assert thresholds._warm(f, 1.0, 1.05) is None
 
 
 def test_exact_zero_is_a_root():
     # f - 2 is exactly 0 at and below 3; a window end or a secant iterate
-    # where it is 0 is returned as it is met
+    # where the objective is 0 is returned as it is met
     seen = []
 
     def f(x):
@@ -254,12 +254,26 @@ def test_exact_zero_is_a_root():
         return max(x, 3.0) - 1.0
 
     # the lower end of the window around 2.5
-    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 2.5, REL_TOL) == 2.5 * (1.0 - REL_TOL / 4)
+    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 2.5) == 2.5 * (1.0 - REL_TOL / 4)
     assert len(seen) == 2
     # the first secant step from the window around 4 lands on 3
     seen.clear()
-    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 4.0, REL_TOL) == 3.0
+    assert thresholds._warm(lambda x: f(x) - 2.0, 0.5, 4.0) == 3.0
     assert seen[-1] == 3.0 and len(seen) == 3
+    # the upper end of the window around 2, the one point where this
+    # objective is 0 (it is -1 elsewhere): past that return, the secant
+    # would land on the same end and its window test find no sign change
+    b = 2.0 * (1.0 + REL_TOL / 4)
+    assert thresholds._warm(lambda x: 0.0 if x == b else -1.0, 0.5, 2.0) == b
+
+
+def test_iterate_value_not_a_float_falls_back():
+    # the secant from the window around 2 lands on 3, where f returns the
+    # int 0: finite and a root by every later test, but not a float
+    def f(x):
+        return 0 if x >= 2.5 else x - 3.0
+
+    assert thresholds._warm(f, 0.5, 2.0) is None
 
 
 @pytest.mark.parametrize("alpha_max", [0.030, 0.032, 0.034])
