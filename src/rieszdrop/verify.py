@@ -5,17 +5,26 @@ must hold for every exponent alpha in (0, alpha_max] (default 0.034), at
 the fixed probes eps = 0.846 and R = 0.945.  run_ledger sweeps a uniform
 alpha grid, records the attained extreme of each quantity together with
 where it occurred, and compares against the claimed bound.  A failed check
-is a reported result, not an exception.  The grid is one thresholds.walk,
-which warm-starts each root solve from a prediction by its roots at the
-previous points; the first failed solve is raised.  Each point gives one
-tuple of the eighteen values in _CHECK_TABLE order, which is the only
-place a row is named; the running extremes are kept by row position as the
-walk streams, so no point is stored.  C0, C1 and C3 at the eps probe are
-computed once per point and passed to F1 and F2.
+is a reported result, not an exception.
 
-This is a floating-point grid check, not certified interval arithmetic;
-the attained margins (smallest around 8e-5) sit far above double-precision
-evaluation error (~1e-13), which is what makes the grid verdict meaningful.
+Every row is strictly monotone in alpha on [_MONOTONE_FROM, 0.5] at these
+probes: tests/monotone.py proves it with interval arithmetic, and shows
+that neighbouring grid values differ by far more than their float error,
+so they keep their order in doubles too.  So where the first grid point
+alpha_max / grid is at least _MONOTONE_FROM = 1e-6, the extremes of every
+row lie at the grid's two ends, and only those two points are evaluated;
+a finer grid is walked point by point.  Either way the points are one
+thresholds.walk (which warm-starts each root solve of a full grid from
+its roots at the previous points), the first failed solve is raised, and
+one fold keeps the extremes.  Each point gives one tuple of the eighteen
+values in _CHECK_TABLE order, which is the only place a row is named; the
+running extremes are kept by row position as the walk streams, so no point
+is stored.  C0, C1 and C3 at the eps probe are computed once per point and
+passed to F1 and F2.
+
+The values are doubles, not intervals: the attained margins (smallest
+around 8e-5) sit far above double-precision evaluation error (~1e-13),
+which is what makes the verdict at the grid points meaningful.
 """
 
 from __future__ import annotations
@@ -71,6 +80,10 @@ _CHECK_TABLE: tuple[tuple[str, str, float | None, float | None, bool], ...] = (
 # the paper's probes: every bound in _CHECK_TABLE is fitted to them
 _EPS_PROBE = 0.846
 _R_PROBE = 0.945
+# from this first grid exponent on, every row is strictly monotone in alpha
+# up to 0.5 (tests/monotone.py certifies it), so the grid's two ends hold
+# every row's extremes
+_MONOTONE_FROM = 1e-6
 
 
 def run_ledger(alpha_max: float = 0.034, grid: int = 1000) -> dict:
@@ -84,7 +97,9 @@ def run_ledger(alpha_max: float = 0.034, grid: int = 1000) -> dict:
     before any point is computed, as does a grid that is not an integer of
     at least 2.  The first solver error of the walk propagates; an
     inequality that merely fails is reported with "pass" false and the
-    violating extreme.  Returns the dict described by ledger_report in
+    violating extreme.  Where alpha_max / grid >= _MONOTONE_FROM only
+    i = 1 and i = grid are evaluated, which hold every row's extremes (see
+    the module docstring).  Returns the dict described by ledger_report in
     schemas/output.schema.json, which the command line writes as is.
     """
     if not 0.0 < alpha_max <= 0.5:
@@ -98,7 +113,8 @@ def run_ledger(alpha_max: float = 0.034, grid: int = 1000) -> dict:
     min_val, max_val = [math.inf] * rows, [-math.inf] * rows
     min_at, max_at = [0.0] * rows, [0.0] * rows
 
-    alphas = (alpha_max * i / grid for i in range(1, grid + 1))
+    ends = (1, grid) if alpha_max / grid >= _MONOTONE_FROM else range(1, grid + 1)
+    alphas = (alpha_max * i / grid for i in ends)
     for k, _, masses, failures in walk(alphas, "run_ledger"):
         if failures:
             raise failures[0]

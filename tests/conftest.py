@@ -1,7 +1,10 @@
 """Fixtures shared by the work-count tests."""
 
+import math
+
 import pytest
 
+from rieszdrop import verify
 from rieszdrop.thresholds import AlphaConstants
 
 
@@ -24,3 +27,13 @@ def evals(monkeypatch):
     for name in ("f1", "f2", "rho0"):
         monkeypatch.setattr(AlphaConstants, name, counting(getattr(AlphaConstants, name)))
     return count
+
+
+@pytest.fixture
+def full_grid(monkeypatch):
+    """run_ledger walks every grid point, as below verify._MONOTONE_FROM.
+
+    The work pins of the warm-started walk and the two-point equivalence
+    tests take the full grid through run_ledger itself this way.
+    """
+    monkeypatch.setattr(verify, "_MONOTONE_FROM", math.inf)

@@ -12,6 +12,7 @@ those objectives.  Counts do not depend on the machine, so these bounds
 cannot flake the way timings do.
 """
 
+import math
 import os
 import sys
 from collections import Counter, OrderedDict
@@ -24,7 +25,7 @@ from rieszdrop.cli import main
 from rieszdrop.thresholds import (
     AlphaConstants, c2, m_c1, solve_alpha0, solve_eps0, solve_eps1, solve_m2,
 )
-from rieszdrop.verify import f3, run_ledger
+from rieszdrop.verify import _MONOTONE_FROM, f3, run_ledger
 
 COUNTED = {
     "gamma": specfun.gamma,
@@ -96,13 +97,13 @@ def test_eval_and_sweep_compute_constants_once_per_exponent(calls, tmp_path):
     assert calls["gamma"] <= 4 * steps
 
 
-def test_ledger_gamma_calls_per_point(calls):
-    # per point, one record computes Gamma(2 - alpha), Gamma(2 - alpha/2),
-    # Gamma(3 - alpha/2) and Gamma(1 - alpha) once each: the 4 Gamma rows
-    # read them, and so do V0, m_c1 and the C3 lead, which cost 14 more
-    # calls each point when each built its own (3 v0_const calls, 3 in m_c1
-    # and 2 in the C3 lead); the record's r_cn(1) is the point's one
-    # crossover scale
+def test_ledger_gamma_calls_per_point(calls, full_grid):
+    # per point of a full grid, one record computes Gamma(2 - alpha),
+    # Gamma(2 - alpha/2), Gamma(3 - alpha/2) and Gamma(1 - alpha) once each:
+    # the 4 Gamma rows read them, and so do V0, m_c1 and the C3 lead, which
+    # cost 14 more calls each point when each built its own (3 v0_const
+    # calls, 3 in m_c1 and 2 in the C3 lead); the record's r_cn(1) is the
+    # point's one crossover scale
     grid = 5
     run_ledger(grid=grid)
     assert calls["gamma"] == 4 * grid
@@ -110,10 +111,25 @@ def test_ledger_gamma_calls_per_point(calls):
     assert calls["_r_cn"] == grid
 
 
+def test_two_point_rule_threshold(calls):
+    # the rule compares the first grid exponent alpha_max / grid with
+    # verify._MONOTONE_FROM: below it every point is walked (4 Gamma calls
+    # each), and from it on exactly, only the grid's two ends
+    at = _MONOTONE_FROM * 8
+    assert at / 8 == _MONOTONE_FROM
+    below = math.nextafter(at, 0.0)
+    assert below / 8 < _MONOTONE_FROM
+    for alpha_max, grid, points in ((5e-6, 10, 10), (below, 8, 8), (at, 8, 2)):
+        calls["gamma"] = 0
+        run_ledger(alpha_max, grid)
+        assert calls["gamma"] == 4 * points, (alpha_max, grid)
+
+
 def test_f3_computes_constants_once(calls):
     # one constants record gives rho0(r) - rho_c1: 4 Gamma values, where
-    # the public rho0 and rho_c1 built a record each and cost 7
-    for alpha in (1e-3, 0.034, 0.5):
+    # the public rho0 and rho_c1 built a record each and cost 7; the ends
+    # of the domain, 0 and 0.5, are not handed to rho0 as well
+    for alpha in (0.0, 1e-3, 0.034, 0.5):
         calls["gamma"] = 0
         f3(alpha, 0.945)
         assert calls["gamma"] == 4, alpha
@@ -164,10 +180,10 @@ def ledger_python_calls():
     return counts
 
 
-def test_ledger_python_calls():
-    # the Python calls of the default-grid ledger, pinned exactly (the
-    # walk's path is fixed).  It made 63,166 when the walk passed each
-    # prediction through check_alpha, a solve_* method and
+def test_ledger_python_calls(full_grid):
+    # the Python calls of the default grid walked point by point, pinned
+    # exactly (the walk's path is fixed).  It made 63,166 when the walk
+    # passed each prediction through check_alpha, a solve_* method and
     # AlphaConstants._solve to _warm (9,000 calls that evaluate nothing),
     # and run_ledger computed C1 at the eps probe twice per point; now the
     # walk calls _warm itself and runs the 3 solves only for the first two
@@ -275,7 +291,7 @@ def test_threshold_sample_objective_evals(evals, tmp_path):
     assert evals[0] <= 80
 
 
-def test_ledger_objective_evals_per_point(evals):
+def test_ledger_objective_evals_per_point(evals, full_grid):
     # 3 root solves and 3 probes per point: 134.6 with bisection, 39.0 with
     # cold ITP, 24.36 with secant steps from a linear prediction from the
     # third point on, and 20.78 from a cubic or quartic prediction (the
@@ -331,8 +347,8 @@ def test_ledger_no_root_stalls(root_evals):
     assert sum(root_evals) == 32_443
 
 
-def test_ledger_warm_start_evals(evals, root_evals):
-    # run_ledger warm-starts every solve from the third point on: 7,777
+def test_ledger_warm_start_evals(evals, root_evals, full_grid):
+    # the full walk warm-starts every solve from the third point on: 7,777
     # root evaluations where the cold grid takes 32,443 and secant steps
     # from a linear prediction took 17,370, plus 3 probes per point.  Only
     # the first two points run _root (6 cold solves), so no warm solve
@@ -340,3 +356,18 @@ def test_ledger_warm_start_evals(evals, root_evals):
     run_ledger(0.032, grid=1000)
     assert len(root_evals) == 6
     assert evals[0] == 3 * 1000 + 7_777
+
+
+def test_two_point_ledger_work(calls, evals, root_evals):
+    # the default grid's first exponent is past verify._MONOTONE_FROM, so
+    # the ledger evaluates its two ends: 8 Gamma calls where the full walk
+    # makes 4,000, and its 6 roots solved cold, 3 at each end, with 3 probes
+    # at each: 82 objective evaluations where the full walk takes 10,777,
+    # and 308 named Python calls where it makes 50,182 (pinned exactly, as
+    # above)
+    run_ledger(0.032, grid=1000)
+    assert calls == {"gamma": 8, "v0_const": 0, "r_cn": 0, "_r_cn": 2}
+    assert len(root_evals) == 6
+    assert sum(root_evals) == 76
+    assert evals[0] == 3 * 2 + 76
+    assert sum(ledger_python_calls().values()) == 308

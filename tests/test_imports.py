@@ -5,8 +5,8 @@ splitting writes the density's power of n once, each Gamma value is
 computed in one place, the solve tolerance 1e-12 is written once, the
 package exports exactly its layer modules' __all__, every public name has
 a caller or a README line, importing the package loads none of the heavy
-standard modules, the command line loads no argparse, and only the
-envelope subcommand loads array."""
+standard modules, the command line loads no argparse and no mpmath, and
+only the envelope subcommand loads array."""
 
 import ast
 import json
@@ -200,11 +200,13 @@ def test_cli_loads_no_argparse(tmp_path):
     # the command line reads its argv from one table: argparse, and the
     # gettext and locale it pulls in, cost about 0.4 MB of peak memory and
     # 2.3 ms of start-up, and building its six parsers 0.3 MB and 3.0 ms
-    # more.  A fresh isolated interpreter shows that none of them loads on
+    # more.  mpmath is test code only: the two-point ledger rests on the
+    # interval certificate in tests/monotone.py, which the runtime never
+    # reads.  A fresh isolated interpreter shows that none of them loads on
     # import, on any subcommand or on --help
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); out = sys.argv[2]\n"
-        "heavy = ('argparse', 'gettext', 'locale'); import json\n"
+        "heavy = ('argparse', 'gettext', 'locale', 'mpmath'); import json\n"
         "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
         "import rieszdrop.cli as cli; seen = [loaded()]\n"
         "for argv in (['eval', '--alpha', '0.034'], ['sweep', '--steps', '3'],\n"

@@ -9,6 +9,7 @@ import jsonschema
 import mpmath
 import pytest
 
+from rieszdrop import cli, verify
 from rieszdrop.errors import BracketError, DomainError
 from rieszdrop.specfun import gamma
 from rieszdrop.splitting import r_cn, rho_c1
@@ -226,8 +227,12 @@ def test_f3_clearance():
         assert f3(alpha, r0 * (1.0 - 1e-6)) < 0.0 < f3(alpha, r0 * (1.0 + 1e-6))
     with pytest.raises(DomainError):
         f3(0.6, 1.0)
-    with pytest.raises(DomainError):
-        f3(0.1, 0.0)
+    # an r outside (0, inf) is rho0's to reject, in rho0's words, not a
+    # density out of double range
+    for r in (0.0, math.inf):
+        with pytest.raises(DomainError) as exc:
+            f3(0.1, r)
+        assert str(exc.value) == f"rho0: r must lie in (0, inf), got {r}"
     # just past rho0's last exponent, where the constants record still
     # builds and f3 must not read it
     with pytest.raises(DomainError) as exc:
@@ -274,7 +279,7 @@ def test_report_matches_schema(report):
 def test_run_ledger_domain():
     # alpha_max above 0.5 is rejected up front, naming alpha_max, not by
     # rho0 at the first grid point past 0.5
-    for bad in (0.0, 0.9, 1.0, math.nan):
+    for bad in (0.0, 0.5000002, 0.9, 1.0, math.nan):
         with pytest.raises(DomainError, match=r"^run_ledger: alpha_max must lie in \(0, 0.5\]"):
             run_ledger(alpha_max=bad)
     # the rows stay finite on the whole domain at the paper's probes, so
@@ -301,3 +306,65 @@ def test_ledger_raises_the_first_solver_error():
 
 def test_ledger_deterministic():
     assert run_ledger(grid=50) == run_ledger(grid=50)
+
+
+# (alpha_max, grid) pairs whose first exponent alpha_max / grid is at
+# least verify._MONOTONE_FROM, passing and failing ledgers both
+TWO_POINT = [(0.034, 50), (0.05, 40), (0.030, 1000), (0.034, 1000), (0.5, 7), (1e-5, 7)]
+
+
+@pytest.mark.parametrize("alpha_max, grid", TWO_POINT)
+def test_two_point_report_matches_full_grid(alpha_max, grid, tmp_path, monkeypatch):
+    # the two ends give the full walk's report: the same verdicts, bounds
+    # and worst exponents, and the same values but for the roots at
+    # alpha_max, which the full walk solves warm and the two ends cold
+    assert alpha_max / grid >= verify._MONOTONE_FROM
+    out = tmp_path / "report.json"
+
+    def run():
+        argv = ["verify", "--alpha-max", repr(alpha_max), "--grid", str(grid), "--out", str(out)]
+        return cli.main(argv), json.loads(out.read_text(encoding="utf-8"))
+
+    code, two = run()
+    monkeypatch.setattr(verify, "_MONOTONE_FROM", math.inf)
+    full_code, full = run()
+    assert (code, two["passed"]) == (full_code, full["passed"])
+    assert [c["name"] for c in two["checks"]] == list(CHECK_ORDER)
+    for t, f in zip(two["checks"], full["checks"]):
+        assert (t["name"], t["pass"], t["bound"], t["worst_alpha"]) == (
+            f["name"], f["pass"], f["bound"], f["worst_alpha"]
+        )
+        for key in ("attained", "margin"):
+            assert rel(t[key], f[key]) <= 1e-11, (t["name"], key)
+
+
+def test_tied_extremes_report_their_first_alpha(monkeypatch):
+    # below _MONOTONE_FROM every point is walked.  At alpha <= 1e-16 the
+    # argument 2 - alpha/2 rounds to 2, so Gamma(2 - alpha/2) reads exactly
+    # 1.0 at every point and both its extremes tie; with one side of the
+    # row at a time, each reports the first alpha that reaches it
+    name, claim, lo, hi, strict = verify._CHECK_TABLE[1]
+    assert name == "gamma_2_minus_half_alpha"
+    for side in ((lo, None), (None, hi)):
+        table = list(verify._CHECK_TABLE)
+        table[1] = (name, claim, *side, strict)
+        monkeypatch.setattr(verify, "_CHECK_TABLE", tuple(table))
+        row = run_ledger(1e-16, grid=4)["checks"][1]
+        assert (row["attained"], row["worst_alpha"]) == (1.0, 1e-16 / 4), side
+
+
+def test_a_bound_met_exactly_passes_only_where_not_strict(monkeypatch):
+    # each row's reported bound moved onto the extreme it attains, the other
+    # side dropped: a margin of exactly 0 passes a <= claim and fails a <
+    base = run_ledger(0.034, grid=2)["checks"]
+    table = [
+        (name, claim, c["attained"], None, strict)
+        if c["bound"] == lo
+        else (name, claim, None, c["attained"], strict)
+        for (name, claim, lo, _, strict), c in zip(verify._CHECK_TABLE, base)
+    ]
+    monkeypatch.setattr(verify, "_CHECK_TABLE", tuple(table))
+    report = run_ledger(0.034, grid=2)
+    for (name, _, _, _, strict), c in zip(table, report["checks"]):
+        assert (c["margin"], c["pass"]) == (0.0, not strict), name
+    assert not report["passed"]

@@ -89,7 +89,7 @@ def assert_warm_roots_hold(found):
         assert fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0), (name, alpha, x)
 
 
-def test_ledger_warm_roots_match_cold(warm_roots, cold_solves):
+def test_ledger_warm_roots_match_cold(warm_roots, cold_solves, full_grid):
     grid = 1000
     run_ledger(0.032, grid=grid)
     # every solve from the third point on is warm, and none falls back
@@ -116,8 +116,9 @@ def sweep(lo, hi, steps):
 
 # (run, objective evaluations with secant steps from a linear prediction):
 # a cubic or quartic prediction takes no more on a coarse grid, where its
-# extrapolation error is largest.  The 11-row sweep ends at
-# 0.5000000000000001, which is unsolved
+# extrapolation error is largest.  The ledgers walk every grid point
+# (full_grid).  The 11-row sweep ends at 0.5000000000000001, which is
+# unsolved
 COARSE_GRIDS = {
     "ledger-0.032-50": (lambda: run_ledger(0.032, grid=50), 1_212),
     "ledger-0.034-10": (lambda: run_ledger(0.034, grid=10), 277),
@@ -131,7 +132,7 @@ COARSE_GRIDS = {
 
 
 @pytest.mark.parametrize("shape", COARSE_GRIDS)
-def test_coarse_grids_take_no_more_evals(shape, evals, warm_roots, capsys):
+def test_coarse_grids_take_no_more_evals(shape, evals, warm_roots, capsys, full_grid):
     run, linear = COARSE_GRIDS[shape]
     run()
     assert evals[0] <= linear
@@ -277,7 +278,8 @@ def test_iterate_value_not_a_float_falls_back():
 
 
 @pytest.mark.parametrize("alpha_max", [0.030, 0.032, 0.034])
-def test_ledger_verdicts_match_cold(alpha_max, monkeypatch, cold_solves):
+def test_ledger_verdicts_match_cold(alpha_max, monkeypatch, cold_solves, full_grid):
+    # the full walk, warm against cold
     grid = 1000
     warm = run_ledger(alpha_max, grid)
     assert cold_solves[0] == 3 * 2
