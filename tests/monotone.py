@@ -1,7 +1,6 @@
 """Certify that every ledger row is strictly monotone in alpha on [lo, 0.5].
 
-    python tests/monotone.py             # lo = verify._MONOTONE_FROM
-    python tests/monotone.py --lo 1e-9   # another lower end
+    python tests/monotone.py
 
 verify.run_ledger evaluates only the two ends of its grid once the grid's
 first exponent alpha_max / grid is at least verify._MONOTONE_FROM.  This
@@ -52,30 +51,39 @@ The certificate rests on these lemmas:
      has one sign on X x A, each alpha in A has exactly one root in X, and
      by the implicit function theorem it is C^1 in alpha with
      x' = -g_alpha / g_x.
-  4. The certified branch is the one through the solvers' roots: at each
-     box end the package's root p and its window p (1 -+ 1e-12) lie inside
-     X, so the float code approximates the certified root there, not
-     another one.  Two adjacent boxes share the root p at their common end,
-     so their enclosures overlap, and g, monotone in x on their union, has
-     one root there: the branches of all boxes join into one.
+  4. The certified root is the one the package solves for, at every alpha
+     of A, not only at its ends.  The two points run_ledger evaluates are
+     the first two of a thresholds.walk, which solves them cold: _root
+     starts on its bracket (R_0: [r_c1, 4 r_c1]; eps: _EPS_BRACKET),
+     doubles the upper end until g changes sign, and keeps a sign change
+     inside the bracket as it narrows.  keeps_sign() certifies, for every
+     alpha in A, that g keeps the sign of X's lower end from the bracket's
+     lower end (less 1e-12, for its float value) up to X, and the sign of
+     X's upper end from X up to the first doubled upper end past X.  So
+     every bracket the solve can reach holds exactly one root of g, the one
+     in X, and a solve that follows g's sign wherever |g| exceeds its
+     float error returns it.  At each box end that root and its window
+     p (1 -+ 1e-12) lie in X, so two adjacent boxes certify the same root
+     at their common end, and the branches of all boxes join into one.
   5. The trust base is mpmath.iv's outward rounding, and mpmath's 45-digit
      Gamma and digamma at the argument ends, accurate far inside 1e-40.
      The intervals run at mpmath.iv's own precision (53 bits unless a
      caller set another); any precision gives true enclosures, and sets
      only how tight they are.  No process-wide precision is set.
 
-Float order: neighbouring grid values differ by at least
-_MONOTONE_FROM x min |v'|/|v| relative, which the tests hold above 2e-12,
-twice the float error budget (REL_TOL and the ~7e-14 noise of F2 near
-eps_0).  So the doubles of two neighbouring grid points keep the order of
-the true values.  c0's cancellation error grows like 4e-16/alpha at small
-alpha, but c0 is O(alpha), so its |v'|/|v| grows like 1/alpha too, as do
-those of m(eps_0) and m(eps_1), whose roots carry that error.
+Float order: two grid points lie at least _MONOTONE_FROM apart, so a
+row's log differs between them by at least _MONOTONE_FROM times its
+smallest |v'|/|v| on the span between.  The certificate keeps that minimum
+per box, and the tests check, per row and per box, that it exceeds twice
+the row's float error budget there: 1e-12 (REL_TOL, which covers the
+~7e-14 noise of F2 near eps_0), plus 1e-15/alpha for the rows built on C0,
+whose cancellation grows like 1/alpha; the tests check that budget against
+mpmath too.  So the doubles of neighbouring grid points keep the order of
+the true values, and the grid's float extremes lie at its two ends.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import pathlib
 import sys
@@ -281,17 +289,48 @@ def _m_of_eps(x: Dual, a: Dual) -> Dual:
 
 
 def _roots():
-    # (row, root solve, objective, mass) of each root row
-    from rieszdrop.thresholds import solve_eps0, solve_eps1, solve_r0
+    # (row, root solve, objective, mass, the enclosures of the cold solve's
+    # starting bracket over a box): solve_r0 starts on [r_c1, 4 r_c1], the
+    # eps solves on _EPS_BRACKET
+    from rieszdrop.thresholds import _EPS_BRACKET, solve_eps0, solve_eps1, solve_r0
+
+    def eps_bracket(k):
+        return iv.mpf(_EPS_BRACKET[0]), iv.mpf(_EPS_BRACKET[1])
+
+    def r0_bracket(k):
+        return k.r_c1.v, 4 * k.r_c1.v
 
     return (
-        ("m_2_cap", solve_r0, Constants.f3, _m_2),
-        ("m_eps0_floor", solve_eps0, Constants.f2, _m_of_eps),
-        ("m_eps1_floor", solve_eps1, Constants.f1, _m_of_eps),
+        ("m_2_cap", solve_r0, Constants.f3, _m_2, r0_bracket),
+        ("m_eps0_floor", solve_eps0, Constants.f2, _m_of_eps, eps_bracket),
+        ("m_eps1_floor", solve_eps1, Constants.f1, _m_of_eps, eps_bracket),
     )
 
 
-def root_row(solve, g, mass, a0: float, a1: float) -> Dual | None:
+def keeps_sign(g, k, near: float, far: float, s: int) -> bool:
+    """g(k, x) has the sign s at every x from near, where it has it, to far.
+
+    The span is cut into pieces from near outward.  A piece passes where g
+    has the sign s on all of it, or where g_x has the sign that carries s
+    from the piece's near end (which the piece before it covers) away
+    from 0.  A piece that does neither is halved at its geometric midpoint;
+    one narrower than _MIN_WIDTH relative fails, and then so does the span.
+    """
+    outward = 1 if far > near else -1
+    pending = [far]  # the far ends of the pieces still to pass, nearest last
+    while pending:
+        end = pending[-1]
+        piece = g(k, Dual(iv.mpf(sorted((near, end))), 1))
+        if _sign(piece.v) == s or _sign(piece.d) == s * outward:
+            near = pending.pop()
+        elif abs(end - near) <= _MIN_WIDTH * abs(end):
+            return False
+        else:
+            pending.append(math.sqrt(near * end))
+    return True
+
+
+def root_row(solve, g, mass, bracket, a0: float, a1: float) -> Dual | None:
     """A root row on the box [a0, a1], or None where its enclosure fails."""
     p, q = solve(a0), solve(a1)
     spread = abs(q - p)
@@ -307,6 +346,17 @@ def root_row(solve, g, mass, a0: float, a1: float) -> Dual | None:
     g_x = g(fixed, Dual(x, 1)).d
     if s_lo == 0 or s_lo != -s_hi or _sign(g_x) == 0:
         return None
+    # lemma 4: no other root from the solver's lower end up to X, nor from X
+    # up to the first of its doubled upper ends past X
+    start, top = bracket(k)
+    start = float(start.a) * (1 - _WINDOW)
+    end, grown = float(top.b) * (1 + _WINDOW), float(top.a) * (1 - _WINDOW)
+    while grown < x.b:
+        end, grown = 2 * end, 2 * grown
+    if not (x.a <= start or keeps_sign(g, fixed, float(x.a), start, s_lo)):
+        return None
+    if not keeps_sign(g, fixed, float(x.b), end, s_hi):
+        return None
     g_alpha = g(k, Dual(x)).d
     return mass(Dual(x, -g_alpha / g_x), k.a)
 
@@ -315,8 +365,9 @@ def _certify(rows, a0: float, a1: float) -> dict[str, dict]:
     """Bisect [a0, a1] until rows(lo, hi) certifies every row on each box.
 
     rows returns {name: Dual}, or None where an enclosure fails.  Returns
-    per row its direction (+1 increasing, -1 decreasing), its box count and
-    the minimum of |v'|/|v| over its boxes, rounded to a double.
+    per row its direction (+1 increasing, -1 decreasing) and its boxes in
+    increasing order, each (lo, hi, minimum of |v'|/|v| on it rounded down
+    to a double), and the minimum over them as "ratio".
     """
     found: dict[str, dict] = {}
     stack = [(a0, a1)]
@@ -333,11 +384,12 @@ def _certify(rows, a0: float, a1: float) -> dict[str, dict]:
             stack += [(mid, hi), (lo, mid)]
             continue
         for name, v in values.items():
-            row = found.setdefault(name, {"direction": _sign(v.d), "boxes": 0, "ratio": math.inf})
+            row = found.setdefault(name, {"direction": _sign(v.d), "boxes": [], "ratio": math.inf})
             if row["direction"] != _sign(v.d):
                 raise CertificateError(f"{name} changes direction on [{lo!r}, {hi!r}]")
-            row["boxes"] += 1
-            row["ratio"] = min(row["ratio"], float((abs(v.d) / abs(v.v)).a))
+            ratio = float((abs(v.d) / abs(v.v)).a)
+            row["boxes"].append((lo, hi, ratio))
+            row["ratio"] = min(row["ratio"], ratio)
     return found
 
 
@@ -353,16 +405,17 @@ def c0_is_nonnegative() -> int:
         value = log(k.v0) - (2 - k.a) * log(PI)
         return {"h": value} if _sign(value.d) > 0 else None
 
-    return _certify(h, 0.0, HI)["h"]["boxes"]
+    return len(_certify(h, 0.0, HI)["h"]["boxes"])
 
 
 def certify(lo: float) -> dict[str, dict]:
     """Every ledger row on [lo, HI], keyed by name, in _CHECK_TABLE order.
 
     Each value is {"direction", "boxes", "ratio", "seconds"}: +1 where the
-    row increases and -1 where it decreases, its box count, the minimum of
-    |v'|/|v| over its boxes and the wall time of its group (the closed-form
-    rows share one).  Raises CertificateError where a row fails.
+    row increases and -1 where it decreases, its boxes as _certify lists
+    them, the minimum of |v'|/|v| over them and the wall time of its group
+    (the closed-form rows share one).  Raises CertificateError where a row
+    fails.
     """
     from rieszdrop.verify import _CHECK_TABLE
 
@@ -371,11 +424,11 @@ def certify(lo: float) -> dict[str, dict]:
     found = _certify(closed_form_rows, lo, HI)
     for row in found.values():
         row["seconds"] = time.perf_counter() - start
-    for name, solve, g, mass in _roots():
+    for name, solve, g, mass, bracket in _roots():
         start = time.perf_counter()
 
-        def rows(a0, a1, name=name, solve=solve, g=g, mass=mass):
-            value = root_row(solve, g, mass, a0, a1)
+        def rows(a0, a1, name=name, solve=solve, g=g, mass=mass, bracket=bracket):
+            value = root_row(solve, g, mass, bracket, a0, a1)
             return None if value is None else {name: value}
 
         found.update(_certify(rows, lo, HI))
@@ -383,31 +436,25 @@ def certify(lo: float) -> dict[str, dict]:
     return {name: found[name] for name, *_ in _CHECK_TABLE}
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     from rieszdrop.verify import _MONOTONE_FROM
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--lo", type=float, default=_MONOTONE_FROM,
-        help=f"the lower end of the alpha range (default {_MONOTONE_FROM!r})",
-    )
-    args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        found = certify(args.lo)
+        found = certify(_MONOTONE_FROM)
     except CertificateError as exc:
         print(f"not certified: {exc}")
         return 1
     for name, row in found.items():
         direction = "increasing" if row["direction"] > 0 else "decreasing"
         print(
-            f"{name:26} {direction}  boxes {row['boxes']:3}  "
+            f"{name:26} {direction}  boxes {len(row['boxes']):3}  "
             f"min |v'|/|v| {row['ratio']:.3g}  {row['seconds']:.2f} s"
         )
     ratio = min(row["ratio"] for row in found.values())
     print(
-        f"{len(found)} rows strictly monotone on [{args.lo!r}, {HI}]; "
-        f"min |v'|/|v| {ratio:.3g}, times lo {args.lo * ratio:.3g}; "
+        f"{len(found)} rows strictly monotone on [{_MONOTONE_FROM!r}, {HI}]; "
+        f"min |v'|/|v| {ratio:.3g}, times {_MONOTONE_FROM!r} {_MONOTONE_FROM * ratio:.3g}; "
         f"{time.perf_counter() - start:.2f} s"
     )
     return 0
