@@ -16,16 +16,21 @@ completed with some rows unsolved; each unsolved row writes one stderr
 line naming its alpha and the stages that failed.
 Floating point fields are written with 15 significant digits in CSV and
 full round-trip precision in JSON; unsolved CSV fields read "nan" and JSON
-ones are null.  The sweep and envelope tables come from one formatter,
-which reads a table's values flat and row-major and fills a block template
-of rows with one %; their bytes equal what json.dumps(rows, indent=2,
-allow_nan=False) and csv.writer, with every number written "%.15g", give
-for the same rows.  The envelope is held as six doubles a row, not as
-text.  Every check that can fail (a row's own error, and for JSON one
-finiteness pass over the whole table) runs before the output is opened,
-and the text is then written one block at a time, so a failing row writes
-no byte, and the envelope's peak memory is its numbers and one block of
-text, about half its JSON output.
+ones are null.  Every JSON text is filled in with % on templates built
+once from its keys, and its bytes equal what json.dumps(payload, indent=2,
+allow_nan=False) and a newline give: eval's and alpha0's objects in one %,
+the ledger report in one % a check row and one for its head (each name and
+claim quoted by json's own encode_basestring_ascii, so verify alone loads
+json), and the sweep and envelope tables from one formatter, which reads a
+table's values flat and row-major and fills a block template of rows,
+whose CSV bytes equal csv.writer's with every number written "%.15g".  The
+envelope is held as six doubles a row, not as text.  Every check that can
+fail (a row's own error, and for JSON one finiteness pass over every
+number, which raises json's own ValueError for the first non-finite one)
+runs before the output is opened, and a table's text is then written one
+block at a time, so a failing row or value writes no byte, and the
+envelope's peak memory is its numbers and one block of text, about half
+its JSON output.
 
 alpha0 --tol must be finite and at least 2**-52 (about 2.2e-16): below the
 relative spacing of doubles no bracket can get narrow enough.
@@ -41,11 +46,11 @@ error text to stderr and exits 1.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from itertools import chain, islice, starmap
+from operator import itemgetter
 from typing import NoReturn
 
 from .errors import BracketError, ConvergenceError, DomainError, check_alpha
@@ -61,6 +66,8 @@ _EVAL_FIELDS = (
 _SWEEP_FIELDS = ("alpha", "m_c1", "m_2", "m_eps0", "m_eps1")
 _ENVELOPE_FIELDS = ("R", "rho_1", "rho_2", "rho_3", "rho_min", "n_opt")
 _INT_FIELDS = frozenset({"n_opt"})  # JSON "%d": held as doubles, exact below 2**53
+_LEDGER_FIELDS = ("passed", "grid_points", "alpha_max", "eps_probe", "r_probe", "checks")
+_CHECK_FIELDS = ("name", "claim", "attained", "bound", "margin", "pass", "worst_alpha")
 _BLOCK_ROWS = 256  # table rows formatted per string
 _Output = tuple[int, Iterable[str]]  # a command's exit code and the texts main writes
 
@@ -75,8 +82,39 @@ def _emit(texts: Iterable[str], out: str | None) -> None:
         fh.writelines(texts)
 
 
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _object(keys: Iterable[str], depth: int = 0, ints: Container[str] = ()) -> str:
+    """The template of the object json.dumps(indent=2) writes with keys, in
+    order, nested depth levels down (its first line unindented): "%d" for
+    the keys in ints and "%s" for every other value.  A key is a plain name,
+    which json writes in double quotes as it is."""
+    pad = "\n" + "  " * depth
+    return "{" + ",".join(f'{pad}  "{k}": {"%d" if k in ints else "%s"}' for k in keys) + pad + "}"
+
+
+_EVAL = _object(_EVAL_FIELDS) + "\n"
+_ALPHA0 = _object(("alpha0", "m_at_crossing", "tol")) + "\n"
+_LEDGER = _object(_LEDGER_FIELDS) + "\n"
+_CHECK = "    " + _object(_CHECK_FIELDS, 2)
+_BOOLS = ("false", "true")  # indexed by a bool
+
+
+def _json_check(values: Iterable[float | int | None]) -> None:
+    # json's own error, for the first value it could not write; None passes
+    for v in values:
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+
+
+def _json_object(template: str, values: tuple, numbers: Sequence[float] | None = None) -> str:
+    """template % values, once the numbers in values (all of them by
+    default) are ones json writes: one pass sums them, and only a sum that
+    is not finite falls back to _json_check, which raises json's own
+    ValueError for the first non-finite number in order.  str and repr
+    agree on float and int, and repr is what json writes."""
+    numbers = values if numbers is None else numbers
+    if not math.isfinite(sum(numbers)):
+        _json_check(numbers)
+    return template % values
 
 
 def _table_blocks(
@@ -108,9 +146,7 @@ def _table_blocks(
     """
     width, size = len(fields), len(values)
     if fmt == "json":
-        line = "  {\n" + ",\n".join(
-            f"    {json.dumps(k)}: {'%d' if k in _INT_FIELDS else '%s'}" for k in fields
-        ) + "\n  }"
+        line = "  " + _object(fields, 1, _INT_FIELDS)
         head, sep, tail, missing = "[\n", ",\n", "\n]\n", "null"
         if not size:
             return iter(["[]\n"])
@@ -122,10 +158,7 @@ def _table_blocks(
     except TypeError:
         finite, has_none = False, True
     if fmt == "json" and not finite:
-        for v in values:
-            if v is not None and not math.isfinite(v):
-                # json's own error, for the first value it could not write
-                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        _json_check(values)
 
     step = _BLOCK_ROWS * width
     full = sep.join([line] * _BLOCK_ROWS) + sep
@@ -147,7 +180,7 @@ def _cmd_eval(alpha: float) -> _Output:
     if failures:
         raise failures[0]
     values = (alpha, k.m_c1, k.r_c1, k.rho_c1, m_2, r0, eps0, eps1, m_eps0, m_eps1)
-    return 0, [_json_text(dict(zip(_EVAL_FIELDS, values)))]
+    return 0, [_json_object(_EVAL, values)]
 
 
 def _sweep_rows(alphas: Iterable[float]) -> Iterator[tuple[float | None, ...]]:
@@ -217,12 +250,25 @@ def _cmd_alpha0(tol: float) -> _Output:
             f"alpha0: --tol must be at least 2**-52 = {MIN_REL_TOL!r} and finite, got {tol}"
         )
     a0 = solve_alpha0(tol)
-    return 0, [_json_text({"alpha0": a0, "m_at_crossing": m_at_crossing(a0, tol), "tol": tol})]
+    return 0, [_json_object(_ALPHA0, (a0, m_at_crossing(a0, tol), tol))]
 
 
 def _cmd_verify(alpha_max: float, grid: int) -> _Output:
-    report = run_ledger(alpha_max=alpha_max, grid=grid)
-    return 0 if report["passed"] else 2, [_json_text(report)]
+    """The ledger's exit code, and its report as json.dumps(report,
+    indent=2, allow_nan=False) writes it, plus a newline: each name and
+    claim quoted by the function json.dumps quotes it with, each bool
+    written true or false."""
+    from json.encoder import encode_basestring_ascii as quote  # loaded for this report only
+
+    passed, points, *numbers, checks = itemgetter(*_LEDGER_FIELDS)(run_ledger(alpha_max, grid))
+    rows = []
+    for name, claim, got, bound, margin, ok, worst in map(itemgetter(*_CHECK_FIELDS), checks):
+        numbers += got, bound, margin, worst
+        rows.append(_CHECK % (quote(name), quote(claim), got, bound, margin, _BOOLS[ok], worst))
+    table = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    # numbers begins with the head's three floats
+    text = _json_object(_LEDGER, (_BOOLS[passed], points, *numbers[:3], table), numbers)
+    return 0 if passed else 2, [text]
 
 
 # command: (handler, help line, options), and option: (converter or a tuple

@@ -8,8 +8,9 @@ calls).  The evals fixture wraps the objectives the root solves evaluate,
 AlphaConstants.f1, f2 and rho0.  The tests bound how often one operation
 calls them.  ledger_python_calls counts every named Python call in the
 package during the default ledger, the dispatch the layers add around
-those objectives.  Counts do not depend on the machine, so these bounds
-cannot flake the way timings do.
+those objectives, and command_python_calls every Python call of a
+command, its JSON text included.  Counts do not depend on the machine, so
+these bounds cannot flake the way timings do.
 """
 
 import math
@@ -178,6 +179,37 @@ def ledger_python_calls():
     finally:
         sys.setprofile(None)
     return counts
+
+
+def command_python_calls(argv):
+    """The Python calls of cli.main(argv), run once first: every "call"
+    event of the profile hook, the standard library's included."""
+    assert main(argv) in (0, 2)
+    count = [0]
+
+    def profile(frame, event, arg):
+        count[0] += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        main(argv)
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+def test_verify_command_python_calls(tmp_path):
+    # every JSON text is one % on a template built once: 371 calls, where
+    # json.dumps(indent=2) ran json's pure-Python encoder and made 2,816,
+    # about 2,450 of them encoding the report; run_ledger makes 354
+    argv = ["verify", "--alpha-max", "0.032", "--out", str(tmp_path / "verify.json")]
+    assert command_python_calls(argv) <= 400
+
+
+def test_eval_command_python_calls(tmp_path):
+    # 138 calls, where json's encoder made 241
+    argv = ["eval", "--alpha", "0.034", "--out", str(tmp_path / "eval.json")]
+    assert command_python_calls(argv) <= 150
 
 
 def test_ledger_python_calls(full_grid):

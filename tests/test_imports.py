@@ -5,8 +5,9 @@ splitting writes the density's power of n once, each Gamma value is
 computed in one place, the solve tolerance 1e-12 is written once, the
 package exports exactly its layer modules' __all__, every public name has
 a caller or a README line, importing the package loads none of the heavy
-standard modules, the command line loads no argparse and no mpmath, and
-only the envelope subcommand loads array."""
+standard modules, the command line loads no argparse and no mpmath, only
+the envelope subcommand loads array, only verify loads json, and no
+command writes through json's encoder."""
 
 import ast
 import json
@@ -16,6 +17,7 @@ import subprocess
 import sys
 
 import rieszdrop
+from rieszdrop import cli
 
 SRC = pathlib.Path(rieszdrop.__file__).parent
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -245,3 +247,64 @@ def test_array_loads_only_for_envelope(tmp_path):
     ).stdout
     # after the import, after each of the four, after the envelope
     assert json.loads(out) == [False] * 5 + [True]
+
+
+def test_json_loads_only_for_verify(tmp_path):
+    # every JSON text is one % on a template built once; only the ledger
+    # report quotes strings, with json's own encode_basestring_ascii, so
+    # importing the command line and the other four subcommands leave json
+    # unloaded
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); out = sys.argv[2]\n"
+        "import rieszdrop.cli as cli; seen = ['json' in sys.modules]\n"
+        "for argv in (['eval', '--alpha', '0.034'],\n"
+        "             ['sweep', '--steps', '3', '--format', 'json'],\n"
+        "             ['envelope', '--alpha', '0.04', '--steps', '10', '--format', 'json'],\n"
+        "             ['alpha0'], ['verify', '--grid', '10']):\n"
+        "    assert cli.main(argv + ['--out', out]) == 0, argv\n"
+        "    seen.append('json' in sys.modules)\n"
+        "print(seen)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC.parent), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    # after the import, after each of the four, after verify
+    assert out == str([False] * 5 + [True]) + "\n"
+
+
+def test_no_command_writes_through_json_encoder(monkeypatch, tmp_path):
+    # json.dumps' indent encoder is pure Python: it made about 2,450 of the
+    # 2,816 Python calls of `verify --alpha-max 0.032`.  No module calls it,
+    # and every command, each table in both formats, writes with it broken
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("dumps", "JSONEncoder"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder"):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name in ("dumps", "JSONEncoder")
+                ]
+    assert not found, found
+
+    def broken(*args, **kwargs):
+        raise AssertionError("json's encoder was called")
+
+    monkeypatch.setattr(json, "dumps", broken)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "encode", broken)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", broken)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["eval", "--alpha", "0.034"],
+        ["sweep", "--steps", "3"],
+        ["sweep", "--steps", "3", "--format", "json"],
+        ["envelope", "--alpha", "0.04", "--steps", "10"],
+        ["envelope", "--alpha", "0.04", "--steps", "10", "--format", "json"],
+        ["alpha0"],
+        ["verify"],
+        ["verify", "--alpha-max", "0.05", "--grid", "40"],
+    ):
+        assert cli.main(argv + ["--out", out]) == (2 if "0.05" in argv else 0), argv

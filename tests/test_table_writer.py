@@ -1,4 +1,4 @@
-"""The sweep and envelope table writer against json and csv, byte for byte.
+"""The CLI's JSON and CSV writers against json and csv, byte for byte.
 
 cli._table_blocks reads a table's values flat and row-major and fills one
 block template, cli._BLOCK_ROWS rows to a string.  These tests hold the
@@ -12,8 +12,18 @@ same reference bytes; another holds every command's --out to its stdout
 bytes, exit code and stderr.  They also bound the envelope's traced peak
 memory by its output size, and check that a table with a failing row
 writes no byte.
+
+eval's and alpha0's objects and the ledger report are each one % on a
+template built once.  Their texts are held to json.dumps(indent=2,
+allow_nan=False) and a newline: at the golden and hypothesis-drawn
+alphas, on six ledger shapes, passing and failing, as two points and as
+the full walk, and on hypothesis-drawn reports with any finite floats and
+names holding quotes, backslashes and non-ASCII characters.  A non-finite
+number in any float slot raises json's own error, naming the first in
+json's order, and the command then writes no byte.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -21,13 +31,16 @@ import math
 import tracemalloc
 from array import array
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rieszdrop import cli
+from rieszdrop import cli, verify
 from rieszdrop.splitting import envelope_rows
+from rieszdrop.thresholds import m_c1, solve_m2
+from rieszdrop.verify import run_ledger
 
 
 def json_reference(fields, rows):
@@ -306,3 +319,212 @@ def test_failing_row_writes_no_byte(tmp_path, capsys):
         assert capsys.readouterr() == ("", message)
     assert not new.exists()
     assert kept.read_bytes() == b'{"kept": true}\n'
+
+
+# The JSON objects: eval's, alpha0's and the ledger report, each one % on
+# a template built once, against json.dumps(indent=2, allow_nan=False)
+
+
+def json_object_reference(payload):
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def command_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+GOLDEN_ALPHAS = (0.001, 0.01, 0.034, 0.1, 0.5)  # tests/golden/eval_*.json
+ALPHA0_FIELDS = ("alpha0", "m_at_crossing", "tol")
+
+
+def check_eval_text(alpha):
+    code, text = command_text(["eval", "--alpha", repr(alpha)])
+    assert code == 0
+    # json reads every float back bit for bit, so the text is json's
+    # rendering of the values it holds exactly when writing them again
+    # gives the same bytes; the values are the thresholds' own
+    payload = json.loads(text)
+    assert tuple(payload) == cli._EVAL_FIELDS
+    assert payload["alpha"] == alpha
+    assert payload["m_c1"] == m_c1(alpha) and payload["m_2"] == solve_m2(alpha)
+    assert text == json_object_reference(payload)
+
+
+@pytest.mark.parametrize("alpha", GOLDEN_ALPHAS)
+def test_eval_text_at_golden_alphas(alpha):
+    check_eval_text(alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=1e-5, max_value=0.5))
+def test_eval_text_at_drawn_alphas(alpha):
+    check_eval_text(alpha)
+
+
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7e308, -1.7e308, 2.0**-1022]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[FINITE] * len(cli._EVAL_FIELDS)), st.tuples(FINITE, FINITE, FINITE))
+def test_eval_and_alpha0_templates_match_json(eval_values, alpha0_values):
+    # every finite double, two 1.7e308 (whose sum overflows) included
+    assert cli._json_object(cli._EVAL, eval_values) == json_object_reference(
+        dict(zip(cli._EVAL_FIELDS, eval_values))
+    )
+    assert cli._json_object(cli._ALPHA0, alpha0_values) == json_object_reference(
+        dict(zip(ALPHA0_FIELDS, alpha0_values))
+    )
+
+
+def test_alpha0_text():
+    code, text = command_text(["alpha0", "--tol", "1e-6"])
+    assert code == 0
+    payload = json.loads(text)
+    assert tuple(payload) == ALPHA0_FIELDS and payload["tol"] == 1e-6
+    assert text == json_object_reference(payload)
+
+
+LEDGER_PAIRS = [(0.034, 50), (0.05, 40), (0.031234, 1000), (0.5, 7), (1e-5, 7), (0.034, 1000)]
+
+
+@pytest.mark.parametrize("walk", ["two-point", "full"])
+@pytest.mark.parametrize("alpha_max, grid", LEDGER_PAIRS)
+def test_ledger_text_matches_json(alpha_max, grid, walk, monkeypatch):
+    # the report the command writes is run_ledger's, as json.dumps writes
+    # it; (0.05, 40) and (0.5, 7) fail, the others pass
+    if walk == "full":
+        monkeypatch.setattr(verify, "_MONOTONE_FROM", math.inf)
+    report = run_ledger(alpha_max, grid)
+    assert report["passed"] == (alpha_max not in (0.05, 0.5))
+    code, text = command_text(["verify", "--alpha-max", repr(alpha_max), "--grid", str(grid)])
+    assert code == (0 if report["passed"] else 2)
+    assert text == json_object_reference(report)
+
+
+TEXTS = st.one_of(
+    st.sampled_from(['say "1"', "back\\slash", "rho_0 ≤ ρ_c1", "\U0001f600", "\n\t\x00\x7f"]),
+    st.text(),
+)
+
+
+def in_order(fields):
+    # the drawn dict in the key order of fields, run_ledger's, which json
+    # writes (fixed_dictionaries draws its keys in another order)
+    return st.fixed_dictionaries(fields).map(lambda d: {key: d[key] for key in fields})
+
+
+CHECKS = in_order({
+    "name": TEXTS,
+    "claim": TEXTS,
+    "attained": FINITE,
+    "bound": st.one_of(FINITE, st.integers(-(10**20), 10**20)),
+    "margin": FINITE,
+    "pass": st.booleans(),
+    "worst_alpha": FINITE,
+})
+REPORTS = in_order({
+    "passed": st.booleans(),
+    "grid_points": st.integers(2, 10**12),
+    "alpha_max": FINITE,
+    "eps_probe": FINITE,
+    "r_probe": FINITE,
+    "checks": st.lists(CHECKS, max_size=20),
+})
+
+
+def verify_output(report):
+    # the verify command's exit code and text for a report run_ledger gives
+    with mock.patch.object(cli, "run_ledger", lambda alpha_max, grid: report):
+        code, (text,) = cli._cmd_verify(0.034, 1000)
+    return code, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPORTS)
+def test_drawn_ledger_reports_match_json(report):
+    code, text = verify_output(report)
+    assert code == (0 if report["passed"] else 2)
+    assert text == json_object_reference(report)
+
+
+def float_slots(report):
+    # every float slot of a ledger report, in json's order: (checks row or
+    # None for the head, key)
+    slots = [(None, key) for key in ("alpha_max", "eps_probe", "r_probe")]
+    keys = ("attained", "bound", "margin", "worst_alpha")
+    return slots + [(i, key) for i in range(len(report["checks"])) for key in keys]
+
+
+def with_value(report, slot, value):
+    # a copy of report with value in slot
+    row, key = slot
+    if row is None:
+        return {**report, key: value}
+    checks = [dict(check) for check in report["checks"]]
+    checks[row][key] = value
+    return {**report, "checks": checks}
+
+
+def assert_json_error(payload, write):
+    # write() raises the ValueError json.dumps raises on payload
+    with pytest.raises(ValueError) as expected:
+        json_object_reference(payload)
+    with pytest.raises(ValueError) as got:
+        write()
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+@pytest.fixture(scope="module")
+def ledger_report():
+    return run_ledger(0.034, 1000)
+
+
+OBJECTS = [(cli._EVAL, cli._EVAL_FIELDS), (cli._ALPHA0, ALPHA0_FIELDS)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_object_value_raises_json_error(bad, ledger_report):
+    # a non-finite value in any float slot raises json's own error
+    for template, keys in OBJECTS:
+        for i in range(len(keys)):
+            values = tuple(bad if j == i else 0.5 for j in range(len(keys)))
+            assert_json_error(dict(zip(keys, values)), lambda: cli._json_object(template, values))
+    slots = float_slots(ledger_report)
+    assert len(slots) == 3 + 4 * 18
+    for slot in slots:
+        report = with_value(ledger_report, slot, bad)
+        assert_json_error(report, lambda: verify_output(report))
+
+
+@pytest.mark.parametrize("first, later", [(0, 1), (0, -1), (1, 2), (2, 3), (5, 40)])
+def test_first_non_finite_object_value_is_named(first, later, ledger_report):
+    # with two non-finite values, json names the first in its order
+    for template, keys in OBJECTS:
+        if later < len(keys):
+            values = [0.5] * len(keys)
+            values[first], values[later] = -math.inf, math.nan
+            values = tuple(values)
+            assert_json_error(dict(zip(keys, values)), lambda: cli._json_object(template, values))
+    slots = float_slots(ledger_report)
+    report = with_value(with_value(ledger_report, slots[first], -math.inf), slots[later], math.nan)
+    assert_json_error(report, lambda: verify_output(report))
+
+
+def test_non_finite_report_writes_no_byte(ledger_report, monkeypatch, tmp_path, capsys):
+    # the report is checked before main opens stdout or --out
+    report = with_value(ledger_report, (17, "margin"), math.nan)
+    monkeypatch.setattr(cli, "run_ledger", lambda alpha_max, grid: report)
+    out = tmp_path / "report.json"
+    for argv in (["verify"], ["verify", "--out", str(out)]):
+        with pytest.raises(ValueError) as raised:
+            cli.main(argv)
+        assert str(raised.value) == "Out of range float values are not JSON compliant: nan"
+        assert capsys.readouterr() == ("", "")
+    assert not out.exists()
